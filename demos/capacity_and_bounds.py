@@ -7,9 +7,8 @@ one-way secret-key capacity is H(X|Z) - H(X|Y).
 
 import numpy as np
 
-from omska import (BOUND_NAMES, bound_berry_esseen, bound_hr_concatenated,
-                   bound_hr_random_linear, bound_remark, bound_theorem_main,
-                   bsc_chain, entropy_profile, ow_capacity_less_noisy)
+from omska import (BOUND_NAMES, bound_report, bsc_chain, entropy_profile,
+                   ow_capacity_less_noisy)
 
 src = bsc_chain(0.02, 0.15)
 prof = entropy_profile(src)
@@ -22,19 +21,10 @@ print()
 
 eps, sigma = 0.05, 0.05
 ax, ay = src.alphabet_sizes[0], src.alphabet_sizes[1]
-bounds = {
-    "theorem_main": lambda n: bound_theorem_main(n, eps, sigma, prof, ax),
-    "remark": lambda n: bound_remark(n, eps, sigma, prof, ax),
-    "berry_esseen": lambda n: bound_berry_esseen(n, eps, sigma, prof),
-    "hr_linear": lambda n: bound_hr_random_linear(n, eps, sigma, prof, ax, ay),
-    "hr_concat": lambda n: bound_hr_concatenated(n, eps, sigma, prof, ax, ay),
-}
-assert tuple(bounds) == BOUND_NAMES
-
 ns = [1_000, 4_000, 10_000, 100_000, 1_000_000]
-print(f"{'n':>9}  " + "  ".join(f"{name:>13}" for name in bounds))
+print(f"{'n':>9}  " + "  ".join(f"{name:>13}" for name in BOUND_NAMES))
 for n in ns:
-    rates = [fn(n).rate for fn in bounds.values()]
+    rates = [bound_report(name, n, eps, sigma, prof, ax, ay).rate for name in BOUND_NAMES]
     print(f"{n:>9}  " + "  ".join(f"{r:>13.6f}" for r in rates))
 
 print()
@@ -52,8 +42,9 @@ except ImportError:
 
 grid = np.logspace(3, 8, 40)
 fig, axis = plt.subplots(figsize=(7, 4.5))
-for name, fn in bounds.items():
-    axis.plot(grid, [fn(int(n)).rate for n in grid], label=name)
+for name in BOUND_NAMES:
+    rates = [bound_report(name, int(n), eps, sigma, prof, ax, ay).rate for n in grid]
+    axis.plot(grid, rates, label=name)
 axis.axhline(cap, color="k", ls=":", lw=1, label="capacity")
 axis.set_xscale("log")
 axis.set_xlabel("block length n")

@@ -16,9 +16,9 @@ from .uhash import (BitString, GFContext, HashSeed, SeedHasher, decode_symbols,
                     is_irreducible, symbol_width)
 from .planner import (BOUND_NAMES, PLAN_MODES, BoundReport, Plan,
                       bound_berry_esseen, bound_hr_concatenated,
-                      bound_hr_random_linear, bound_remark, bound_theorem_main,
-                      comm_cost, min_positive_n, plan_desk_exact, plan_remark,
-                      plan_theorem_main, qfunc, qfunc_inv)
+                      bound_hr_random_linear, bound_remark, bound_report,
+                      bound_theorem_main, comm_cost, min_positive_n, plan_desk_exact,
+                      plan_remark, plan_theorem_main, qfunc, qfunc_inv)
 from .protocol import (BudgetExceededError, SessionResult, Transcript, alice_send,
                        bob_decode, bob_extract, guess_set, run_session)
 from .verifier import (ReliabilityEstimate, SecrecyReport, avg_min_entropy_exact,
@@ -35,7 +35,7 @@ __all__ = [
     "encode_symbols", "field_for_source", "fresh_seed", "gf_mul", "hash",
     "is_irreducible", "symbol_width",
     "BOUND_NAMES", "PLAN_MODES", "BoundReport", "Plan", "bound_berry_esseen",
-    "bound_hr_concatenated", "bound_hr_random_linear", "bound_remark",
+    "bound_hr_concatenated", "bound_hr_random_linear", "bound_remark", "bound_report",
     "bound_theorem_main", "comm_cost", "min_positive_n", "plan_desk_exact",
     "plan_remark", "plan_theorem_main", "qfunc", "qfunc_inv",
     "BudgetExceededError", "SessionResult", "Transcript", "alice_send",

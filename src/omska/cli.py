@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -29,9 +30,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .planner import (BOUND_NAMES, bound_berry_esseen, bound_hr_concatenated,
-                      bound_hr_random_linear, bound_remark, bound_theorem_main,
-                      min_positive_n, plan_desk_exact, plan_remark, plan_theorem_main)
+from .planner import (BOUND_NAMES, bound_report, min_positive_n, plan_desk_exact,
+                      plan_remark, plan_theorem_main)
 from .protocol import BudgetExceededError
 from .source import JointSource, bsc_chain, entropy_profile, load_joint_pmf, \
     ow_capacity_less_noisy
@@ -144,16 +144,9 @@ def cmd_bounds(args) -> int:
     capacity = ow_capacity_less_noisy(src)
     rows.append({"bound_name": "capacity", "n": 0, "eps": args.eps,
                  "sigma": args.sigma, "value_bits": None, "rate": capacity})
-    evaluators = {
-        "theorem_main": lambda n: bound_theorem_main(n, args.eps, args.sigma, profile, ax),
-        "remark": lambda n: bound_remark(n, args.eps, args.sigma, profile, ax),
-        "berry_esseen": lambda n: bound_berry_esseen(n, args.eps, args.sigma, profile),
-        "hr_linear": lambda n: bound_hr_random_linear(n, args.eps, args.sigma, profile, ax, ay),
-        "hr_concat": lambda n: bound_hr_concatenated(n, args.eps, args.sigma, profile, ax, ay),
-    }
     for name in BOUND_NAMES:
         for n in ns:
-            rep = evaluators[name](n)
+            rep = bound_report(name, n, args.eps, args.sigma, profile, ax, ay)
             rows.append({"bound_name": rep.bound_name, "n": rep.n, "eps": args.eps,
                          "sigma": args.sigma, "value_bits": rep.value_bits,
                          "rate": rep.rate})
@@ -194,7 +187,7 @@ def cmd_run(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be positive")
     seqs = np.random.SeedSequence(args.seed).spawn(args.trials)
-    jobs = max(1, args.jobs)
+    jobs = max(1, min(args.jobs, args.trials, os.cpu_count() or 1))
     if jobs == 1:
         counts = run_batch(src, plan, seqs)
     else:
@@ -232,9 +225,6 @@ def cmd_threshold(args) -> int:
     ax = int(src.alphabet_sizes[0])
     ay = int(src.alphabet_sizes[1])
     names = list(BOUND_NAMES) if args.mode in (None, "all") else [args.mode]
-    for name in names:
-        if name not in BOUND_NAMES:
-            raise UsageError(f"unknown bound {name!r}; choices: {', '.join(BOUND_NAMES)}, all")
     result = {}
     for name in names:
         result[name] = min_positive_n(name, args.eps, args.sigma, profile, ax, ay,

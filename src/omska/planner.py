@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
-from .source import EntropyProfile, JointSource, detect_bsc_chain
+from .source import (EntropyProfile, JointSource, avg_min_entropy_product,
+                     detect_bsc_chain, hamming_ball_size)
 
 PLAN_MODES = ("theorem_main", "remark", "berry_esseen", "desk_exact")
 
@@ -139,9 +141,12 @@ def _report(name: str, n: int, value: float, eps: float, sigma: float,
     return BoundReport(name, n, value, value / n, echo, details or {})
 
 
-def _check_targets(n: int, eps: float, sigma: float) -> None:
-    if n < MIN_PLAN_N:
-        raise ValueError(f"n must be at least {MIN_PLAN_N}, got {n}")
+def _check_n(n: int, least: int = MIN_PLAN_N) -> None:
+    if n < least:
+        raise ValueError(f"n must be at least {least}, got {n}")
+
+
+def _check_targets(eps: float, sigma: float) -> None:
     if not (0.0 < eps < 1.0):
         raise ValueError(f"reliability target eps must be in (0, 1), got {eps!r}")
     if not (0.0 < sigma < 1.0):
@@ -172,9 +177,23 @@ def _key_length_real(n: int, profile: EntropyProfile, log_alpha: float,
     return gap + 2.0 + math.log2(eps_collide * margin * margin) - penalty
 
 
-def _assemble_plan(mode: str, n: int, eps: float, sigma: float, profile: EntropyProfile,
-                   alphabet_x: int, eps_miss: float, eps_collide: float,
-                   eps_smooth: float) -> Plan:
+def _main_split(n: int, eps: float, sigma: float) -> tuple[float, float, float]:
+    """(eps_miss, eps_collide, eps_smooth) of plan_theorem_main."""
+    return (n - 1) / n * eps, eps / n, (n - 1) / (2 * n) * sigma
+
+
+def _remark_split(n: int, eps: float, sigma: float) -> tuple[float, float, float]:
+    """(eps_miss, eps_collide, eps_smooth) of plan_remark."""
+    rt = math.sqrt(n)
+    rt4 = n ** 0.25
+    return (rt - 1) / (2 * rt) * eps, eps / rt, (rt4 - 1) / (2 * rt4) * sigma
+
+
+def _assemble_plan(mode: str, split, n: int, eps: float, sigma: float,
+                   profile: EntropyProfile, alphabet_x: int) -> Plan:
+    _check_n(n)
+    _check_targets(eps, sigma)
+    eps_miss, eps_collide, eps_smooth = split(n, eps, sigma)
     log_alpha = math.log2(alphabet_x + 3)
     miss_slack = _entropy_slack(n, log_alpha, eps_miss)
     smooth_slack = _entropy_slack(n, log_alpha, eps_smooth)
@@ -203,39 +222,121 @@ def plan_theorem_main(n: int, eps: float, sigma: float, profile: EntropyProfile,
     rounded down and clamped; infeasibility sets key_bits = 0 and the flag,
     never an exception.
     """
-    _check_targets(n, eps, sigma)
-    return _assemble_plan("theorem_main", n, eps, sigma, profile, alphabet_x,
-                          eps_miss=(n - 1) / n * eps,
-                          eps_collide=eps / n,
-                          eps_smooth=(n - 1) / (2 * n) * sigma)
+    return _assemble_plan("theorem_main", _main_split, n, eps, sigma, profile, alphabet_x)
 
 
 def plan_remark(n: int, eps: float, sigma: float, profile: EntropyProfile,
                 alphabet_x: int) -> Plan:
     """Alternative split with sqrt(n)/fourth-root(n) denominators, trading the
     third-order term against the sqrt(n) coefficient."""
-    _check_targets(n, eps, sigma)
-    rt = math.sqrt(n)
-    rt4 = n ** 0.25
-    return _assemble_plan("remark", n, eps, sigma, profile, alphabet_x,
-                          eps_miss=(rt - 1) / (2 * rt) * eps,
-                          eps_collide=eps / rt,
-                          eps_smooth=(rt4 - 1) / (2 * rt4) * sigma)
+    return _assemble_plan("remark", _remark_split, n, eps, sigma, profile, alphabet_x)
+
+
+# Bound formulas, shared by reports and the threshold search: each checks its
+# n-independent inputs and returns value(n), unclamped bits, and details(n, bits).
+
+def _split_formula(split, eps: float, sigma: float, profile: EntropyProfile,
+                   alphabet_x: int, alphabet_y):
+    """Real key length of the plan whose targets `split` divides; feasible
+    when the plan's key_bits = floor(bits) reaches 1."""
+    _check_targets(eps, sigma)
+    log_alpha = math.log2(alphabet_x + 3)
+    return (lambda n: _key_length_real(n, profile, log_alpha, *split(n, eps, sigma), sigma),
+            lambda n, bits: {"feasible": bits >= 1.0})
+
+
+def _normal_formula(eps: float, sigma: float, profile: EntropyProfile, alphabet_x, alphabet_y):
+    """Formula of bound_berry_esseen; its details are the strict correction terms."""
+    _check_targets(eps, sigma)
+    if profile.var_x_given_y <= 0.0 or profile.var_x_given_z <= 0.0:
+        raise ValueError("normal approximation needs positive conditional variances")
+    gap = profile.h_x_given_z - profile.h_x_given_y
+    g = qfunc_inv(eps) * math.sqrt(profile.var_x_given_y) \
+        + qfunc_inv(sigma / 2.0) * math.sqrt(profile.var_x_given_z)
+
+    def details(n: int, bits: float) -> dict:
+        rn = math.sqrt(n)
+        theta_n = (1.0 + 3.0 * profile.rho_x_given_y / profile.var_x_given_y ** 1.5) / rn
+        eta_n = 2.0 / rn
+        strict_ok = (eps - theta_n > 0.0) and (sigma - eta_n > 0.0)
+        strict = _normal_formula(eps - theta_n, sigma - eta_n, profile, alphabet_x,
+                                 alphabet_y)[0](n) if strict_ok else None
+        return {"theta_n": theta_n, "eta_n": eta_n, "strict_ok": strict_ok,
+                "strict_value_bits": strict}
+
+    return (lambda n: n * gap - math.sqrt(n) * g - 1.5 * math.log2(n)), details
+
+
+def _hr_check(eps: float, sigma: float) -> None:
+    if not (0.0 < eps < 0.25 and 0.0 < sigma < 0.25):
+        raise ValueError(f"comparison bounds require eps, sigma < 1/4, got {eps!r}, {sigma!r}")
+
+
+def _hr_details(constants: dict):
+    """A comparison bound's details: its constants, and a caution below n = 100."""
+    return lambda n, bits: constants if n >= 100 else \
+        {**constants, "small_n_caution": "stated only for large n"}
+
+
+def _hr_linear_formula(eps: float, sigma: float, profile: EntropyProfile,
+                       alphabet_x: int, alphabet_y: int):
+    """Formula of bound_hr_random_linear."""
+    _hr_check(eps, sigma)
+    f_lin = 90.0 * math.log2(alphabet_x * alphabet_y) * (
+        math.sqrt(math.log2(1.0 / eps)) + math.sqrt(math.log2(1.0 / sigma)))
+    gap = profile.h_x_given_z - profile.h_x_given_y
+    return (lambda n: n * gap - math.sqrt(n) * f_lin), _hr_details({"penalty_sqrt_n": f_lin})
+
+
+def _hr_concat_formula(eps: float, sigma: float, profile: EntropyProfile,
+                       alphabet_x: int, alphabet_y: int):
+    """Formula of bound_hr_concatenated."""
+    _hr_check(eps, sigma)
+    g_cat = (2.0 ** 22 * math.log2(1.0 / eps) * math.log2(alphabet_x) ** 2
+             * math.log2(alphabet_x * alphabet_y) ** 2) ** 0.25
+    f_cat = 8.0 * math.log2(alphabet_x) * math.sqrt(math.log2(1.0 / sigma))
+    gap = profile.h_x_given_z - profile.h_x_given_y
+    return (lambda n: n * gap - n ** 0.75 * g_cat - math.sqrt(n) * f_cat), \
+        _hr_details({"penalty_n34": g_cat, "penalty_sqrt_n": f_cat})
+
+
+# The one name -> bound table: each bound's formula and the least n it takes.
+_BOUNDS = {
+    "theorem_main": (partial(_split_formula, _main_split), MIN_PLAN_N),
+    "remark": (partial(_split_formula, _remark_split), MIN_PLAN_N),
+    "berry_esseen": (_normal_formula, MIN_PLAN_N),
+    "hr_linear": (_hr_linear_formula, 1),
+    "hr_concat": (_hr_concat_formula, 1),
+}
+BOUND_NAMES = tuple(_BOUNDS)
+
+
+def _bound(name: str):
+    if name not in _BOUNDS:
+        raise ValueError(f"unknown bound {name!r}; choices: {', '.join(_BOUNDS)}")
+    return _BOUNDS[name]
+
+
+def bound_report(bound_name: str, n: int, eps: float, sigma: float,
+                 profile: EntropyProfile, alphabet_x, alphabet_y) -> BoundReport:
+    """The named bound at n; a bound ignores the alphabet sizes it does not use."""
+    formula, least_n = _bound(bound_name)
+    _check_n(n, least_n)
+    value, details = formula(eps, sigma, profile, alphabet_x, alphabet_y)
+    bits = value(n)
+    return _report(bound_name, n, max(0.0, bits), eps, sigma, profile, details(n, bits))
 
 
 def bound_theorem_main(n: int, eps: float, sigma: float, profile: EntropyProfile,
                        alphabet_x: int) -> BoundReport:
     """Real-valued (pre-rounding) key length of plan_theorem_main, clamped at 0."""
-    plan = plan_theorem_main(n, eps, sigma, profile, alphabet_x)
-    return _report("theorem_main", n, max(0.0, plan.key_real), eps, sigma, profile,
-                   {"feasible": plan.feasible})
+    return bound_report("theorem_main", n, eps, sigma, profile, alphabet_x, None)
 
 
 def bound_remark(n: int, eps: float, sigma: float, profile: EntropyProfile,
                  alphabet_x: int) -> BoundReport:
-    plan = plan_remark(n, eps, sigma, profile, alphabet_x)
-    return _report("remark", n, max(0.0, plan.key_real), eps, sigma, profile,
-                   {"feasible": plan.feasible})
+    """Real-valued (pre-rounding) key length of plan_remark, clamped at 0."""
+    return bound_report("remark", n, eps, sigma, profile, alphabet_x, None)
 
 
 def bound_berry_esseen(n: int, eps: float, sigma: float,
@@ -249,52 +350,18 @@ def bound_berry_esseen(n: int, eps: float, sigma: float,
 
     details carries the strict finite-n correction terms: theta_n (receiver
     side) and eta_n (eavesdropper side).  When eps > theta_n and
-    sigma > eta_n the corrected form
-        n*dH - sqrt(n)*(Qinv(eps-theta_n)*sd_y + Qinv((sigma-eta_n)/2)*sd_z) - 1.5*log2(n)
-    is valid at this exact n and reported as details["strict_value_bits"];
+    sigma > eta_n the same formula at eps - theta_n and sigma - eta_n is
+    valid at this exact n and reported as details["strict_value_bits"];
     otherwise strict_ok is False and only the approximation is available.
     """
-    _check_targets(n, eps, sigma)
-    if profile.var_x_given_y <= 0.0 or profile.var_x_given_z <= 0.0:
-        raise ValueError("normal approximation needs positive conditional variances")
-    sd_y = math.sqrt(profile.var_x_given_y)
-    sd_z = math.sqrt(profile.var_x_given_z)
-    gap = n * (profile.h_x_given_z - profile.h_x_given_y)
-    rn = math.sqrt(n)
-    value = gap - rn * (qfunc_inv(eps) * sd_y + qfunc_inv(sigma / 2.0) * sd_z) \
-        - 1.5 * math.log2(n)
-    theta_n = (1.0 + 3.0 * profile.rho_x_given_y / profile.var_x_given_y ** 1.5) / rn
-    eta_n = 2.0 / rn
-    strict_ok = (eps - theta_n > 0.0) and (sigma - eta_n > 0.0)
-    strict_value = None
-    if strict_ok:
-        strict_value = gap - rn * (qfunc_inv(eps - theta_n) * sd_y
-                                   + qfunc_inv((sigma - eta_n) / 2.0) * sd_z) \
-            - 1.5 * math.log2(n)
-    details = {"theta_n": theta_n, "eta_n": eta_n, "strict_ok": strict_ok,
-               "strict_value_bits": strict_value}
-    return _report("berry_esseen", n, max(0.0, value), eps, sigma, profile, details)
-
-
-def _hr_check(eps: float, sigma: float) -> None:
-    if not (0.0 < eps < 0.25 and 0.0 < sigma < 0.25):
-        raise ValueError(f"comparison bounds require eps, sigma < 1/4, got {eps!r}, {sigma!r}")
+    return bound_report("berry_esseen", n, eps, sigma, profile, None, None)
 
 
 def bound_hr_random_linear(n: int, eps: float, sigma: float, profile: EntropyProfile,
                            alphabet_x: int, alphabet_y: int) -> BoundReport:
     """Random-linear-code comparison bound: [n*dH - sqrt(n)*f']+ with
     f' = 90*log2(|X||Y|)*(sqrt(log2(1/eps)) + sqrt(log2(1/sigma)))."""
-    _hr_check(eps, sigma)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    f_lin = 90.0 * math.log2(alphabet_x * alphabet_y) * (
-        math.sqrt(math.log2(1.0 / eps)) + math.sqrt(math.log2(1.0 / sigma)))
-    raw = n * (profile.h_x_given_z - profile.h_x_given_y) - math.sqrt(n) * f_lin
-    details = {"penalty_sqrt_n": f_lin}
-    if n < 100:
-        details["small_n_caution"] = "stated only for large n"
-    return _report("hr_linear", n, max(0.0, raw), eps, sigma, profile, details)
+    return bound_report("hr_linear", n, eps, sigma, profile, alphabet_x, alphabet_y)
 
 
 def bound_hr_concatenated(n: int, eps: float, sigma: float, profile: EntropyProfile,
@@ -303,18 +370,7 @@ def bound_hr_concatenated(n: int, eps: float, sigma: float, profile: EntropyProf
     [n*dH - n^(3/4)*g'' - sqrt(n)*f'']+ with
     g'' = (2^22 * log2(1/eps) * log2^2|X| * log2^2(|X||Y|))^(1/4),
     f'' = 8*log2|X|*sqrt(log2(1/sigma))."""
-    _hr_check(eps, sigma)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    g_cat = (2.0 ** 22 * math.log2(1.0 / eps) * math.log2(alphabet_x) ** 2
-             * math.log2(alphabet_x * alphabet_y) ** 2) ** 0.25
-    f_cat = 8.0 * math.log2(alphabet_x) * math.sqrt(math.log2(1.0 / sigma))
-    raw = n * (profile.h_x_given_z - profile.h_x_given_y) \
-        - n ** 0.75 * g_cat - math.sqrt(n) * f_cat
-    details = {"penalty_n34": g_cat, "penalty_sqrt_n": f_cat}
-    if n < 100:
-        details["small_n_caution"] = "stated only for large n"
-    return _report("hr_concat", n, max(0.0, raw), eps, sigma, profile, details)
+    return bound_report("hr_concat", n, eps, sigma, profile, alphabet_x, alphabet_y)
 
 
 def comm_cost(n: int, eps: float, profile: EntropyProfile, alphabet_x: int,
@@ -339,50 +395,20 @@ def comm_cost(n: int, eps: float, profile: EntropyProfile, alphabet_x: int,
         * math.sqrt(math.log2(1.0 / eps))
 
 
-BOUND_NAMES = ("theorem_main", "remark", "berry_esseen", "hr_linear", "hr_concat")
-
-
-def _raw_bound_value(bound_name: str, n: int, eps: float, sigma: float,
-                     profile: EntropyProfile, alphabet_x: int, alphabet_y: int) -> float:
-    """Unclamped bound value, used by the positivity search."""
-    if bound_name == "theorem_main":
-        return plan_theorem_main(n, eps, sigma, profile, alphabet_x).key_real
-    if bound_name == "remark":
-        return plan_remark(n, eps, sigma, profile, alphabet_x).key_real
-    if bound_name == "berry_esseen":
-        gap = n * (profile.h_x_given_z - profile.h_x_given_y)
-        g = qfunc_inv(eps) * math.sqrt(profile.var_x_given_y) \
-            + qfunc_inv(sigma / 2.0) * math.sqrt(profile.var_x_given_z)
-        return gap - math.sqrt(n) * g - 1.5 * math.log2(n)
-    if bound_name == "hr_linear":
-        f_lin = 90.0 * math.log2(alphabet_x * alphabet_y) * (
-            math.sqrt(math.log2(1.0 / eps)) + math.sqrt(math.log2(1.0 / sigma)))
-        return n * (profile.h_x_given_z - profile.h_x_given_y) - math.sqrt(n) * f_lin
-    if bound_name == "hr_concat":
-        g_cat = (2.0 ** 22 * math.log2(1.0 / eps) * math.log2(alphabet_x) ** 2
-                 * math.log2(alphabet_x * alphabet_y) ** 2) ** 0.25
-        f_cat = 8.0 * math.log2(alphabet_x) * math.sqrt(math.log2(1.0 / sigma))
-        return n * (profile.h_x_given_z - profile.h_x_given_y) \
-            - n ** 0.75 * g_cat - math.sqrt(n) * f_cat
-    raise ValueError(f"unknown bound {bound_name!r}")
-
-
 def min_positive_n(bound_name: str, eps: float, sigma: float, profile: EntropyProfile,
                    alphabet_x: int, alphabet_y: int, ceiling: int = 10 ** 12) -> int | None:
     """Smallest n at which the named bound is strictly positive.
 
-    Doubling search followed by bisection; the result is verified locally
-    (value(n*) > 0 and value(n*-1) <= 0).  Returns None if the bound never
-    turns positive at or below the ceiling.  The bounds here are eventually
-    monotone in n for positive-rate sources, which is all the search needs.
+    Doubling search then bisection over the bound's formula, whose input
+    checks run once; the result is verified locally (value(n*) > 0 and
+    value(n*-1) <= 0).  Returns None if the bound never turns positive at or
+    below the ceiling.  The bounds here are eventually monotone in n for
+    positive-rate sources, which is all the search needs.
     """
-    if bound_name not in BOUND_NAMES:
-        raise ValueError(f"unknown bound {bound_name!r}")
+    formula = _bound(bound_name)[0]
     if ceiling > 10 ** 12:
         raise ValueError("ceiling above 1e12 not supported")
-
-    def value(n: int) -> float:
-        return _raw_bound_value(bound_name, n, eps, sigma, profile, alphabet_x, alphabet_y)
+    value = formula(eps, sigma, profile, alphabet_x, alphabet_y)[0]
 
     lo = MIN_PLAN_N
     if value(lo) > 0.0:
@@ -422,8 +448,7 @@ def plan_desk_exact(src: JointSource, n: int, eps: float, sigma: float) -> Plan:
         raise ValueError("desk-exact planning needs a binary cascade source")
     if not (1 <= n <= 64):
         raise ValueError(f"desk-exact planning supports 1 <= n <= 64, got {n}")
-    if not (0.0 < eps < 1.0) or not (0.0 < sigma < 1.0):
-        raise ValueError("targets eps and sigma must be in (0, 1)")
+    _check_targets(eps, sigma)
     p = params.p
 
     # exact binomial survival scan: smallest d with P(Bin(n, p) > d) <= eps/2
@@ -436,7 +461,7 @@ def plan_desk_exact(src: JointSource, n: int, eps: float, sigma: float) -> Plan:
             break
     assert ball_radius is not None  # tail at d = n is exactly 0
 
-    list_size = sum(math.comb(n, k) for k in range(ball_radius + 1))
+    list_size = hamming_ball_size(n, ball_radius)
     recon_bits = min(n, math.ceil(math.log2(list_size) + math.log2(2.0 / eps)))
 
     # -log2 probability of a flip pattern of exactly ball_radius errors;
@@ -445,10 +470,7 @@ def plan_desk_exact(src: JointSource, n: int, eps: float, sigma: float) -> Plan:
     if ball_radius > 0:
         threshold += ball_radius * -math.log2(p)
 
-    # exact average min-entropy of X^n given Z^n, product form
-    per_symbol = float(src.p_xz().max(axis=0).sum())
-    hmin_total = -n * math.log2(per_symbol)
-    key_real = hmin_total - recon_bits + 2.0 + 2.0 * math.log2(sigma)
+    key_real = avg_min_entropy_product(src, n) - recon_bits + 2.0 + 2.0 * math.log2(sigma)
     key_bits = max(0, math.floor(key_real))
 
     return Plan(

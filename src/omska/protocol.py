@@ -10,9 +10,11 @@ Candidate enumeration is deterministic: the binary-cascade fast path walks
 flip patterns by increasing Hamming weight (lexicographic within a weight),
 the general path does depth-first search with positions in natural order and
 per-position symbols sorted by ascending cost.  Both paths enumerate the same
-set; tests pin that down.  Searches are capped by a node/candidate budget
-(default 1e8, overridable via the OMSKA_BUDGET environment variable) and
-raise BudgetExceededError instead of thrashing.
+set; tests pin that down.  On the cascade both ball paths share one
+radius/size/budget helper and one enumerator of per-weight flip-pattern
+arrays.  Searches are capped by a node/candidate budget (default 1e8,
+overridable via the OMSKA_BUDGET environment variable) and raise
+BudgetExceededError, carrying the count and the budget, instead of thrashing.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .planner import Plan
-from .source import JointSource, detect_bsc_chain, sample
-from .uhash import (BitString, GFContext, SeedHasher, decode_symbols, encode_symbols,
-                    field_for_source, fresh_seed, hash as uhf_hash, symbol_width)
+from .source import (BscChainParams, JointSource, detect_bsc_chain, hamming_ball_size,
+                     sample)
+from .uhash import (BitString, GFContext, SeedHasher, encode_symbols, field_for_source,
+                    fresh_seed, hash as uhf_hash)
 
 DEFAULT_SEARCH_BUDGET = 10 ** 8
 
@@ -37,7 +40,16 @@ _RADIUS_TOL = 1e-9
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when list enumeration would exceed the configured node budget."""
+    """Raised when list enumeration would exceed the configured node budget;
+    count is the list size (ball paths) or the nodes visited (depth-first)."""
+
+    def __init__(self, message: str, count: int, budget: int):
+        super().__init__(message)
+        self.count = count
+        self.budget = budget
+
+    def __reduce__(self):  # keep the attributes across process pools
+        return type(self), (str(self), self.count, self.budget)
 
 
 def search_budget() -> int:
@@ -120,26 +132,35 @@ def alice_send(x: np.ndarray, recon_seed: BitString, plan: Plan, ctx: GFContext,
     return uhf_hash(encoded, recon_seed, plan.recon_bits, ctx)
 
 
-def _bsc_radius(plan: Plan, n: int, p: float) -> int:
-    """Largest flip weight whose surprisal stays within the plan threshold."""
+def _hamming_ball(plan: Plan, n: int, p: float) -> tuple[int, int]:
+    """(radius, size) of the cascade's guess list: the largest flip weight whose
+    surprisal stays within the plan threshold (-1: empty) and the block count
+    within it, which must not exceed the search budget."""
     lam = plan.list_log_threshold
     if p == 0.0:
         # flips have probability zero; only the exact copy can qualify
-        return 0 if lam + _RADIUS_TOL >= 0.0 else -1
-    base = n * -math.log2(1.0 - p)
-    if p == 0.5:
+        radius = 0 if lam + _RADIUS_TOL >= 0.0 else -1
+    elif p == 0.5:
         # all blocks equally likely at n bits of surprisal
-        return n if lam + _RADIUS_TOL >= n else -1
-    if lam + _RADIUS_TOL < base:
-        return -1
-    step = math.log2((1.0 - p) / p)
-    return min(n, math.floor((lam - base) / step + _RADIUS_TOL))
+        radius = n if lam + _RADIUS_TOL >= n else -1
+    else:
+        base = n * -math.log2(1.0 - p)
+        step = math.log2((1.0 - p) / p)
+        radius = -1 if lam + _RADIUS_TOL < base \
+            else min(n, math.floor((lam - base) / step + _RADIUS_TOL))
+    budget = search_budget()
+    count = hamming_ball_size(n, radius)
+    if count > budget:
+        raise BudgetExceededError(
+            f"guess list holds {count} blocks, budget is {budget}", count, budget)
+    return radius, count
 
 
-def _iter_flip_patterns(n: int, radius: int):
-    """Flip-position tuples by increasing weight, lexicographic within weight."""
+def _flip_patterns(n: int, radius: int):
+    """Per weight w = 0..radius, the (C(n, w), w) array of flip positions, rows
+    lexicographic."""
     for w in range(radius + 1):
-        yield from itertools.combinations(range(n), w)
+        yield np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
 
 
 def guess_set(y: np.ndarray, plan: Plan, src: JointSource) -> np.ndarray:
@@ -149,26 +170,21 @@ def guess_set(y: np.ndarray, plan: Plan, src: JointSource) -> np.ndarray:
     order described in the module docstring.  Raises BudgetExceededError when
     the enumeration would exceed the search budget.
     """
-    y = np.asarray(y, dtype=np.int64)
+    return _guess_list(np.asarray(y, dtype=np.int64), plan, src, detect_bsc_chain(src))
+
+
+def _guess_list(y: np.ndarray, plan: Plan, src: JointSource,
+                params: BscChainParams | None) -> np.ndarray:
     n = y.shape[0]
-    budget = search_budget()
-    params = detect_bsc_chain(src)
-    if params is not None:
-        radius = _bsc_radius(plan, n, params.p)
-        if radius < 0:
-            return np.empty((0, n), dtype=np.int64)
-        count = sum(math.comb(n, w) for w in range(radius + 1))
-        if count > budget:
-            raise BudgetExceededError(
-                f"guess list holds {count} blocks, budget is {budget}")
-        out = np.tile(y, (count, 1))
-        row = 0
-        for positions in _iter_flip_patterns(n, radius):
-            for j in positions:
-                out[row, j] ^= 1
-            row += 1
-        return out
-    return _guess_set_general(y, plan, src, budget)
+    if params is None:
+        return _guess_set_general(y, plan, src, search_budget())
+    radius, count = _hamming_ball(plan, n, params.p)
+    out = np.tile(y, (count, 1))
+    row = 0
+    for positions in _flip_patterns(n, radius):
+        out[np.arange(row, row + len(positions))[:, None], positions] ^= 1
+        row += len(positions)
+    return out
 
 
 def _guess_set_general(y: np.ndarray, plan: Plan, src: JointSource,
@@ -219,7 +235,7 @@ def _guess_set_general(y: np.ndarray, plan: Plan, src: JointSource,
         nodes += 1
         if nodes > budget or len(found) > budget:
             raise BudgetExceededError(
-                f"list search exceeded budget {budget} at depth {i}")
+                f"list search exceeded budget {budget} at depth {i}", nodes, budget)
         prefix[i] = symbol
         frames.append([i + 1, total, 0])
     if not found:
@@ -228,9 +244,10 @@ def _guess_set_general(y: np.ndarray, plan: Plan, src: JointSource,
 
 
 def _decode_scan(y: np.ndarray, check_value: BitString, recon_seed: BitString,
-                 plan: Plan, ctx: GFContext, src: JointSource):
+                 plan: Plan, ctx: GFContext, src: JointSource,
+                 params: BscChainParams | None):
     size_x = src.alphabet_sizes[0]
-    candidates = guess_set(y, plan, src)
+    candidates = _guess_list(np.asarray(y, dtype=np.int64), plan, src, params)
     match = None
     for row in candidates:
         v = uhf_hash(encode_symbols(row, size_x), recon_seed, plan.recon_bits, ctx)
@@ -244,23 +261,15 @@ def _decode_scan(y: np.ndarray, check_value: BitString, recon_seed: BitString,
 
 
 def _decode_ball(y: np.ndarray, check_value: BitString, recon_seed: BitString,
-                 plan: Plan, ctx: GFContext, src: JointSource):
+                 plan: Plan, ctx: GFContext, params: BscChainParams):
     """Vectorized binary path: hash(y xor e) = hash(y) xor basis products of e."""
-    params = detect_bsc_chain(src)
-    if params is None:
-        raise ValueError("ball decoding requires a binary cascade source")
     if ctx.bits > 64:
         raise ValueError("ball decoding supports fields up to 64 bits")
     y = np.asarray(y, dtype=np.int64)
     n = y.shape[0]
-    radius = _bsc_radius(plan, n, params.p)
+    radius, _ = _hamming_ball(plan, n, params.p)
     if radius < 0:
         return "abort", None
-    budget = search_budget()
-    count = sum(math.comb(n, w) for w in range(radius + 1))
-    if count > budget:
-        raise BudgetExceededError(
-            f"guess list holds {count} blocks, budget is {budget}")
 
     hasher = SeedHasher(recon_seed, ctx)
     basis = hasher.table_u64()
@@ -269,27 +278,19 @@ def _decode_ball(y: np.ndarray, check_value: BitString, recon_seed: BitString,
     target = np.uint64(check_value.value)
 
     match = None
-    for w in range(radius + 1):
-        if w == 0:
-            prods = np.array([base], dtype=np.uint64)
-            combos = np.empty((1, 0), dtype=np.int64)
-        else:
-            combos = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64)
-            # symbol j occupies bit n-1-j of the big-endian encoding
-            gathered = basis[(n - 1) - combos]
-            acc = gathered[:, 0].copy()
-            for k in range(1, w):
-                acc ^= gathered[:, k]
-            prods = acc ^ base
+    for positions in _flip_patterns(n, radius):
+        # symbol j occupies bit n-1-j of the big-endian encoding
+        gathered = basis[(n - 1) - positions]
+        prods = np.full(positions.shape[0], base, dtype=np.uint64)
+        for k in range(positions.shape[1]):
+            prods ^= gathered[:, k]
         hits = np.nonzero((prods >> shift) == target)[0] if plan.recon_bits > 0 \
             else np.arange(prods.shape[0])
         for idx in hits:
             if match is not None:
                 return "abort", None
-            cand = y.copy()
-            for j in combos[idx]:
-                cand[j] ^= 1
-            match = cand
+            match = y.copy()
+            match[positions[idx]] ^= 1
     if match is None:
         return "abort", None
     return "ok", match
@@ -307,13 +308,15 @@ def bob_decode(y: np.ndarray, check_value: BitString, recon_seed: BitString,
     if check_value.length != plan.recon_bits:
         raise ValueError(
             f"check value has {check_value.length} bits, plan says {plan.recon_bits}")
+    params = detect_bsc_chain(src)
     if method == "auto":
-        method = "ball" if detect_bsc_chain(src) is not None and ctx.bits <= 64 \
-            else "scan"
+        method = "ball" if params is not None and ctx.bits <= 64 else "scan"
     if method == "ball":
-        return _decode_ball(y, check_value, recon_seed, plan, ctx, src)
+        if params is None:
+            raise ValueError("ball decoding requires a binary cascade source")
+        return _decode_ball(y, check_value, recon_seed, plan, ctx, params)
     if method == "scan":
-        return _decode_scan(y, check_value, recon_seed, plan, ctx, src)
+        return _decode_scan(y, check_value, recon_seed, plan, ctx, src, params)
     raise ValueError(f"unknown decode method {method!r}")
 
 

@@ -78,6 +78,12 @@ class JointSource:
     def p_z(self) -> np.ndarray:
         return self.pmf.sum(axis=(0, 1))
 
+    def p_x_and(self, side: str) -> np.ndarray:
+        """Joint pmf of X with the named side, 'y' or 'z'."""
+        if side not in ("y", "z"):
+            raise ValueError(f"given must be 'y' or 'z', got {side!r}")
+        return self.p_xy() if side == "y" else self.p_xz()
+
 
 @dataclass(frozen=True)
 class EntropyProfile:
@@ -176,6 +182,11 @@ def detect_bsc_chain(src: JointSource, tol: float = 1e-12) -> BscChainParams | N
     return None
 
 
+def hamming_ball_size(n: int, radius: int) -> int:
+    """Length-n binary blocks within Hamming distance `radius` of a fixed one."""
+    return sum(math.comb(n, w) for w in range(radius + 1))
+
+
 def load_joint_pmf(desc: str | dict) -> JointSource:
     """Parse a serialized source description.
 
@@ -270,6 +281,13 @@ def ow_capacity_less_noisy(src: JointSource) -> float:
     caller is responsible for checking applicability."""
     prof = entropy_profile(src)
     return prof.h_x_given_z - prof.h_x_given_y
+
+
+def avg_min_entropy_product(src: JointSource, n: int, given: str = "z") -> float:
+    """Average conditional min-entropy of X^n given the named side's block,
+    -n*log2 sum_v max_x P(x, v): the closed product form, exact for IID blocks."""
+    per_symbol = float(src.p_x_and(given).max(axis=0).sum())
+    return -n * math.log2(per_symbol)
 
 
 def sample(src: JointSource, n: int, rng_seed: int | np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

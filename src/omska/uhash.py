@@ -272,7 +272,7 @@ class SeedHasher:
 
     R[i] = (x^i) (.) seed, built by an xtime chain, so the hash of any input is
     the XOR of R over its set bits.  Used by the decoders, which hash thousands
-    of candidates under a single seed.
+    of candidates under a single seed, and (product_table) the exact verifiers.
     """
 
     def __init__(self, seed: HashSeed, ctx: GFContext):
@@ -306,3 +306,13 @@ class SeedHasher:
         if self.ctx.bits > 64:
             raise ValueError("vectorized table requires m <= 64")
         return np.array(self.table, dtype=np.uint64)
+
+    def product_table(self) -> np.ndarray:
+        """x (.) seed for every x < 2^m (m <= 20) by subset doubling: the x with
+        top bit i take the products below 2^i XOR R[i]."""
+        if self.ctx.bits > 20:
+            raise ValueError("product table limited to 20-bit fields")
+        table = np.zeros(1 << self.ctx.bits, dtype=np.uint64)
+        for i, r in enumerate(self.table):
+            table[1 << i:2 << i] = table[:1 << i] ^ np.uint64(r)
+        return table

@@ -22,8 +22,8 @@ import numpy as np
 
 from .planner import Plan
 from .protocol import run_session
-from .source import JointSource
-from .uhash import GFContext, field_for_source
+from .source import JointSource, avg_min_entropy_product
+from .uhash import BitString, GFContext, SeedHasher, field_for_source
 
 # two-sided 95% normal quantile, fixed so intervals are reproducible
 _WILSON_Z = 1.959963984540054
@@ -108,12 +108,7 @@ def avg_min_entropy_exact(src: JointSource, n: int, given: str = "z") -> float:
     structure, so this doubles as an independent check of closed forms.
     Capped at 1e8 cells.
     """
-    if given == "z":
-        pair = src.p_xz()
-    elif given == "y":
-        pair = src.p_xy()
-    else:
-        raise ValueError(f"given must be 'y' or 'z', got {given!r}")
+    pair = src.p_x_and(given)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     size_x, size_v = pair.shape
@@ -128,18 +123,6 @@ def avg_min_entropy_exact(src: JointSource, n: int, given: str = "z") -> float:
     if total <= 0.0:
         raise ValueError("side information has zero total mass")
     return -math.log2(total)
-
-
-def avg_min_entropy_product(src: JointSource, n: int, given: str = "z") -> float:
-    """Closed product form of the same quantity, exact for IID blocks."""
-    if given == "z":
-        pair = src.p_xz()
-    elif given == "y":
-        pair = src.p_xy()
-    else:
-        raise ValueError(f"given must be 'y' or 'z', got {given!r}")
-    per_symbol = float(pair.max(axis=0).sum())
-    return -n * math.log2(per_symbol)
 
 
 @dataclass(frozen=True)
@@ -168,21 +151,44 @@ class SecrecyReport:
     meets_target: bool
 
 
-def _subset_product_table(seed_value: int, ctx: GFContext) -> np.ndarray:
-    """Field products x (.) s for every x in [0, 2^m), by subset doubling."""
+def _pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int,
+                    pairs: list) -> np.ndarray:
+    """Per seed pair, the distance of the ell-bit key from uniform given the
+    t-bit check value and the eavesdropper block; binary blocks of m bits."""
     m = ctx.bits
-    if m > 20:
-        raise ValueError("product table limited to 20-bit fields")
-    # basis[i] = x^i (.) s; products of subsets XOR the basis rows they use
-    cur = seed_value
-    table = np.zeros(1 << m, dtype=np.uint64)
-    for i in range(m):
-        table[1 << i:2 << i] = table[:1 << i] ^ np.uint64(cur)
-        nxt = cur << 1
-        if nxt >> m:
-            nxt ^= ctx.poly
-        cur = nxt
-    return table
+    # joint block distribution over (x-block, z-block), big-endian kron order
+    M = reduce(np.kron, (pair,) * m)
+    # products of every x-block, once per distinct seed
+    table = {s: SeedHasher(BitString(s, m), ctx).product_table()
+             for s in set(itertools.chain(*pairs))}
+    # bucket = check value then key; t = 0 shifts every product out to 0
+    to_check, to_key = np.uint64(m - t), np.uint64(m - ell)
+
+    n_buckets = 1 << (t + ell)
+    z_cols = M.shape[1]
+    # bucket scatter-add: a one-hot matmul is fastest while the bucket count
+    # stays small (cost grows with it), a flat weighted bincount costs the
+    # same regardless of bucket count and wins for wide hashes
+    use_matmul = n_buckets <= _MATMUL_MAX_BUCKETS
+    eye = np.eye(n_buckets, dtype=np.float64) if use_matmul else None
+    cols = np.arange(z_cols, dtype=np.int64)
+    flat_weights = np.ascontiguousarray(M).ravel()
+    inv_keys = 1.0 / (1 << ell)
+    terms = np.empty(len(pairs), dtype=np.float64)
+    for j, (s, s2) in enumerate(pairs):
+        bucket = ((table[s] >> to_check) << np.uint64(ell)
+                  | table[s2] >> to_key).astype(np.int64)
+        if use_matmul:
+            joint = eye[bucket].T @ M
+        else:
+            flat = bucket[:, None] * z_cols + cols[None, :]
+            joint = np.bincount(flat.ravel(), weights=flat_weights,
+                                minlength=n_buckets * z_cols
+                                ).reshape(n_buckets, z_cols)
+        by_check = joint.reshape(1 << t, 1 << ell, z_cols)
+        ideal = by_check.sum(axis=1, keepdims=True) * inv_keys
+        terms[j] = 0.5 * np.abs(by_check - ideal).sum()
+    return terms
 
 
 def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None,
@@ -210,10 +216,6 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
     if t + ell > m:
         raise ValueError(f"recon_bits + key_bits = {t + ell} exceeds the {m}-bit field")
 
-    # joint block distribution over (x-block, z-block), big-endian kron order
-    pair = src.p_xz()
-    M = reduce(np.kron, (pair,) * n)
-
     if seed_pairs is not None and recon_seeds is not None:
         raise ValueError("give seed_pairs or recon_seeds, not both")
     if seed_pairs is None and recon_seeds is None and m > _ENUM_SEED_MAX_BITS:
@@ -240,47 +242,9 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
         recon_groups = recon_seeds
         exact = False
 
-    # per-seed hash tables over all x-blocks, pre-shifted into bucket position;
-    # cached by seed value so full enumeration computes each table once
-    recon_cache: dict[int, np.ndarray] = {}
-    key_cache: dict[int, np.ndarray] = {}
-
-    def recon_part(s: int) -> np.ndarray:
-        if s not in recon_cache:
-            recon_cache[s] = ((_subset_product_table(s, ctx) >> np.uint64(m - t))
-                              << np.uint64(ell) if t > 0
-                              else np.zeros(1 << m, dtype=np.uint64))
-        return recon_cache[s]
-
-    def key_part(s2: int) -> np.ndarray:
-        if s2 not in key_cache:
-            key_cache[s2] = (_subset_product_table(s2, ctx) >> np.uint64(m - ell)
-                             if ell > 0 else np.zeros(1 << m, dtype=np.uint64))
-        return key_cache[s2]
-
-    n_buckets = 1 << (t + ell)
-    z_cols = M.shape[1]
-    # bucket scatter-add: a one-hot matmul is fastest while the bucket count
-    # stays small (cost grows with it), a flat weighted bincount costs the
-    # same regardless of bucket count and wins for wide hashes
-    use_matmul = n_buckets <= _MATMUL_MAX_BUCKETS
-    eye = np.eye(n_buckets, dtype=np.float64) if use_matmul else None
-    cols = np.arange(z_cols, dtype=np.int64)
-    flat_weights = np.ascontiguousarray(M).ravel()
-    inv_keys = 1.0 / (1 << ell)
-    terms = np.empty(len(pairs), dtype=np.float64)
-    for j, (s, s2) in enumerate(pairs):
-        bucket = (recon_part(s) | key_part(s2)).astype(np.int64)
-        if use_matmul:
-            joint = eye[bucket].T @ M
-        else:
-            flat = bucket[:, None] * z_cols + cols[None, :]
-            joint = np.bincount(flat.ravel(), weights=flat_weights,
-                                minlength=n_buckets * z_cols
-                                ).reshape(n_buckets, z_cols)
-        by_check = joint.reshape(1 << t, 1 << ell, z_cols)
-        ideal = by_check.sum(axis=1, keepdims=True) * inv_keys
-        terms[j] = 0.5 * np.abs(by_check - ideal).sum()
+    # a 0-bit key is uniform by definition: every term is exactly zero
+    terms = _pair_distances(src.p_xz(), ctx, t, ell, pairs) if ell > 0 \
+        else np.zeros(len(pairs), dtype=np.float64)
 
     sd = float(terms.mean())
     if exact:
@@ -319,6 +283,6 @@ def uhf_collision_census(ctx: GFContext, out_bits: int) -> np.ndarray:
     counts = np.zeros((size, size), dtype=np.int64)
     shift = np.uint64(m - out_bits)
     for s in range(size):
-        h = _subset_product_table(s, ctx) >> shift
+        h = SeedHasher(BitString(s, m), ctx).product_table() >> shift
         counts += h[:, None] == h[None, :]
     return counts

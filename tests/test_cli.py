@@ -84,6 +84,42 @@ def test_run_jobs_do_not_change_counts(capsys):
     assert a["failure_rate"] == b["failure_rate"]
 
 
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_run_jobs_clamped_to_trials_and_cores(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    _InlineExecutor.requested.clear()
+    argv = ["run", *BSC, "--n", "16", "--mode", "desk_exact", "--trials", "3",
+            "--seed", "5"]
+    _, serial = _run(capsys, argv + ["--jobs", "1"])
+    assert _InlineExecutor.requested == []
+    _, wide = _run(capsys, argv + ["--jobs", "10000"])
+    assert _InlineExecutor.requested == [3]
+    assert json.loads(wide) == json.loads(serial)
+    # and never more workers than cores
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _, capped = _run(capsys, argv + ["--jobs", "10000"])
+    assert _InlineExecutor.requested == [3, 2]
+    assert json.loads(capped) == json.loads(serial)
+
+
 def test_verify_uniform_block(capsys):
     code, out = _run(capsys, ["verify", "--bsc", "0.5,0.5", "--n", "4",
                               "--eps", "0.5", "--sigma", "0.5"])
@@ -134,6 +170,17 @@ def test_threshold_all_with_ceiling(capsys):
                            "hr_concat"}
     assert result["hr_concat"] == 1143045317
     assert 900 < result["theorem_main"] <= 1000
+
+
+def test_threshold_checks_inputs_like_bounds(capsys):
+    # a noiseless receiver has zero conditional variance: the normal
+    # approximation is undefined, for the search as for the bound itself
+    assert cli.main(["threshold", "--bsc", "0,0.15", "--mode", "berry_esseen"]) == 2
+    threshold_err = capsys.readouterr().err
+    assert cli.main(["bounds", "--bsc", "0,0.15", "--n", "27"]) == 2
+    bounds_err = capsys.readouterr().err
+    assert "positive conditional variances" in threshold_err
+    assert threshold_err == bounds_err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -5,11 +5,14 @@ import math
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omska.planner import (PLAN_MODES, Plan, bound_berry_esseen, bound_hr_concatenated,
-                           bound_hr_random_linear, bound_remark, bound_theorem_main,
-                           comm_cost, min_positive_n, plan_desk_exact, plan_remark,
-                           plan_theorem_main, qfunc, qfunc_inv)
+from omska.planner import (BOUND_NAMES, PLAN_MODES, Plan, bound_berry_esseen,
+                           bound_hr_concatenated, bound_hr_random_linear, bound_remark,
+                           bound_report, bound_theorem_main, comm_cost, min_positive_n,
+                           plan_desk_exact, plan_remark, plan_theorem_main, qfunc,
+                           qfunc_inv)
 from omska.source import bsc_chain, entropy_profile
 from omska.verifier import avg_min_entropy_product
 
@@ -209,6 +212,48 @@ def test_min_positive_n_none_when_gap_zero():
     flat = entropy_profile(bsc_chain(0.02, 0.0))
     assert flat.h_x_given_z == pytest.approx(flat.h_x_given_y, abs=1e-12)
     assert min_positive_n("hr_linear", EPS, SIGMA, flat, 2, 2, ceiling=10 ** 6) is None
+
+
+def test_min_positive_n_checks_inputs_like_the_bound():
+    with pytest.raises(ValueError, match="1/4") as from_bound:
+        bound_hr_random_linear(1000, 0.3, 0.05, PROF, 2, 2)
+    with pytest.raises(ValueError, match="1/4") as from_search:
+        min_positive_n("hr_linear", 0.3, 0.05, PROF, 2, 2)
+    assert str(from_search.value) == str(from_bound.value)
+    noiseless = entropy_profile(bsc_chain(0.0, 0.15))
+    with pytest.raises(ValueError, match="positive conditional variances"):
+        min_positive_n("berry_esseen", EPS, SIGMA, noiseless, 2, 2)
+    with pytest.raises(ValueError, match="sigma"):
+        min_positive_n("theorem_main", EPS, 1.5, PROF, 2, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.floats(0.005, 0.2), q=st.floats(0.05, 0.3),
+       eps=st.floats(0.01, 0.2), sigma=st.floats(0.01, 0.2))
+def test_min_positive_n_is_the_bounds_crossing(p, q, eps, sigma):
+    prof = entropy_profile(bsc_chain(p, q))
+    for name in BOUND_NAMES:
+        n_star = min_positive_n(name, eps, sigma, prof, 2, 2)
+        if n_star is None:  # no crossing at or below the default ceiling
+            assert bound_report(name, 10 ** 12, eps, sigma, prof, 2, 2).value_bits == 0.0
+            continue
+        assert bound_report(name, n_star, eps, sigma, prof, 2, 2).value_bits > 0.0, name
+        if n_star - 1 >= 2:
+            assert bound_report(name, n_star - 1, eps, sigma, prof, 2, 2).value_bits \
+                == 0.0, name
+
+
+def test_bound_report_dispatch():
+    assert BOUND_NAMES == ("theorem_main", "remark", "berry_esseen", "hr_linear",
+                           "hr_concat")
+    assert bound_report("theorem_main", 2000, EPS, SIGMA, PROF, 2, 2) == \
+        bound_theorem_main(2000, EPS, SIGMA, PROF, 2)
+    assert bound_report("berry_esseen", 2000, EPS, SIGMA, PROF, 2, 2) == \
+        bound_berry_esseen(2000, EPS, SIGMA, PROF)
+    assert bound_report("hr_concat", 2000, EPS, SIGMA, PROF, 2, 2) == \
+        bound_hr_concatenated(2000, EPS, SIGMA, PROF, 2, 2)
+    with pytest.raises(ValueError, match="unknown bound"):
+        bound_report("nothing", 2000, EPS, SIGMA, PROF, 2, 2)
 
 
 def test_min_positive_n_rejects_unknown():

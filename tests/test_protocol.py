@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -170,14 +171,21 @@ def test_budget_caps_all_search_paths(monkeypatch):
     monkeypatch.setenv("OMSKA_BUDGET", "10")
     plan = plan_desk_exact(CHAIN, 8, 0.005, 0.05)  # 37 candidates > 10
     y = np.array([1, 0, 0, 1, 1, 1, 0, 1])
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as listed:
         guess_set(y, plan, CHAIN)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as decoded:
         bob_decode(y, BitString(0, plan.recon_bits), BitString(1, 8), plan,
                    _ctx8(), CHAIN, method="ball")
-    with pytest.raises(BudgetExceededError):
+    for exc in (listed.value, decoded.value):
+        assert (exc.count, exc.budget) == (37, 10)
+        assert str(exc) == "guess list holds 37 blocks, budget is 10"
+    with pytest.raises(BudgetExceededError) as searched:
         guess_set(np.array([0, 1, 0, 0, 1]), _hand_plan(5, 7.0, 0, 0),
                   _ternary_source())
+    assert searched.value.budget == 10 and searched.value.count > 10
+    # the numbers survive the trip back from a worker process
+    back = pickle.loads(pickle.dumps(listed.value))
+    assert (str(back), back.count, back.budget) == (str(listed.value), 37, 10)
 
 
 def _ctx8():

@@ -209,6 +209,25 @@ def test_secrecy_accumulators_agree_medium(monkeypatch):
         assert via_bincount == pytest.approx(via_matmul, abs=1e-13), (t, ell)
 
 
+def test_secrecy_zero_key_skips_enumeration(monkeypatch):
+    # a 0-bit key is uniform by definition: no seed table is built, and the
+    # report matches the enumerated one field for field
+    from omska.uhash import SeedHasher
+
+    def refuse(self):
+        raise AssertionError("seed table built for a 0-bit key")
+
+    plan = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
+    assert plan.key_bits == 0
+    monkeypatch.setattr(SeedHasher, "product_table", refuse)
+    rep = secrecy_sd_exact(CHAIN, plan)
+    assert rep.sd == 0.0 and rep.exact and rep.seed_pairs == 65536
+    sampled = secrecy_sd_exact(CHAIN, plan, seed_pairs=50)
+    assert sampled.sd == 0.0 and sampled.seed_pairs == 50 and sampled.std_error == 0.0
+    recon = secrecy_sd_exact(CHAIN, plan, recon_seeds=3)
+    assert recon.sd == 0.0 and recon.seed_pairs == 3 * 256 and recon.std_error == 0.0
+
+
 def test_secrecy_frozen_n8_point():
     rep = secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 2, 1))
     assert rep.exact and rep.seed_pairs == 65536
