@@ -1,9 +1,10 @@
 """Exact secrecy audit at desk scale.
 
 For blocks this small the seed-averaged statistical distance between the
-extracted key and an independent uniform key can be computed by direct
-enumeration: every (reconciliation seed, key seed) pair, every source block,
-every eavesdropper block.  No concentration argument, no sampling error.
+extracted key and an independent uniform key can be computed over every
+(reconciliation seed, key seed) pair, each pair's distance in closed form
+from the Walsh spectrum of the hash pair applied to the cascade's flip
+pattern.  No concentration argument, no sampling error.
 """
 
 from omska import Plan, bsc_chain, secrecy_sd_exact

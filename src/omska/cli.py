@@ -7,7 +7,8 @@ Subcommands:
   verify     exact secrecy check by seed/block enumeration
   threshold  smallest block length at which a bound turns positive
 
-Exit codes: 0 success, 1 a check failed or the plan is infeasible, 2 bad
+Exit codes: 0 success, 1 a check failed or the plan is infeasible (a
+threshold search whose crossing fails its own local check included), 2 bad
 usage or malformed input, 3 search budget exceeded.
 
 The source is given either as --bsc p,q (binary cascade) or --source FILE
@@ -343,6 +344,11 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ArithmeticError as exc:
+        # numerical failures, such as a threshold search whose crossing is
+        # not locally monotone
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except ValueError as exc:
         # domain errors from the library: asked for impossible parameters
         print(f"error: {exc}", file=sys.stderr)

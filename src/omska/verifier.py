@@ -3,11 +3,15 @@
 Reliability is checked by Monte Carlo over full sessions with a Wilson score
 interval on the failure rate.  Secrecy is checked exactly at desk scale: the
 statistical distance between (key, transcript, eavesdropper block) and an
-ideal uniform key is computed by enumerating every source block, eavesdropper
-block, and (for small fields) every seed pair.  No concentration inequality
-stands between the reported number and the definition; the only approximation
-ever introduced is seed-pair sampling, and then the report says so and
-carries a standard error.
+ideal uniform key is computed per seed pair, over every seed pair for small
+fields.  On the binary cascade each pair's distance comes in closed form from
+the Walsh spectrum of L e, the (check, key) map applied to the end-to-end
+flip pattern; any other binary pmf enumerates every source block and
+eavesdropper block of the dense law, which also serves as the cascade's
+oracle in the tests.  No concentration inequality stands between the
+reported number and the definition; the only approximation ever introduced
+is seed-pair sampling, and then the report says so and carries a standard
+error.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import numpy as np
 
 from .planner import Plan
 from .protocol import run_session
-from .source import JointSource, avg_min_entropy_product
+from .source import (JointSource, avg_min_entropy_product, crossover_convolve,
+                     detect_bsc_chain)
 from .uhash import BitString, GFContext, SeedHasher, field_for_source
 
 # two-sided 95% normal quantile, fixed so intervals are reproducible
@@ -33,7 +38,8 @@ _EXACT_SD_MAX_N = 12
 _ENUM_SEED_MAX_BITS = 8
 _FALLBACK_RECON_SAMPLE = 256
 _MINENTROPY_MAX_CELLS = 10 ** 8
-_MATMUL_MAX_BUCKETS = 64
+# cells (seed pairs x (check, key) buckets) handled per vectorised chunk
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -151,59 +157,144 @@ class SecrecyReport:
     meets_target: bool
 
 
-def _pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int,
-                    pairs: list) -> np.ndarray:
+def _seed_pair_chunks(m: int, draws: np.ndarray | None, chunk: int):
+    """Seed pairs in audit order, as (reconciliation seeds, key seeds) int64
+    arrays of at most `chunk` pairs each, computed from the pair index.
+
+    draws None is every pair, j -> (j >> m, j mod 2^m); 1-D draws are drawn
+    reconciliation seeds, each against every key seed, j -> (draws[j >> m],
+    j mod 2^m); 2-D draws are the drawn pairs themselves.
+    """
+    if draws is not None and draws.ndim == 2:
+        for lo in range(0, len(draws), chunk):
+            block = draws[lo:lo + chunk].astype(np.int64)
+            yield block[:, 0], block[:, 1]
+        return
+    total = 1 << 2 * m if draws is None else len(draws) << m
+    for lo in range(0, total, chunk):
+        j = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        s = j >> m
+        yield (s if draws is None else draws[s].astype(np.int64)), j & ((1 << m) - 1)
+
+
+def _pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
     """Per seed pair, the distance of the ell-bit key from uniform given the
-    t-bit check value and the eavesdropper block; binary blocks of m bits."""
+    t-bit check value and the eavesdropper block, by scattering the dense
+    block law into (check, key) buckets; any binary pmf, blocks of m bits.
+
+    Returns distances(seeds, key_seeds), one term per pair of the arrays."""
     m = ctx.bits
     # joint block distribution over (x-block, z-block), big-endian kron order
     M = reduce(np.kron, (pair,) * m)
-    # products of every x-block, once per distinct seed
-    table = {s: SeedHasher(BitString(s, m), ctx).product_table()
-             for s in set(itertools.chain(*pairs))}
     # bucket = check value then key; t = 0 shifts every product out to 0
     to_check, to_key = np.uint64(m - t), np.uint64(m - ell)
-
     n_buckets = 1 << (t + ell)
     z_cols = M.shape[1]
-    # bucket scatter-add: a one-hot matmul is fastest while the bucket count
-    # stays small (cost grows with it), a flat weighted bincount costs the
-    # same regardless of bucket count and wins for wide hashes
-    use_matmul = n_buckets <= _MATMUL_MAX_BUCKETS
-    eye = np.eye(n_buckets, dtype=np.float64) if use_matmul else None
     cols = np.arange(z_cols, dtype=np.int64)
     flat_weights = np.ascontiguousarray(M).ravel()
     inv_keys = 1.0 / (1 << ell)
-    terms = np.empty(len(pairs), dtype=np.float64)
-    for j, (s, s2) in enumerate(pairs):
-        bucket = ((table[s] >> to_check) << np.uint64(ell)
-                  | table[s2] >> to_key).astype(np.int64)
-        if use_matmul:
-            joint = eye[bucket].T @ M
-        else:
+
+    def distances(seeds: np.ndarray, key_seeds: np.ndarray) -> np.ndarray:
+        # products of every x-block, once per distinct seed
+        table = {s: SeedHasher(BitString(s, m), ctx).product_table()
+                 for s in set(seeds.tolist()) | set(key_seeds.tolist())}
+        terms = np.empty(len(seeds), dtype=np.float64)
+        for j, (s, s2) in enumerate(zip(seeds.tolist(), key_seeds.tolist())):
+            bucket = ((table[s] >> to_check) << np.uint64(ell)
+                      | table[s2] >> to_key).astype(np.int64)
             flat = bucket[:, None] * z_cols + cols[None, :]
             joint = np.bincount(flat.ravel(), weights=flat_weights,
-                                minlength=n_buckets * z_cols
-                                ).reshape(n_buckets, z_cols)
-        by_check = joint.reshape(1 << t, 1 << ell, z_cols)
-        ideal = by_check.sum(axis=1, keepdims=True) * inv_keys
-        terms[j] = 0.5 * np.abs(by_check - ideal).sum()
-    return terms
+                                minlength=n_buckets * z_cols).reshape(n_buckets, z_cols)
+            by_check = joint.reshape(1 << t, 1 << ell, z_cols)
+            ideal = by_check.sum(axis=1, keepdims=True) * inv_keys
+            terms[j] = 0.5 * np.abs(by_check - ideal).sum()
+        return terms
+
+    return distances
+
+
+def _subset_xors(rows: np.ndarray) -> np.ndarray:
+    """out[a, c] = XOR of rows[j, c] over the set bits j of a, by subset
+    doubling: the a with top bit j take the XORs below 2^j XOR row j."""
+    width, count = rows.shape
+    out = np.zeros((1 << width, count), dtype=np.int64)
+    for j in range(width):
+        out[1 << j:2 << j] = out[:1 << j] ^ rows[j]
+    return out
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform along axis 0 (length 2^k) of a
+    2-D array, by butterflies over whole rows."""
+    size, cols = a.shape
+    out = np.empty_like(a)
+    h = 1
+    while h < size:
+        v, w = a.reshape(-1, 2, h * cols), out.reshape(-1, 2, h * cols)
+        np.add(v[:, 0], v[:, 1], out=w[:, 0])
+        np.subtract(v[:, 0], v[:, 1], out=w[:, 1])
+        a, out = out, a
+        h *= 2
+    return a
+
+
+def _cascade_pair_distances(delta: float, ctx: GFContext, t: int, ell: int):
+    """Per seed pair, the _pair_distances term for the binary cascade, where
+    X is uniform and Z = X xor e with e i.i.d. Bernoulli(delta), from the
+    Walsh spectrum of L e.
+
+    L x = (check, key) is linear, so given Z = z the pair is L z xor L e, a
+    shift of the law Q of L e, and the distance is 1/2 sum_{c,k} |Q(c,k) -
+    Q(c)/2^ell| for every z.  Q has the Walsh coefficients (1 - 2 delta)^wt(L^T
+    w); the ideal-key law has the same ones where the key part b of w = (a, b)
+    is 0 and none elsewhere, so the difference is one inverse transform of the
+    spectrum with b = 0 cleared.  L^T (a, b) = v_a(s) xor v_b(s2), where v_a(s)
+    is the mask of the functional x -> a . top_t(x (.) s).
+
+    Returns distances(seeds, key_seeds), one term per pair of the arrays."""
+    m = ctx.bits
+    # row i: x^i (.) s for every seed s (the seeds' basis tables, column-wise)
+    basis = np.stack([SeedHasher(BitString(1 << i, m), ctx).product_table()
+                      for i in range(m)])
+    weights = (np.uint64(1) << np.arange(m, dtype=np.uint64))[:, None]
+    # masks[p, s]: bit p of x (.) s is the parity of masks[p, s] & x
+    masks = np.stack([(((basis >> np.uint64(p)) & np.uint64(1)) * weights).sum(axis=0)
+                      for p in range(m)]).astype(np.int64)
+    popcount = np.zeros(1 << m, dtype=np.int64)
+    for i in range(m):
+        popcount[1 << i:2 << i] = popcount[:1 << i] + 1
+    # Walsh coefficient of L e at the mask v: (1 - 2 delta)^wt(v)
+    coeff = (1.0 - 2.0 * delta) ** popcount
+    check_rows, key_rows = masks[m - t:], masks[m - ell:]
+    scale = 0.5 / (1 << (t + ell))
+
+    def distances(seeds: np.ndarray, key_seeds: np.ndarray) -> np.ndarray:
+        check = _subset_xors(check_rows[:, seeds])          # [a, pair]: v_a(s)
+        key = _subset_xors(key_rows[:, key_seeds])          # [b, pair]: v_b(s2)
+        spectrum = coeff[check[:, None, :] ^ key[None, :, :]]
+        spectrum[:, 0, :] = 0.0
+        diff = _walsh_hadamard(spectrum.reshape(1 << (t + ell), len(seeds)))
+        return np.abs(diff).sum(axis=0) * scale
+
+    return distances
 
 
 def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None,
                      rng_seed=0, recon_seeds: int | None = None) -> SecrecyReport:
     """Statistical distance of the extracted key from uniform, given the full
-    transcript and the eavesdropper's block, by direct enumeration.
+    transcript and the eavesdropper's block, computed exactly per seed pair.
 
-    Binary source and eavesdropper alphabets only, n <= 12.  With seed_pairs
-    and recon_seeds both None every (reconciliation seed, key seed) pair is
+    Binary source and eavesdropper alphabets only, n <= 12.  The binary
+    cascade takes each pair's term from the Walsh spectrum of L e; any other
+    binary pmf enumerates the dense block law.  With seed_pairs and
+    recon_seeds both None every (reconciliation seed, key seed) pair is
     enumerated while the field has at most 8 bits; wider fields fall back to
     sampling 256 reconciliation seeds.  seed_pairs samples that many seed
     pairs outright; recon_seeds samples reconciliation seeds while still
     enumerating every key seed against each one, which keeps the inner
     average exact and only samples the outer one.  Either sampling mode
-    reports a standard error; they cannot be combined.
+    reports a standard error (None after a single draw); they cannot be
+    combined.
     """
     if src.alphabet_sizes[0] != 2 or src.alphabet_sizes[2] != 2:
         raise ValueError("exact secrecy enumeration supports binary X and Z only")
@@ -222,45 +313,53 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
         # seed space too wide to enumerate both sides; the mean over the
         # reconciliation seed is what the secrecy claim averages, so sample it
         recon_seeds = _FALLBACK_RECON_SAMPLE
-    recon_groups = None
     if seed_pairs is None and recon_seeds is None:
-        pairs = [(s, s2) for s in range(1 << m) for s2 in range(1 << m)]
-        exact = True
+        draws, count = None, 1 << 2 * m
     elif seed_pairs is not None:
         if seed_pairs < 1:
             raise ValueError("seed_pairs must be positive")
-        rng = np.random.default_rng(rng_seed)
-        draws = rng.integers(0, 1 << m, size=(seed_pairs, 2), dtype=np.uint64)
-        pairs = [(int(a), int(b)) for a, b in draws]
-        exact = False
+        draws = np.random.default_rng(rng_seed).integers(
+            0, 1 << m, size=(seed_pairs, 2), dtype=np.uint64)
+        count = seed_pairs
     else:
         if recon_seeds < 1:
             raise ValueError("recon_seeds must be positive")
-        rng = np.random.default_rng(rng_seed)
-        draws = rng.integers(0, 1 << m, size=recon_seeds, dtype=np.uint64)
-        pairs = [(int(s), s2) for s in draws for s2 in range(1 << m)]
-        recon_groups = recon_seeds
-        exact = False
+        draws = np.random.default_rng(rng_seed).integers(
+            0, 1 << m, size=recon_seeds, dtype=np.uint64)
+        count = recon_seeds << m
+    exact = draws is None
 
-    # a 0-bit key is uniform by definition: every term is exactly zero
-    terms = _pair_distances(src.p_xz(), ctx, t, ell, pairs) if ell > 0 \
-        else np.zeros(len(pairs), dtype=np.float64)
-
-    sd = float(terms.mean())
-    if exact:
-        std_error = None
-    elif recon_groups is not None:
-        # the inner key-seed average is exact; only the outer draw varies
-        group_means = terms.reshape(recon_groups, 1 << m).mean(axis=1)
-        std_error = None if recon_groups == 1 else \
-            float(group_means.std(ddof=1) / math.sqrt(recon_groups))
+    if ell == 0:
+        # a 0-bit key is uniform by definition: every term is exactly zero
+        terms = None
+        sd = 0.0
     else:
-        std_error = float(terms.std(ddof=1) / math.sqrt(len(terms)))
+        chain = detect_bsc_chain(src)
+        if chain is None:
+            distances = _pair_distances(src.p_xz(), ctx, t, ell)
+        else:
+            distances = _cascade_pair_distances(crossover_convolve(chain.p, chain.q),
+                                                ctx, t, ell)
+        chunk = max(1, _CHUNK_CELLS >> (t + ell))
+        terms = np.concatenate([distances(s, s2)
+                                for s, s2 in _seed_pair_chunks(m, draws, chunk)])
+        sd = float(terms.mean())
+
+    if exact or len(draws) == 1:
+        std_error = None
+    elif terms is None:
+        std_error = 0.0
+    else:
+        # a drawn reconciliation seed's inner key-seed average is exact; only
+        # the outer draw varies
+        samples = terms if draws.ndim == 2 else \
+            terms.reshape(len(draws), 1 << m).mean(axis=1)
+        std_error = float(samples.std(ddof=1) / math.sqrt(len(samples)))
     hmin = avg_min_entropy_product(src, n, given="z")
     lhl = min(1.0, 0.5 * math.sqrt(2.0 ** (t + ell - hmin)))
     return SecrecyReport(
         n=n, recon_bits=t, key_bits=ell, sd=sd, exact=exact,
-        seed_pairs=len(pairs), std_error=std_error,
+        seed_pairs=count, std_error=std_error,
         avg_min_entropy=hmin, lhl_bound=lhl, sigma_target=plan.sigma,
         meets_lhl=sd <= lhl + 1e-12, meets_target=sd <= plan.sigma + 1e-12,
     )

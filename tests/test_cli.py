@@ -183,6 +183,20 @@ def test_threshold_checks_inputs_like_bounds(capsys):
     assert threshold_err == bounds_err
 
 
+def test_threshold_search_error_exits_cleanly(capsys, monkeypatch):
+    # a crossing that fails the search's local check ends in an error line
+    # and exit 1, not a traceback
+    def not_monotone(*args, **kwargs):
+        raise ArithmeticError("positivity crossing not locally monotone near n=42")
+
+    monkeypatch.setattr(cli, "min_positive_n", not_monotone)
+    code = cli.main(["threshold", *BSC, "--mode", "remark"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: positivity crossing not locally monotone near n=42\n"
+
+
 def test_usage_errors_exit_2(capsys):
     bad_calls = [
         ["bounds", "--n", "100"],                       # no source

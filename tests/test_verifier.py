@@ -1,21 +1,28 @@
 """Reliability MC, min-entropy enumeration, exact secrecy distance, census."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omska.planner import Plan, plan_desk_exact
-from omska.source import JointSource, bsc_chain
+from omska.source import JointSource, bsc_chain, crossover_convolve, detect_bsc_chain
 from omska.uhash import BitString, GFContext, encode_symbols, field_for_source
 from omska.uhash import hash as uhf_hash
-from omska.verifier import (avg_min_entropy_exact, avg_min_entropy_product,
-                            estimate_reliability, run_batch, secrecy_sd_exact,
-                            summarize_outcomes, uhf_collision_census,
-                            wilson_interval)
+from omska.verifier import (_cascade_pair_distances, _pair_distances,
+                            _seed_pair_chunks, avg_min_entropy_exact,
+                            avg_min_entropy_product, estimate_reliability,
+                            run_batch, secrecy_sd_exact, summarize_outcomes,
+                            uhf_collision_census, wilson_interval)
 
 CHAIN = bsc_chain(0.02, 0.15)
+# binary (2,2,2) pmf with a non-uniform X: not a cascade
+LOPSIDED = JointSource((2, 2, 2), np.array([[[0.20, 0.05], [0.10, 0.05]],
+                                            [[0.02, 0.18], [0.25, 0.15]]]))
 
 
 def _hand_plan(n, lam, t, ell):
@@ -93,12 +100,9 @@ def test_min_entropy_enumeration_matches_product_form():
             closed = avg_min_entropy_product(CHAIN, n, given=given)
             assert brute == pytest.approx(closed, abs=1e-12), (n, given)
     # also on a lopsided non-cascade source
-    pmf = np.array([[[0.20, 0.05], [0.10, 0.05]],
-                    [[0.02, 0.18], [0.25, 0.15]]])
-    src = JointSource((2, 2, 2), pmf)
     for n in (1, 3):
-        assert avg_min_entropy_exact(src, n) == \
-            pytest.approx(avg_min_entropy_product(src, n), abs=1e-12)
+        assert avg_min_entropy_exact(LOPSIDED, n) == \
+            pytest.approx(avg_min_entropy_product(LOPSIDED, n), abs=1e-12)
 
 
 def test_min_entropy_frozen_values():
@@ -135,41 +139,41 @@ def test_secrecy_zero_length_key():
     assert rep.meets_lhl and rep.meets_target
 
 
-def _sd_bruteforce(src, n, t, ell):
-    """Definition of the seed-averaged distance, written as literally as
-    possible: dict accumulation, scalar probability products, library hash."""
+def _sd_bruteforce_pair(src, n, t, ell, s, s2):
+    """One seed pair's distance, written as literally as possible: dict
+    accumulation, scalar probability products, library hash."""
     ctx = field_for_source(n, 2)
     m = ctx.bits
     pair = src.p_xz()
     z_blocks = list(itertools.product((0, 1), repeat=n))
-    total = 0.0
-    count = 0
-    for s in range(1 << m):
-        sb = BitString(s, m)
-        for s2 in range(1 << m):
-            s2b = BitString(s2, m)
-            dist = {}
-            margin = {}
-            for xe in itertools.product((0, 1), repeat=n):
-                enc = encode_symbols(np.array(xe), 2)
-                v = uhf_hash(enc, sb, t, ctx).value
-                k = uhf_hash(enc, s2b, ell, ctx).value
-                for ze in z_blocks:
-                    p = 1.0
-                    for xi, zi in zip(xe, ze):
-                        p = p * pair[xi, zi]
-                    dist[(v, k, ze)] = dist.get((v, k, ze), 0.0) + p
-                    margin[(v, ze)] = margin.get((v, ze), 0.0) + p
-            sd = 0.0
-            for v in range(1 << t):
-                for k in range(1 << ell):
-                    for ze in z_blocks:
-                        p = dist.get((v, k, ze), 0.0)
-                        ideal = margin.get((v, ze), 0.0) / (1 << ell)
-                        sd += 0.5 * abs(p - ideal)
-            total += sd
-            count += 1
-    return total / count
+    sb, s2b = BitString(s, m), BitString(s2, m)
+    dist = {}
+    margin = {}
+    for xe in itertools.product((0, 1), repeat=n):
+        enc = encode_symbols(np.array(xe), 2)
+        v = uhf_hash(enc, sb, t, ctx).value
+        k = uhf_hash(enc, s2b, ell, ctx).value
+        for ze in z_blocks:
+            p = 1.0
+            for xi, zi in zip(xe, ze):
+                p = p * pair[xi, zi]
+            dist[(v, k, ze)] = dist.get((v, k, ze), 0.0) + p
+            margin[(v, ze)] = margin.get((v, ze), 0.0) + p
+    sd = 0.0
+    for v in range(1 << t):
+        for k in range(1 << ell):
+            for ze in z_blocks:
+                p = dist.get((v, k, ze), 0.0)
+                ideal = margin.get((v, ze), 0.0) / (1 << ell)
+                sd += 0.5 * abs(p - ideal)
+    return sd
+
+
+def _sd_bruteforce(src, n, t, ell):
+    """Definition of the seed-averaged distance: every seed pair, literally."""
+    size = 1 << n
+    return sum(_sd_bruteforce_pair(src, n, t, ell, s, s2)
+               for s in range(size) for s2 in range(size)) / size ** 2
 
 
 def test_secrecy_matches_bruteforce_definition():
@@ -182,31 +186,76 @@ def test_secrecy_matches_bruteforce_definition():
     assert rep2.sd == pytest.approx(_sd_bruteforce(CHAIN, 3, 1, 2), abs=1e-12)
 
 
-def test_secrecy_accumulators_agree(monkeypatch):
-    # the bincount route (used for wide hashes) must match both the matmul
-    # route and the raw definition on the same points
-    from omska import verifier
-    plan = _hand_plan(3, 3.0, 2, 1)
-    via_matmul = secrecy_sd_exact(CHAIN, plan).sd
-    monkeypatch.setattr(verifier, "_MATMUL_MAX_BUCKETS", 0)
-    via_bincount = secrecy_sd_exact(CHAIN, plan).sd
-    assert via_bincount == pytest.approx(via_matmul, abs=1e-14)
-    assert via_bincount == pytest.approx(_sd_bruteforce(CHAIN, 3, 2, 1), abs=1e-12)
+def test_secrecy_accumulators_agree():
+    # a binary pmf that is not a cascade takes the dense accumulator, which
+    # must match the raw definition
+    assert detect_bsc_chain(LOPSIDED) is None
+    for t, ell in [(2, 1), (1, 2)]:
+        rep = secrecy_sd_exact(LOPSIDED, _hand_plan(3, 3.0, t, ell))
+        assert rep.exact and rep.seed_pairs == 64
+        assert rep.sd == pytest.approx(_sd_bruteforce(LOPSIDED, 3, t, ell), abs=1e-12)
     # a zero-length key must come out exactly zero on this route too
-    assert secrecy_sd_exact(CHAIN, _hand_plan(3, 3.0, 3, 0)).sd == 0.0
+    assert secrecy_sd_exact(LOPSIDED, _hand_plan(3, 3.0, 3, 0)).sd == 0.0
 
 
-def test_secrecy_accumulators_agree_medium(monkeypatch):
-    # n=6 exercises ragged buckets (zero seeds) at a size where both routes
-    # run in well under a second
-    from omska import verifier
+def test_secrecy_accumulators_agree_medium():
+    # n=6 exercises ragged buckets (zero seeds): the dense accumulator's
+    # per-pair terms against the definition, pair by pair
+    ctx = field_for_source(6, 2)
+    seeds = np.array([0, 0, 37, 1, 63, 20])
+    key_seeds = np.array([0, 45, 0, 1, 2, 63])
     for t, ell in [(3, 3), (4, 2), (6, 0), (0, 6)]:
-        plan = _hand_plan(6, 6.0, t, ell)
-        via_matmul = secrecy_sd_exact(CHAIN, plan).sd
-        monkeypatch.setattr(verifier, "_MATMUL_MAX_BUCKETS", 0)
-        via_bincount = secrecy_sd_exact(CHAIN, plan).sd
-        monkeypatch.setattr(verifier, "_MATMUL_MAX_BUCKETS", 10 ** 6)
-        assert via_bincount == pytest.approx(via_matmul, abs=1e-13), (t, ell)
+        terms = _pair_distances(LOPSIDED.p_xz(), ctx, t, ell)(seeds, key_seeds)
+        want = [_sd_bruteforce_pair(LOPSIDED, 6, t, ell, int(s), int(s2))
+                for s, s2 in zip(seeds, key_seeds)]
+        assert terms == pytest.approx(want, abs=1e-13), (t, ell)
+
+
+def _all_pairs(m):
+    return next(_seed_pair_chunks(m, None, 1 << 2 * m))
+
+
+def _assert_cascade_matches_dense(src, n, points, seeds, key_seeds):
+    chain = detect_bsc_chain(src)
+    delta = crossover_convolve(chain.p, chain.q)
+    ctx = field_for_source(n, 2)
+    for t, ell in points:
+        spectral = _cascade_pair_distances(delta, ctx, t, ell)(seeds, key_seeds)
+        dense = _pair_distances(src.p_xz(), ctx, t, ell)(seeds, key_seeds)
+        assert np.max(np.abs(spectral - dense)) <= 1e-13, (n, t, ell)
+
+
+def test_secrecy_cascade_matches_dense(monkeypatch):
+    # the Walsh-spectrum terms against the dense scatter on the same pairs:
+    # every (t, l) and every pair at n = 3, 5, 6, then 512 drawn pairs at n = 8
+    for n in (3, 5, 6):
+        points = [(t, ell) for t in range(n + 1) for ell in range(n + 1 - t)]
+        _assert_cascade_matches_dense(CHAIN, n, points, *_all_pairs(n))
+    draws = np.random.default_rng(8).integers(0, 256, size=(512, 2))
+    _assert_cascade_matches_dense(CHAIN, 8, [(2, 1), (0, 8), (4, 4), (7, 1)],
+                                  draws[:, 0], draws[:, 1])
+    # edge cascades: noiseless receiver, a useless eavesdropper block (delta
+    # = 1/2, every nonzero coefficient 0) and a noiseless eavesdropper link
+    for edge in (bsc_chain(0.0, 0.15), bsc_chain(0.5, 0.5), bsc_chain(0.1, 0.0)):
+        points = [(t, ell) for t in range(6) for ell in range(1, 6 - t)]
+        _assert_cascade_matches_dense(edge, 5, points, *_all_pairs(5))
+    # the audit itself takes the spectral route on a cascade
+    from omska import verifier
+
+    def refuse(*args):
+        raise AssertionError("dense scatter used on a cascade")
+
+    monkeypatch.setattr(verifier, "_pair_distances", refuse)
+    assert secrecy_sd_exact(CHAIN, _hand_plan(3, 3.0, 2, 1)).sd == \
+        pytest.approx(_sd_bruteforce(CHAIN, 3, 2, 1), abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.floats(0.0, 0.5), q=st.floats(0.0, 0.5), t=st.integers(0, 4),
+       ell=st.integers(1, 5))
+def test_secrecy_cascade_matches_dense_property(p, q, t, ell):
+    ell = min(ell, 5 - t)
+    _assert_cascade_matches_dense(bsc_chain(p, q), 5, [(t, ell)], *_all_pairs(5))
 
 
 def test_secrecy_zero_key_skips_enumeration(monkeypatch):
@@ -226,6 +275,25 @@ def test_secrecy_zero_key_skips_enumeration(monkeypatch):
     assert sampled.sd == 0.0 and sampled.seed_pairs == 50 and sampled.std_error == 0.0
     recon = secrecy_sd_exact(CHAIN, plan, recon_seeds=3)
     assert recon.sd == 0.0 and recon.seed_pairs == 3 * 256 and recon.std_error == 0.0
+    assert secrecy_sd_exact(CHAIN, plan, seed_pairs=1).std_error is None
+
+
+def test_secrecy_zero_key_audit_streams_pairs():
+    # the n = 10 desk plan samples 256 reconciliation seeds against all 1024
+    # key seeds; with a 0-bit key the count follows from the sampling mode
+    # and no per-pair storage is made
+    plan = plan_desk_exact(CHAIN, 10, 0.05, 0.05)
+    assert plan.key_bits == 0
+    secrecy_sd_exact(CHAIN, plan)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        rep = secrecy_sd_exact(CHAIN, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    assert rep.sd == 0.0 and not rep.exact
+    assert rep.seed_pairs == 256 * 1024 and rep.std_error == 0.0
 
 
 def test_secrecy_frozen_n8_point():
@@ -243,6 +311,8 @@ def test_secrecy_sampled_mode_tracks_exact():
     assert sampled.seed_pairs == 3000
     assert sampled.std_error is not None and sampled.std_error > 0
     assert abs(sampled.sd - 0.1994094354) <= 5 * sampled.std_error
+    single = secrecy_sd_exact(CHAIN, plan, seed_pairs=1, rng_seed=0)
+    assert single.seed_pairs == 1 and single.std_error is None
 
 
 def test_secrecy_recon_sampled_mode():
