@@ -26,7 +26,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -194,6 +193,9 @@ def cmd_run(args) -> int:
     else:
         chunks = [seqs[i::jobs] for i in range(jobs)]
         counts = Counter()
+        # imported here: multiprocessing adds about 2 MB to every process that
+        # imports the CLI, and only a parallel run needs it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(run_batch, [src] * jobs, [plan] * jobs, chunks):
                 counts.update(part)

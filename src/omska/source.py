@@ -154,15 +154,14 @@ def bsc_chain(params: BscChainParams | float, q: float | None = None) -> JointSo
         if q is None:
             raise ValueError("missing second crossover probability")
         pp = BscChainParams(float(params), float(q))
-    p_, q_ = pp.p, pp.q
-    pmf = np.empty((2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                leg1 = p_ if x != y else 1.0 - p_
-                leg2 = q_ if y != z else 1.0 - q_
-                pmf[x, y, z] = 0.5 * leg1 * leg2
-    return JointSource((2, 2, 2), pmf)
+    return JointSource((2, 2, 2), _cascade_pmf(pp.p, pp.q))
+
+
+def _cascade_pmf(p: float, q: float) -> np.ndarray:
+    """The cascade's (2, 2, 2) pmf array, unvalidated: 0.5 * leg1[x, y] * leg2[y, z]."""
+    leg1 = np.array([[1.0 - p, p], [p, 1.0 - p]])
+    leg2 = np.array([[1.0 - q, q], [q, 1.0 - q]])
+    return 0.5 * leg1[:, :, None] * leg2[None, :, :]
 
 
 def detect_bsc_chain(src: JointSource, tol: float = 1e-12) -> BscChainParams | None:
@@ -172,12 +171,12 @@ def detect_bsc_chain(src: JointSource, tol: float = 1e-12) -> BscChainParams | N
     """
     if src.alphabet_sizes != (2, 2, 2):
         return None
-    p_fit = float(src.p_xy()[0, 1] + src.p_xy()[1, 0])
-    q_fit = float(src.pmf.sum(axis=0)[0, 1] + src.pmf.sum(axis=0)[1, 0])
+    p_xy, p_yz = src.p_xy(), src.pmf.sum(axis=0)
+    p_fit = float(p_xy[0, 1] + p_xy[1, 0])
+    q_fit = float(p_yz[0, 1] + p_yz[1, 0])
     if not (0.0 <= p_fit <= 0.5 and 0.0 <= q_fit <= 0.5):
         return None
-    candidate = bsc_chain(p_fit, q_fit)
-    if np.max(np.abs(candidate.pmf - src.pmf)) <= tol:
+    if np.max(np.abs(_cascade_pmf(p_fit, q_fit) - src.pmf)) <= tol:
         return BscChainParams(p_fit, q_fit)
     return None
 

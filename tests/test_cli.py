@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, config defaults, parallel runs."""
 
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -103,7 +104,7 @@ class _InlineExecutor:
 
 
 def test_run_jobs_clamped_to_trials_and_cores(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     _InlineExecutor.requested.clear()
     argv = ["run", *BSC, "--n", "16", "--mode", "desk_exact", "--trials", "3",
@@ -282,3 +283,11 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["bound_name"] == "capacity"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a parallel run needs the process pool; importing the CLI stays lean
+    proc = subprocess.run([sys.executable, "-c",
+                           "import omska.cli, sys; print('multiprocessing' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

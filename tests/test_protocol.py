@@ -6,13 +6,15 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omska.planner import Plan, plan_desk_exact
 from omska.protocol import (DEFAULT_SEARCH_BUDGET, BudgetExceededError, Transcript,
-                            alice_send, bob_decode, guess_set, run_session,
-                            search_budget)
-from omska.source import JointSource, bsc_chain
-from omska.uhash import BitString
+                            _pattern_table, alice_send, bob_decode, guess_set,
+                            run_session, search_budget)
+from omska.source import JointSource, bsc_chain, hamming_ball_size
+from omska.uhash import BitString, field_for_source
 
 CHAIN = bsc_chain(0.02, 0.15)
 
@@ -189,13 +191,79 @@ def test_budget_caps_all_search_paths(monkeypatch):
 
 
 def _ctx8():
-    from omska.uhash import field_for_source
     return field_for_source(8, 2)
+
+
+def test_pattern_table_cached_and_capped_by_budget(monkeypatch):
+    monkeypatch.delenv("OMSKA_BUDGET", raising=False)
+    plan = plan_desk_exact(CHAIN, 8, 0.005, 0.05)  # radius 2, 37 candidates
+    y = np.array([1, 0, 0, 1, 1, 1, 0, 1])
+    check = alice_send(y, BitString(1, 8), plan, _ctx8(), 2)
+
+    def decode():
+        return bob_decode(y, check, BitString(1, 8), plan, _ctx8(), CHAIN, method="ball")
+
+    assert guess_set(y, plan, CHAIN).shape == (37, 8)  # builds or reuses (8, 2)
+    built = _pattern_table.cache_info()
+    status, block = decode()
+    assert status == "ok" and np.array_equal(block, y)
+    reused = _pattern_table.cache_info()
+    assert reused.misses == built.misses and reused.hits == built.hits + 1
+    # a cached table is no way round the budget: the check runs before the lookup
+    monkeypatch.setenv("OMSKA_BUDGET", "10")
+    for call in (lambda: guess_set(y, plan, CHAIN), decode):
+        with pytest.raises(BudgetExceededError) as exc:
+            call()
+        assert (exc.value.count, exc.value.budget) == (37, 10)
+    assert _pattern_table.cache_info() == reused
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pattern_table_invariants(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    radius = data.draw(st.integers(0, n), label="radius")
+    table = _pattern_table(n, radius)
+    assert table.shape == (hamming_ball_size(n, radius), radius)
+    assert not table.flags.writeable
+    rows = [tuple(int(v) for v in row if v < n) for row in table]
+    for positions, row in zip(rows, table):
+        # strictly increasing positions, then padding to the end of the row
+        assert list(positions) == sorted(set(positions))
+        assert list(row[len(positions):]) == [n] * (radius - len(positions))
+    assert len(set(rows)) == len(rows)
+    assert rows == sorted(rows, key=lambda r: (len(r), r))  # weight, then lexicographic
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ball_decode_matches_scan_property(data):
+    n = data.draw(st.integers(1, 10), label="n")
+    src = bsc_chain(data.draw(st.floats(0.0, 0.5), label="p"),
+                    data.draw(st.floats(0.0, 0.5), label="q"))
+    t = data.draw(st.integers(0, n), label="t")
+    plan = _hand_plan(n, data.draw(st.floats(0.0, 2.0 * n), label="lam"), t, 0)
+    ctx = field_for_source(n, 2)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                 dtype=np.int64)
+    seed = BitString(data.draw(st.integers(0, (1 << n) - 1), label="seed"), n)
+    if data.draw(st.booleans(), label="check of a nearby block"):
+        x = y.copy()
+        x[data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="flips")] ^= 1
+        check = alice_send(x, seed, plan, ctx, 2)
+    else:
+        check = BitString(data.draw(st.integers(0, (1 << t) - 1), label="check"), t)
+    ball = bob_decode(y, check, seed, plan, ctx, src, method="ball")
+    scan = bob_decode(y, check, seed, plan, ctx, src, method="scan")
+    assert ball[0] == scan[0]
+    if scan[1] is None:
+        assert ball[1] is None
+    else:
+        assert np.array_equal(ball[1], scan[1])
 
 
 def test_tampered_check_value_rejects_truth():
     plan = plan_desk_exact(CHAIN, 32, 0.05, 0.05)
-    from omska.uhash import field_for_source
     ctx = field_for_source(32, 2)
     aborts = 0
     tested = 0
@@ -247,7 +315,6 @@ def test_decode_guards():
                    method="bogus")
     with pytest.raises(ValueError, match="check value"):
         bob_decode(y, BitString(0, plan.recon_bits + 1), seed, plan, ctx, CHAIN)
-    from omska.uhash import field_for_source
     src3 = _ternary_source()
     ctx3 = field_for_source(5, 3)
     with pytest.raises(ValueError, match="cascade"):

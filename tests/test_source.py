@@ -53,6 +53,10 @@ def test_chain_pmf_structure():
     assert p_neq_yz == pytest.approx(0.15, abs=1e-15)
     # first marginal uniform by construction
     assert pmf[0].sum() == pytest.approx(0.5, abs=1e-15)
+    for x, y, z in np.ndindex(2, 2, 2):
+        leg1 = 0.02 if x != y else 1.0 - 0.02
+        leg2 = 0.15 if y != z else 1.0 - 0.15
+        assert pmf[x, y, z] == 0.5 * leg1 * leg2  # the literal product, bit for bit
 
 
 def test_chain_params_validation():
@@ -84,6 +88,23 @@ def test_detect_chain_rejects_non_chain():
     assert detect_bsc_chain(JointSource((2, 2, 2), pmf)) is None
     ternary = np.full((3, 2, 2), 1.0 / 12)
     assert detect_bsc_chain(JointSource((3, 2, 2), ternary)) is None
+
+
+def test_detect_chain_builds_no_source(monkeypatch):
+    # detection compares pmf arrays; it neither builds nor validates a source
+    from omska import source
+
+    def refuse(self):
+        raise AssertionError("JointSource built during detection")
+
+    lopsided = CHAIN.pmf.copy()
+    lopsided[0, 0, 0] += 0.01
+    lopsided[1, 1, 1] -= 0.01
+    lopsided = JointSource((2, 2, 2), lopsided)
+    monkeypatch.setattr(source.JointSource, "__post_init__", refuse)
+    params = detect_bsc_chain(CHAIN)
+    assert (params.p, params.q) == pytest.approx((0.02, 0.15), abs=1e-15)
+    assert detect_bsc_chain(lopsided) is None
 
 
 def test_entropy_profile_chain_frozen():
