@@ -440,8 +440,9 @@ def plan_desk_exact(src: JointSource, n: int, eps: float, sigma: float) -> Plan:
     eps/2; the key length is the largest ell with
     (1/2)*sqrt(2^(recon_bits + ell - Hmin)) <= sigma, where Hmin is the exact
     average conditional min-entropy of X^n given Z^n (product form, exact for
-    IID sources).  recon_bits is capped at the encoding width n, where the
-    hash is injective and the collision mass is exactly zero.
+    IID sources).  recon_bits is capped at the encoding width n.  The zero
+    seed, which fresh_seed draws too, maps every block to 0, so even at the
+    cap the collision mass is 2^-n * P(e in ball), not zero.
     """
     params = detect_bsc_chain(src)
     if params is None:

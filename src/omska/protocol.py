@@ -8,16 +8,17 @@ and aborts unless exactly one survives.
 
 Candidate enumeration is deterministic: the binary-cascade fast path walks
 flip patterns by increasing Hamming weight (lexicographic within a weight),
-the general path does depth-first search with positions in natural order and
-per-position symbols sorted by ascending cost.  Both paths enumerate the same
-set; tests pin that down.  On the cascade both ball paths share one
-radius/size/budget helper and one read-only table of flip patterns, built once
-per (n, radius) and kept in a small LRU cache: the guess list flips y at each
-row's positions, and the ball decoder hashes all candidates with one gather and
-XOR-reduce of the seed's basis table.  Searches are capped by a node/candidate
-budget (default 1e8, overridable via the OMSKA_BUDGET environment variable),
-checked before any table is read, and raise BudgetExceededError, carrying the
-count and the budget, instead of thrashing.
+the general path builds a level-wise list, positions in natural order and
+per-position symbols by ascending cost, in depth-first order.  Both paths
+enumerate the same set; tests pin that down.  One table-hash decoder serves
+every alphabet: the hash is linear in the encoded bits, so a candidate's
+product is the XOR of the seed's symbol-table entries along its row.  On the
+cascade the ball paths share one radius/size/budget helper and a read-only
+flip-pattern table, built once per (n, radius) and kept in a small LRU cache,
+and the ball decoder XORs the flipped slots' entries onto the hash of y.
+Searches are capped by a node/candidate budget (default 1e8, or OMSKA_BUDGET),
+checked before any table is read or list level built, and raise
+BudgetExceededError, carrying the count and the budget, instead of thrashing.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ _RADIUS_TOL = 1e-9
 
 class BudgetExceededError(RuntimeError):
     """Raised when list enumeration would exceed the configured node budget;
-    count is the list size (ball paths) or the nodes visited (depth-first)."""
+    count is the list size (ball paths) or, on the general path, the running
+    node total at the level that crossed the budget."""
 
     def __init__(self, message: str, count: int, budget: int):
         super().__init__(message)
@@ -205,75 +207,63 @@ def _guess_list(y: np.ndarray, plan: Plan, src: JointSource,
 
 def _guess_set_general(y: np.ndarray, plan: Plan, src: JointSource,
                        budget: int) -> np.ndarray:
+    """Level-wise list: each prefix row is repeated for the symbols that keep
+    acc + cost + suffix_min[i+1] within the threshold, in ascending-cost
+    order.  The expansion is row-stable, so rows come out in depth-first order
+    (lexicographic in per-position cost rank).  A level's node count is
+    checked before it is built; an overrun reports the running node total."""
     n = y.shape[0]
-    size_x = src.alphabet_sizes[0]
     p_xy = src.p_xy()
     p_y = p_xy.sum(axis=0)
     lam = plan.list_log_threshold + _RADIUS_TOL
-    # per-position candidate columns sorted by ascending cost, ties by symbol
-    columns = []
-    for i in range(n):
-        yv = int(y[i])
-        if p_y[yv] <= 0.0:
-            raise ValueError(f"observed symbol {yv} at position {i} has probability zero")
-        cond = p_xy[:, yv] / p_y[yv]
-        entries = [(-math.log2(cond[a]), a) for a in range(size_x) if cond[a] > 0.0]
-        entries.sort()
-        columns.append(entries)
-    suffix_min = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + columns[i][0][0]
+    # per observed symbol: admissible symbols by ascending cost, ties by symbol;
+    # math.log2 and left-to-right sums keep every total equal to a scalar walk's
+    columns = {}
+    for i, yv in enumerate(y.tolist()):
+        if yv not in columns:
+            if p_y[yv] <= 0.0:
+                raise ValueError(f"observed symbol {yv} at position {i} has probability zero")
+            cond = p_xy[:, yv] / p_y[yv]
+            costs, syms = np.array(sorted((-math.log2(c), a) for a, c in
+                                          enumerate(cond.tolist()) if c > 0.0)).T
+            columns[yv] = (costs, syms.astype(np.int64))
+    # cheapest completion after each position, summed right to left
+    suffix_min = np.append(np.cumsum([columns[v][0][0] for v in y.tolist()[::-1]])[::-1], 0.0)
 
-    # iterative depth-first search (recursion would cap n at the stack limit);
-    # each frame is [position, accumulated cost, next column index]
-    found: list[list[int]] = []
-    prefix = [0] * n
+    acc, prefix = np.zeros(1), np.empty((1, 0), dtype=np.int64)
     nodes = 0
-    frames: list[list] = []
-    if suffix_min[0] <= lam:
-        frames.append([0, 0.0, 0])
-    while frames:
-        frame = frames[-1]
-        i, acc, idx = frame
-        if i == n:
-            found.append(prefix.copy())
-            frames.pop()
-            continue
-        if idx >= len(columns[i]):
-            frames.pop()
-            continue
-        cost, symbol = columns[i][idx]
-        frame[2] = idx + 1
-        total = acc + cost
-        if total + suffix_min[i + 1] > lam:
-            frames.pop()  # column sorted ascending, later symbols only cost more
-            continue
-        nodes += 1
-        if nodes > budget or len(found) > budget:
+    for i, yv in enumerate(y.tolist()):
+        costs, syms = columns[yv]
+        totals = acc[:, None] + costs
+        keep = totals + suffix_min[i + 1] <= lam  # a prefix of each sorted row
+        nodes += int(np.count_nonzero(keep))
+        if nodes > budget:
             raise BudgetExceededError(
                 f"list search exceeded budget {budget} at depth {i}", nodes, budget)
-        prefix[i] = symbol
-        frames.append([i + 1, total, 0])
-    if not found:
-        return np.empty((0, n), dtype=np.int64)
-    return np.array(found, dtype=np.int64)
+        rows, cols = np.nonzero(keep)
+        acc = totals[rows, cols]
+        prefix = np.concatenate((prefix[rows], syms[cols, None]), axis=1)
+    return prefix
+
+
+def _unique_hit(prods: np.ndarray, check_value: BitString, bits: int) -> int | None:
+    """Row of the one product whose top check_value.length bits equal the check
+    value, None on no match or several.  An empty check matches every row:
+    numpy shifts a uint64 by 64 to 0, as Python shifts an m-bit int by m."""
+    hits = np.flatnonzero((prods >> (bits - check_value.length)) == check_value.value)
+    return int(hits[0]) if hits.shape[0] == 1 else None
 
 
 def _decode_scan(y: np.ndarray, check_value: BitString, recon_seed: BitString,
                  plan: Plan, ctx: GFContext, src: JointSource,
                  params: BscChainParams | None):
-    size_x = src.alphabet_sizes[0]
-    candidates = _guess_list(np.asarray(y, dtype=np.int64), plan, src, params)
-    match = None
-    for row in candidates:
-        v = uhf_hash(encode_symbols(row, size_x), recon_seed, plan.recon_bits, ctx)
-        if v == check_value:
-            if match is not None:
-                return "abort", None  # ambiguous, stop at the second hit
-            match = row
-    if match is None:
-        return "abort", None
-    return "ok", np.array(match, dtype=np.int64)
+    """Any alphabet: by linearity a listed block c hashes to XOR_i T[i, c_i]."""
+    n = y.shape[0]
+    candidates = _guess_list(y, plan, src, params)
+    table = SeedHasher(recon_seed, ctx).symbol_table(n, src.alphabet_sizes[0])
+    prods = np.bitwise_xor.reduce(table[np.arange(n), candidates], axis=1)
+    hit = _unique_hit(prods, check_value, ctx.bits)
+    return ("abort", None) if hit is None else ("ok", candidates[hit].copy())
 
 
 def _decode_ball(y: np.ndarray, check_value: BitString, recon_seed: BitString,
@@ -282,27 +272,22 @@ def _decode_ball(y: np.ndarray, check_value: BitString, recon_seed: BitString,
     for every flip pattern e of the ball at once."""
     if ctx.bits > 64:
         raise ValueError("ball decoding supports fields up to 64 bits")
-    y = np.asarray(y, dtype=np.int64)
     n = y.shape[0]
     radius, _ = _hamming_ball(plan, n, params.p)
     if radius < 0:
         return "abort", None
 
-    hasher = SeedHasher(recon_seed, ctx)
-    # symbol j occupies bit n-1-j of the big-endian encoding; index n is the
-    # zero row that the table's padding slots point at
-    basis = np.append(hasher.table_u64()[n - 1::-1], np.uint64(0))
+    symbols = SeedHasher(recon_seed, ctx).symbol_table(n, 2)
+    # a flip at slot i adds T[i, 1]; index n is the zero row that the
+    # pattern table's padding slots point at
+    basis = np.append(symbols[:, 1], np.uint64(0))
     table = _pattern_table(n, radius)
-    if plan.recon_bits:
-        base = np.uint64(hasher.product(encode_symbols(y, 2).value))
-        prods = np.bitwise_xor.reduce(basis[table], axis=1) ^ base
-        hits = np.flatnonzero(
-            (prods >> np.uint64(ctx.bits - plan.recon_bits)) == np.uint64(check_value.value))
-    else:
-        hits = np.arange(table.shape[0])  # an empty check matches every candidate
-    if hits.shape[0] != 1:
+    base = np.bitwise_xor.reduce(symbols[np.arange(n), y])
+    hit = _unique_hit(np.bitwise_xor.reduce(basis[table], axis=1) ^ base,
+                      check_value, ctx.bits)
+    if hit is None:
         return "abort", None  # no match, or an ambiguous list
-    positions = table[hits[0]]
+    positions = table[hit]
     match = y.copy()
     match[positions[positions < n]] ^= 1
     return "ok", match
@@ -313,13 +298,18 @@ def bob_decode(y: np.ndarray, check_value: BitString, recon_seed: BitString,
     """Receiver's list decode: ('ok', block) on a unique hash match, else
     ('abort', None) for zero or multiple matches.
 
-    method 'ball' is the vectorized binary fast path, 'scan' the generic
-    candidate sweep, 'auto' picks 'ball' when the source is a binary cascade
-    and the field fits in 64 bits.
+    method 'ball' is the binary fast path over flip patterns, 'scan' the guess
+    list plus the table hash for any alphabet, 'auto' picks 'ball' when the
+    source is a binary cascade and the field fits in 64 bits.
     """
     if check_value.length != plan.recon_bits:
         raise ValueError(
             f"check value has {check_value.length} bits, plan says {plan.recon_bits}")
+    if plan.recon_bits > ctx.bits:
+        raise ValueError(f"a {plan.recon_bits}-bit check does not fit a {ctx.bits}-bit field")
+    y = np.asarray(y, dtype=np.int64)
+    if y.ndim != 1 or np.any((y < 0) | (y >= src.alphabet_sizes[1])):
+        raise ValueError(f"y must be a vector of symbols below {src.alphabet_sizes[1]}")
     params = detect_bsc_chain(src)
     if method == "auto":
         method = "ball" if params is not None and ctx.bits <= 64 else "scan"

@@ -64,6 +64,8 @@ class JointSource:
         arr.setflags(write=False)
         object.__setattr__(self, "alphabet_sizes", sizes)
         object.__setattr__(self, "pmf", arr)
+        cdf = arr.ravel().cumsum()  # sample()'s, normalised as Generator.choice does
+        object.__setattr__(self, "_cdf", cdf / cdf[-1])
 
     # convenience marginals, all tiny
     def p_xy(self) -> np.ndarray:
@@ -297,7 +299,7 @@ def sample(src: JointSource, n: int, rng_seed: int | np.random.Generator) -> tup
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    flat = src.pmf.ravel()
-    cells = rng.choice(flat.size, size=n, p=flat)
+    # the cells Generator.choice(size, n, p=pmf) draws, without its per-call checks
+    cells = src._cdf.searchsorted(rng.random(n), side="right")
     x, y, z = np.unravel_index(cells, src.alphabet_sizes)
     return x.astype(np.int64), y.astype(np.int64), z.astype(np.int64)

@@ -301,11 +301,18 @@ class SeedHasher:
     def hash_value(self, x_value: int, out_bits: int) -> int:
         return self.product(x_value) >> (self.ctx.bits - out_bits) if out_bits else 0
 
-    def table_u64(self) -> np.ndarray:
-        """Basis table as uint64 for vectorized decoding; only valid for m <= 64."""
-        if self.ctx.bits > 64:
-            raise ValueError("vectorized table requires m <= 64")
-        return np.array(self.table, dtype=np.uint64)
+    def symbol_table(self, n: int, alphabet_size: int) -> np.ndarray:
+        """T[i, a] = (symbol a in slot i) (.) seed, the XOR of R[(n-1-i)*w + b]
+        over the set bits b of a, so a block's product is the XOR of T[i, c_i].
+        uint64 for m <= 64, else Python ints (dtype object); numpy's XOR-reduce
+        and shifts serve both."""
+        width = symbol_width(alphabet_size)
+        if n * width != self.ctx.bits:
+            raise ValueError(f"{n} symbols of width {width} do not fill {self.ctx.bits} bits")
+        basis = np.array(self.table, dtype=np.uint64 if self.ctx.bits <= 64 else object)
+        basis = basis.reshape(n, width)[::-1, None, :]  # [slot i, -, bit b]
+        bits = (np.arange(alphabet_size)[:, None] >> np.arange(width)) & 1 == 1
+        return np.bitwise_xor.reduce(np.where(bits, basis, basis.dtype.type(0)), axis=2)
 
     def product_table(self) -> np.ndarray:
         """x (.) seed for every x < 2^m (m <= 20) by subset doubling: the x with

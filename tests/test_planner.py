@@ -14,6 +14,7 @@ from omska.planner import (BOUND_NAMES, PLAN_MODES, Plan, bound_berry_esseen,
                            plan_desk_exact, plan_remark, plan_theorem_main, qfunc,
                            qfunc_inv)
 from omska.source import bsc_chain, entropy_profile
+from omska.uhash import BitString, GFContext, hash as uhf_hash
 from omska.verifier import avg_min_entropy_product
 
 CHAIN = bsc_chain(0.02, 0.15)
@@ -317,6 +318,26 @@ def test_desk_threshold_matches_radius_cost():
     d = plan.ball_radius
     expect = d * math.log2(1 / 0.02) + (32 - d) * math.log2(1 / 0.98)
     assert plan.list_log_threshold == pytest.approx(expect, rel=1e-12)
+
+
+def test_desk_plan_collision_mass_at_the_cap():
+    # n = 8: recon_bits sits at the cap, so every nonzero seed hashes the ball
+    # injectively, but the zero seed sends all of it to 0; enumerate all 256
+    plan = plan_desk_exact(CHAIN, 8, EPS, SIGMA)
+    assert plan.recon_bits == 8 and plan.ball_radius == 1
+    ctx = GFContext.for_bits(8)
+    ball = [e for e in range(256) if bin(e).count("1") <= plan.ball_radius]
+    prob = {e: 0.02 ** bin(e).count("1") * 0.98 ** (8 - bin(e).count("1")) for e in ball}
+    total = 0.0
+    for s in range(256):
+        # y xor f matches e's check iff h_s(f) = h_s(e), by linearity
+        syndromes = [uhf_hash(BitString(e, 8), BitString(s, 8), plan.recon_bits, ctx).value
+                     for e in ball]
+        total += sum(prob[e] for e, h in zip(ball, syndromes) if syndromes.count(h) > 1)
+    collision = total / 256
+    assert collision == pytest.approx(sum(prob.values()) / 256, rel=1e-12)
+    assert collision == pytest.approx(0.00387, abs=5e-6)
+    assert collision <= plan.eps_collide
 
 
 def test_desk_hash_length_capped_at_block():

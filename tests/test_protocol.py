@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 from omska.planner import Plan, plan_desk_exact
 from omska.protocol import (DEFAULT_SEARCH_BUDGET, BudgetExceededError, Transcript,
-                            _pattern_table, alice_send, bob_decode, guess_set,
-                            run_session, search_budget)
+                            _guess_set_general, _pattern_table, alice_send, bob_decode,
+                            guess_set, run_session, search_budget)
 from omska.source import JointSource, bsc_chain, hamming_ball_size
-from omska.uhash import BitString, field_for_source
+from omska.uhash import BitString, encode_symbols, field_for_source, hash as uhf_hash
 
 CHAIN = bsc_chain(0.02, 0.15)
 
@@ -32,6 +33,90 @@ def _ternary_source():
     pxy = np.array([[0.30, 0.06], [0.15, 0.15], [0.05, 0.29]])
     pmf = np.repeat(pxy[:, :, None] / 2.0, 2, axis=2)
     return JointSource((3, 2, 2), pmf)
+
+
+def _dfs_guess_list(y, plan, src, budget):
+    """Oracle: depth-first search over positions in natural order, symbols by
+    ascending cost (ties by symbol), pruned by the cheapest completion.
+    Returns (rows, nodes pushed per depth); raises BudgetExceededError with
+    count budget + 1 at the first node past the budget."""
+    n = len(y)
+    p_xy = src.p_xy()
+    p_y = p_xy.sum(axis=0)
+    lam = plan.list_log_threshold + 1e-9
+    columns = []
+    for i in range(n):
+        yv = int(y[i])
+        if p_y[yv] <= 0.0:
+            raise ValueError(f"observed symbol {yv} at position {i} has probability zero")
+        cond = p_xy[:, yv] / p_y[yv]
+        columns.append(sorted((-math.log2(cond[a]), a)
+                              for a in range(src.alphabet_sizes[0]) if cond[a] > 0.0))
+    suffix_min = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_min[i] = suffix_min[i + 1] + columns[i][0][0]
+    found, prefix, per_depth = [], [0] * n, [0] * n
+    nodes = 0
+    frames = [[0, 0.0, 0]] if suffix_min[0] <= lam else []
+    while frames:
+        frame = frames[-1]
+        i, acc, idx = frame
+        if i == n:
+            found.append(prefix.copy())
+            frames.pop()
+            continue
+        if idx >= len(columns[i]):
+            frames.pop()
+            continue
+        cost, symbol = columns[i][idx]
+        frame[2] = idx + 1
+        total = acc + cost
+        if total + suffix_min[i + 1] > lam:
+            frames.pop()  # column sorted ascending, later symbols only cost more
+            continue
+        nodes += 1
+        per_depth[i] += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"over budget at depth {i}", nodes, budget)
+        prefix[i] = symbol
+        frames.append([i + 1, total, 0])
+    return np.array(found, dtype=np.int64).reshape(-1, n), per_depth
+
+
+def _literal_decode(y, check_value, recon_seed, plan, ctx, src):
+    """Oracle: hash every listed block one at a time through the field
+    multiply; ('ok', block) on exactly one match."""
+    size_x = src.alphabet_sizes[0]
+    hits = [row for row in guess_set(y, plan, src)
+            if uhf_hash(encode_symbols(row, size_x), recon_seed, plan.recon_bits,
+                        ctx) == check_value]
+    return ("ok", hits[0]) if len(hits) == 1 else ("abort", None)
+
+
+def _random_source(data):
+    """Random joint pmf with small integer weights, zeros included, so some
+    symbols are inadmissible and costs tie."""
+    sizes = (data.draw(st.integers(2, 5), label="|X|"),
+             data.draw(st.integers(1, 3), label="|Y|"), 1)
+    weights = np.array(data.draw(st.lists(st.integers(0, 9), min_size=sizes[0] * sizes[1],
+                                          max_size=sizes[0] * sizes[1]), label="weights"),
+                       dtype=float)
+    if weights.sum() == 0:
+        weights[0] = 1.0
+    return JointSource(sizes, (weights / weights.sum()).reshape(sizes))
+
+
+def _observed(data, src, n):
+    seen = np.flatnonzero(src.p_y() > 0)
+    return np.array(data.draw(st.lists(st.sampled_from(seen.tolist()), min_size=n,
+                                       max_size=n), label="y"), dtype=np.int64)
+
+
+def _threshold(data, src, y):
+    """A threshold from just under the cheapest block's cost to well above it."""
+    p_xy = src.p_xy()
+    cheapest = sum(-math.log2(p_xy[:, v].max() / p_xy[:, v].sum()) for v in y)
+    return max(0.0, cheapest + data.draw(st.floats(-0.5, 1.5 * len(y)), label="slack"))
 
 
 def test_transcript_json_roundtrip():
@@ -190,6 +275,108 @@ def test_budget_caps_all_search_paths(monkeypatch):
     assert (str(back), back.count, back.budget) == (str(listed.value), 37, 10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_levelwise_list_matches_depth_first_oracle(data):
+    src = _random_source(data)
+    n = data.draw(st.integers(1, 8), label="n")
+    y = _observed(data, src, n)
+    plan = _hand_plan(n, _threshold(data, src, y), 0, 0)
+    budget = data.draw(st.one_of(st.integers(1, 400), st.just(DEFAULT_SEARCH_BUDGET)),
+                       label="budget")
+    try:
+        want, per_depth = _dfs_guess_list(y, plan, src, 20000)
+    except BudgetExceededError:
+        # too large to enumerate here: both searches must still stop
+        with pytest.raises(BudgetExceededError):
+            _guess_set_general(y, plan, src, min(budget, 20000))
+        return
+    crossed = [total for total in itertools.accumulate(per_depth) if total > budget]
+    oracle_raised = False
+    try:
+        _dfs_guess_list(y, plan, src, budget)
+    except BudgetExceededError:
+        oracle_raised = True
+    assert oracle_raised == bool(crossed)
+    if crossed:
+        with pytest.raises(BudgetExceededError) as exc:
+            _guess_set_general(y, plan, src, budget)
+        # the running node total at the level that crossed the budget
+        assert (exc.value.count, exc.value.budget) == (crossed[0], budget)
+    else:
+        got = _guess_set_general(y, plan, src, budget)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scan_decode_matches_literal_hash_oracle(data):
+    if data.draw(st.booleans(), label="cascade"):
+        src = bsc_chain(data.draw(st.floats(0.0, 0.5), label="p"), 0.1)
+    else:
+        src = _random_source(data)
+    n = data.draw(st.integers(1, 8), label="n")
+    ctx = field_for_source(n, src.alphabet_sizes[0])
+    y = _observed(data, src, n)
+    t = data.draw(st.integers(0, ctx.bits), label="t")
+    plan = _hand_plan(n, _threshold(data, src, y), t, 0)
+    seed = BitString(data.draw(st.integers(0, (1 << ctx.bits) - 1), label="seed"), ctx.bits)
+    rows = guess_set(y, plan, src)
+    if rows.shape[0] and data.draw(st.booleans(), label="check of a listed block"):
+        x = rows[data.draw(st.integers(0, rows.shape[0] - 1), label="row")]
+        check = alice_send(x, seed, plan, ctx, src.alphabet_sizes[0])
+    else:
+        check = BitString(data.draw(st.integers(0, (1 << t) - 1), label="check"), t)
+    got = bob_decode(y, check, seed, plan, ctx, src, method="scan")
+    want = _literal_decode(y, check, seed, plan, ctx, src)
+    assert got[0] == want[0]
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        assert got[1].dtype == np.int64 and np.array_equal(got[1], want[1])
+
+
+def test_scan_decode_above_64_bits():
+    # ternary n = 40 needs an 80-bit field: the table hash runs on Python ints
+    src = _ternary_source()
+    n = 40
+    ctx = field_for_source(n, 3)
+    assert ctx.bits == 80
+    rng = np.random.default_rng(8)
+    y = rng.integers(0, 2, n)
+    plan = _hand_plan(n, 32.0, 24, 0)
+    rows = guess_set(y, plan, src)
+    assert rows.shape == (41, n)
+    for k in range(4):
+        seed = BitString(int(rng.integers(0, 1 << 62)) << 18 | k, ctx.bits)
+        check = alice_send(rows[k], seed, plan, ctx, 3)
+        got = bob_decode(y, check, seed, plan, ctx, src)
+        want = _literal_decode(y, check, seed, plan, ctx, src)
+        assert got[0] == want[0] == "ok"
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[1], rows[k])
+
+
+def test_general_budget_stops_before_the_crossing_level(monkeypatch):
+    # every ternary block fits the threshold: the list would hold 3^40 rows
+    monkeypatch.setenv("OMSKA_BUDGET", "10")
+    src = _ternary_source()
+    y = np.zeros(40, dtype=np.int64)
+    plan = _hand_plan(40, 1e6, 0, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as exc:
+            guess_set(y, plan, src)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # levels of 3 and 9 nodes: the second takes the total to 12 > 10, and
+    # the search stops there without building it or any later level
+    assert (exc.value.count, exc.value.budget) == (12, 10)
+    assert str(exc.value) == "list search exceeded budget 10 at depth 1"
+    assert peak < 64 * 1024
+
+
 def _ctx8():
     return field_for_source(8, 2)
 
@@ -320,6 +507,17 @@ def test_decode_guards():
     with pytest.raises(ValueError, match="cascade"):
         bob_decode(np.zeros(5, dtype=int), BitString(0, 0), BitString(1, ctx3.bits),
                    _hand_plan(5, 7.0, 0, 0), ctx3, src3, method="ball")
+    for bad in ([0, 1, 2, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0, 0, 0], [[0] * 8]):
+        for method in ("ball", "scan"):
+            with pytest.raises(ValueError, match="symbols below 2"):
+                bob_decode(np.array(bad), BitString(0, plan.recon_bits), seed, plan, ctx,
+                           CHAIN, method=method)
+    # a check longer than the field is refused before any shift by a negative count
+    for source, field, n, method in ((src3, ctx3, 5, "scan"), (CHAIN, ctx, 8, "ball")):
+        t = field.bits + 1
+        with pytest.raises(ValueError, match="does not fit"):
+            bob_decode(np.zeros(n, dtype=int), BitString(0, t), BitString(1, field.bits),
+                       _hand_plan(n, 7.0, t, 0), field, source, method=method)
 
 
 def test_alice_send_length_guard():

@@ -235,6 +235,25 @@ def test_sample_accepts_generator():
     assert set(np.unique(x)) <= {0, 1}
 
 
+def test_sample_draws_what_generator_choice_draws():
+    # the kept CDF and searchsorted must reproduce choice(p=pmf) cell for cell,
+    # zero-mass cells included, on the same random stream
+    shapes = [(2, 2, 2), (3, 3, 3), (3, 2, 1), (5, 1, 2)]
+    for k, shape in enumerate(shapes):
+        g = np.random.default_rng(100 + k)
+        pmf = g.dirichlet(np.full(int(np.prod(shape)), 0.5))
+        pmf[g.integers(pmf.size)] = 0.0
+        src = JointSource(shape, (pmf / pmf.sum()).reshape(shape))
+        for seed in range(25):
+            for n in (1, 32, 500):
+                cells = np.random.default_rng(seed).choice(pmf.size, size=n,
+                                                           p=src.pmf.ravel())
+                want = np.unravel_index(cells, shape)
+                got = sample(src, n, seed)
+                for a, b in zip(got, want):
+                    assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
 def test_sample_frequencies_track_pmf():
     n = 40000
     x, y, z = sample(CHAIN, n, rng_seed=3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omska.uhash import (MAX_FIELD_BITS, REDUCTION_POLYS, BitString, GFContext,
                          SeedHasher, _first_irreducible, decode_symbols,
@@ -218,17 +220,36 @@ def test_seed_hasher_matches_scalar_path():
         assert hasher.hash_value(x, t) == uhf_hash(BitString(x, bits), s, t, ctx).value
 
 
-def test_seed_hasher_u64_table():
+def test_seed_hasher_symbol_table():
+    # binary: column 1 is the basis product of each slot, slot 0 the top bit
     ctx = GFContext.for_bits(16)
     s = BitString(0xBEEF, 16)
-    hasher = SeedHasher(s, ctx)
-    table = hasher.table_u64()
-    assert table.dtype == np.uint64
+    table = SeedHasher(s, ctx).symbol_table(16, 2)
+    assert table.dtype == np.uint64 and table.shape == (16, 2)
     for i in range(16):
-        assert int(table[i]) == gf_mul(1 << i, s.value, ctx)
-    big = GFContext.for_bits(128)
-    with pytest.raises(ValueError):
-        SeedHasher(BitString(1, 128), big).table_u64()
+        assert int(table[i, 0]) == 0
+        assert int(table[i, 1]) == gf_mul(1 << (15 - i), s.value, ctx)
+    with pytest.raises(ValueError, match="bits"):
+        SeedHasher(s, ctx).symbol_table(8, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_symbol_table_hashes_by_linearity(data):
+    # XOR_i T[i, c_i] is the product of the encoded block, for fields on
+    # either side of 64 bits (ternary n = 40 is an 80-bit field)
+    size = data.draw(st.integers(2, 5), label="|X|")
+    n = data.draw(st.one_of(st.integers(1, 12), st.just(40)), label="n")
+    ctx = field_for_source(n, size)
+    s = BitString(data.draw(st.integers(0, (1 << ctx.bits) - 1), label="seed"), ctx.bits)
+    table = SeedHasher(s, ctx).symbol_table(n, size)
+    assert table.shape == (n, size)
+    assert table.dtype == (np.uint64 if ctx.bits <= 64 else object)
+    for _ in range(4):
+        c = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n),
+                               label="block"))
+        prod = np.bitwise_xor.reduce(table[np.arange(n), c])
+        assert int(prod) == gf_mul(encode_symbols(c, size).value, s.value, ctx)
 
 
 def test_fresh_seed_deterministic():
