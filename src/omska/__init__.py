@@ -8,12 +8,11 @@ reliability and secrecy claims empirically and, at desk scale, exactly.
 """
 
 from .source import (BscChainParams, EntropyProfile, JointSource, binary_entropy,
-                     bsc_chain, combined_profile, crossover_convolve,
-                     detect_bsc_chain, entropy_profile, load_joint_pmf,
-                     ow_capacity_less_noisy, sample)
-from .uhash import (BitString, GFContext, HashSeed, SeedHasher, decode_symbols,
-                    encode_symbols, field_for_source, fresh_seed, gf_mul, hash,
-                    is_irreducible, symbol_width)
+                     bsc_chain, crossover_convolve, detect_bsc_chain, entropy_profile,
+                     load_joint_pmf, ow_capacity_less_noisy, sample)
+from .uhash import (BitString, GFContext, HashSeed, SeedHasher, encode_symbols,
+                    field_for_source, fresh_seed, gf_mul, hash, is_irreducible,
+                    symbol_width)
 from .planner import (BOUND_NAMES, PLAN_MODES, BoundReport, Plan,
                       bound_berry_esseen, bound_hr_concatenated,
                       bound_hr_random_linear, bound_remark, bound_report,
@@ -29,11 +28,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BscChainParams", "EntropyProfile", "JointSource", "binary_entropy",
-    "bsc_chain", "combined_profile", "crossover_convolve", "detect_bsc_chain",
-    "entropy_profile", "load_joint_pmf", "ow_capacity_less_noisy", "sample",
-    "BitString", "GFContext", "HashSeed", "SeedHasher", "decode_symbols",
-    "encode_symbols", "field_for_source", "fresh_seed", "gf_mul", "hash",
-    "is_irreducible", "symbol_width",
+    "bsc_chain", "crossover_convolve", "detect_bsc_chain", "entropy_profile",
+    "load_joint_pmf", "ow_capacity_less_noisy", "sample",
+    "BitString", "GFContext", "HashSeed", "SeedHasher", "encode_symbols",
+    "field_for_source", "fresh_seed", "gf_mul", "hash", "is_irreducible",
+    "symbol_width",
     "BOUND_NAMES", "PLAN_MODES", "BoundReport", "Plan", "bound_berry_esseen",
     "bound_hr_concatenated", "bound_hr_random_linear", "bound_remark", "bound_report",
     "bound_theorem_main", "comm_cost", "min_positive_n", "plan_desk_exact",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .source import (EntropyProfile, JointSource, avg_min_entropy_product,
-                     detect_bsc_chain, hamming_ball_size)
+                     hamming_ball_size)
 
 PLAN_MODES = ("theorem_main", "remark", "berry_esseen", "desk_exact")
 
@@ -444,13 +444,12 @@ def plan_desk_exact(src: JointSource, n: int, eps: float, sigma: float) -> Plan:
     seed, which fresh_seed draws too, maps every block to 0, so even at the
     cap the collision mass is 2^-n * P(e in ball), not zero.
     """
-    params = detect_bsc_chain(src)
-    if params is None:
+    if src.cascade is None:
         raise ValueError("desk-exact planning needs a binary cascade source")
     if not (1 <= n <= 64):
         raise ValueError(f"desk-exact planning supports 1 <= n <= 64, got {n}")
     _check_targets(eps, sigma)
-    p = params.p
+    p = src.cascade.p
 
     # exact binomial survival scan: smallest d with P(Bin(n, p) > d) <= eps/2
     pmf = [math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)]

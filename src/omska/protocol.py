@@ -6,19 +6,20 @@ builds the list of source blocks whose conditional surprisal given y stays
 under the plan's threshold, keeps the candidates whose check hash matches,
 and aborts unless exactly one survives.
 
-Candidate enumeration is deterministic: the binary-cascade fast path walks
-flip patterns by increasing Hamming weight (lexicographic within a weight),
-the general path builds a level-wise list, positions in natural order and
-per-position symbols by ascending cost, in depth-first order.  Both paths
-enumerate the same set; tests pin that down.  One table-hash decoder serves
-every alphabet: the hash is linear in the encoded bits, so a candidate's
-product is the XOR of the seed's symbol-table entries along its row.  On the
-cascade the ball paths share one radius/size/budget helper and a read-only
-flip-pattern table, built once per (n, radius) and kept in a small LRU cache,
-and the ball decoder XORs the flipped slots' entries onto the hash of y.
-Searches are capped by a node/candidate budget (default 1e8, or OMSKA_BUDGET),
-checked before any table is read or list level built, and raise
-BudgetExceededError, carrying the count and the budget, instead of thrashing.
+The source picks the decoder: on a binary cascade (`JointSource.cascade`)
+the list is a Hamming ball around y, any other source takes a level-wise
+list.  Enumeration is deterministic: the ball walks flip patterns by
+increasing Hamming weight (lexicographic within a weight), the level-wise
+list takes positions in natural order and per-position symbols by ascending
+cost, in depth-first order.  Both apply the threshold tolerance in bits and
+enumerate the same set; tests pin that down.  The hash is linear in the
+encoded bits, so a candidate's product is the XOR of the seed's symbol-table
+entries along its row.  The ball decoder, in any field size, XORs the flipped
+slots' entries onto the hash of y through a read-only flip-pattern table,
+built once per (n, radius) and kept in a small LRU cache.  Searches are
+capped by a node/candidate budget (default 1e8, or OMSKA_BUDGET), checked
+before any table is read or list level built, and raise BudgetExceededError,
+carrying the count and the budget, instead of thrashing.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .planner import Plan
-from .source import (BscChainParams, JointSource, detect_bsc_chain, hamming_ball_size,
-                     sample)
+from .source import JointSource, hamming_ball_size, sample
 from .uhash import (BitString, GFContext, SeedHasher, encode_symbols, field_for_source,
                     fresh_seed, hash as uhf_hash)
 
@@ -150,10 +150,11 @@ def _hamming_ball(plan: Plan, n: int, p: float) -> tuple[int, int]:
         # all blocks equally likely at n bits of surprisal
         radius = n if lam + _RADIUS_TOL >= n else -1
     else:
+        # the tolerance is in bits, as on the level-wise list
         base = n * -math.log2(1.0 - p)
         step = math.log2((1.0 - p) / p)
         radius = -1 if lam + _RADIUS_TOL < base \
-            else min(n, math.floor((lam - base) / step + _RADIUS_TOL))
+            else min(n, math.floor((lam + _RADIUS_TOL - base) / step))
     budget = search_budget()
     count = hamming_ball_size(n, radius)
     if count > budget:
@@ -189,15 +190,11 @@ def guess_set(y: np.ndarray, plan: Plan, src: JointSource) -> np.ndarray:
     order described in the module docstring.  Raises BudgetExceededError when
     the enumeration would exceed the search budget.
     """
-    return _guess_list(np.asarray(y, dtype=np.int64), plan, src, detect_bsc_chain(src))
-
-
-def _guess_list(y: np.ndarray, plan: Plan, src: JointSource,
-                params: BscChainParams | None) -> np.ndarray:
+    y = np.asarray(y, dtype=np.int64)
     n = y.shape[0]
-    if params is None:
+    if src.cascade is None:
         return _guess_set_general(y, plan, src, search_budget())
-    radius, count = _hamming_ball(plan, n, params.p)
+    radius, count = _hamming_ball(plan, n, src.cascade.p)
     if radius < 0:
         return np.empty((0, n), dtype=np.int64)
     flips = np.zeros((count, n + 1), dtype=np.int64)
@@ -255,11 +252,10 @@ def _unique_hit(prods: np.ndarray, check_value: BitString, bits: int) -> int | N
 
 
 def _decode_scan(y: np.ndarray, check_value: BitString, recon_seed: BitString,
-                 plan: Plan, ctx: GFContext, src: JointSource,
-                 params: BscChainParams | None):
+                 plan: Plan, ctx: GFContext, src: JointSource):
     """Any alphabet: by linearity a listed block c hashes to XOR_i T[i, c_i]."""
     n = y.shape[0]
-    candidates = _guess_list(y, plan, src, params)
+    candidates = guess_set(y, plan, src)
     table = SeedHasher(recon_seed, ctx).symbol_table(n, src.alphabet_sizes[0])
     prods = np.bitwise_xor.reduce(table[np.arange(n), candidates], axis=1)
     hit = _unique_hit(prods, check_value, ctx.bits)
@@ -267,20 +263,19 @@ def _decode_scan(y: np.ndarray, check_value: BitString, recon_seed: BitString,
 
 
 def _decode_ball(y: np.ndarray, check_value: BitString, recon_seed: BitString,
-                 plan: Plan, ctx: GFContext, params: BscChainParams):
-    """Vectorized binary path: hash(y xor e) = hash(y) xor basis products of e,
-    for every flip pattern e of the ball at once."""
-    if ctx.bits > 64:
-        raise ValueError("ball decoding supports fields up to 64 bits")
+                 plan: Plan, ctx: GFContext, src: JointSource):
+    """Binary cascade: hash(y xor e) = hash(y) xor basis products of e, for
+    every flip pattern e of the ball at once."""
     n = y.shape[0]
-    radius, _ = _hamming_ball(plan, n, params.p)
+    radius, _ = _hamming_ball(plan, n, src.cascade.p)
     if radius < 0:
         return "abort", None
 
     symbols = SeedHasher(recon_seed, ctx).symbol_table(n, 2)
-    # a flip at slot i adds T[i, 1]; index n is the zero row that the
-    # pattern table's padding slots point at
-    basis = np.append(symbols[:, 1], np.uint64(0))
+    # a flip at slot i adds T[i, 1]; index n is the zero row that the pattern
+    # table's padding slots point at, a zero of the table's own dtype (uint64,
+    # or a Python int above 64 bits)
+    basis = np.concatenate((symbols[:, 1], symbols[:1, 0]))
     table = _pattern_table(n, radius)
     base = np.bitwise_xor.reduce(symbols[np.arange(n), y])
     hit = _unique_hit(np.bitwise_xor.reduce(basis[table], axis=1) ^ base,
@@ -294,13 +289,12 @@ def _decode_ball(y: np.ndarray, check_value: BitString, recon_seed: BitString,
 
 
 def bob_decode(y: np.ndarray, check_value: BitString, recon_seed: BitString,
-               plan: Plan, ctx: GFContext, src: JointSource, method: str = "auto"):
+               plan: Plan, ctx: GFContext, src: JointSource):
     """Receiver's list decode: ('ok', block) on a unique hash match, else
     ('abort', None) for zero or multiple matches.
 
-    method 'ball' is the binary fast path over flip patterns, 'scan' the guess
-    list plus the table hash for any alphabet, 'auto' picks 'ball' when the
-    source is a binary cascade and the field fits in 64 bits.
+    A binary cascade source decodes over its Hamming ball's flip patterns,
+    in any field size; any other source hashes its level-wise guess list.
     """
     if check_value.length != plan.recon_bits:
         raise ValueError(
@@ -310,16 +304,8 @@ def bob_decode(y: np.ndarray, check_value: BitString, recon_seed: BitString,
     y = np.asarray(y, dtype=np.int64)
     if y.ndim != 1 or np.any((y < 0) | (y >= src.alphabet_sizes[1])):
         raise ValueError(f"y must be a vector of symbols below {src.alphabet_sizes[1]}")
-    params = detect_bsc_chain(src)
-    if method == "auto":
-        method = "ball" if params is not None and ctx.bits <= 64 else "scan"
-    if method == "ball":
-        if params is None:
-            raise ValueError("ball decoding requires a binary cascade source")
-        return _decode_ball(y, check_value, recon_seed, plan, ctx, params)
-    if method == "scan":
-        return _decode_scan(y, check_value, recon_seed, plan, ctx, src, params)
-    raise ValueError(f"unknown decode method {method!r}")
+    decode = _decode_scan if src.cascade is None else _decode_ball
+    return decode(y, check_value, recon_seed, plan, ctx, src)
 
 
 def bob_extract(block: np.ndarray, key_seed: BitString, plan: Plan, ctx: GFContext,
@@ -329,7 +315,7 @@ def bob_extract(block: np.ndarray, key_seed: BitString, plan: Plan, ctx: GFConte
     return uhf_hash(encoded, key_seed, plan.key_bits, ctx)
 
 
-def run_session(src: JointSource, plan: Plan, rng_seed, method: str = "auto") -> SessionResult:
+def run_session(src: JointSource, plan: Plan, rng_seed) -> SessionResult:
     """Sample one block triple, run the full exchange, and report the outcome.
 
     rng_seed feeds a SeedSequence split three ways (source sample, hash seed,
@@ -360,7 +346,7 @@ def run_session(src: JointSource, plan: Plan, rng_seed, method: str = "auto") ->
                             check_value=check_value, plan=plan)
     key_alice = bob_extract(x, key_seed, plan, ctx, size_x)
 
-    status, decoded = bob_decode(y, check_value, recon_seed, plan, ctx, src, method)
+    status, decoded = bob_decode(y, check_value, recon_seed, plan, ctx, src)
     if status != "ok":
         return SessionResult("aborted", key_alice, None, None, x, y, z, transcript)
     key_bob = bob_extract(decoded, key_seed, plan, ctx, size_x)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +41,8 @@ class JointSource:
     alphabet_sizes : (|X|, |Y|, |Z|)
     pmf : ndarray of shape alphabet_sizes, entries >= 0 summing to 1 (+-1e-12)
     labels : optional symbol labels per axis, purely cosmetic
+    cascade : BscChainParams when the pmf is entrywise a bsc_chain source, else
+        None; derived from pmf at construction, not an argument
     """
 
     alphabet_sizes: tuple[int, int, int]
@@ -66,6 +67,7 @@ class JointSource:
         object.__setattr__(self, "pmf", arr)
         cdf = arr.ravel().cumsum()  # sample()'s, normalised as Generator.choice does
         object.__setattr__(self, "_cdf", cdf / cdf[-1])
+        object.__setattr__(self, "cascade", detect_bsc_chain(self))
 
     # convenience marginals, all tiny
     def p_xy(self) -> np.ndarray:
@@ -93,9 +95,7 @@ class EntropyProfile:
 
     var_* are the variances of the conditional information density
     -log2 P(X|·) under the joint law; rho_x_given_y is its third absolute
-    central moment on the receiver side.  Profiles add: the sum of two
-    profiles is the profile of the corresponding independent pair of
-    positions (totals, no longer per-symbol).
+    central moment on the receiver side.
     """
 
     h_x_given_y: float
@@ -103,26 +103,6 @@ class EntropyProfile:
     var_x_given_y: float
     var_x_given_z: float
     rho_x_given_y: float
-
-    def __add__(self, other: "EntropyProfile") -> "EntropyProfile":
-        if not isinstance(other, EntropyProfile):
-            return NotImplemented
-        return EntropyProfile(
-            self.h_x_given_y + other.h_x_given_y,
-            self.h_x_given_z + other.h_x_given_z,
-            self.var_x_given_y + other.var_x_given_y,
-            self.var_x_given_z + other.var_x_given_z,
-            self.rho_x_given_y + other.rho_x_given_y,
-        )
-
-    def scaled(self, factor: float) -> "EntropyProfile":
-        return EntropyProfile(
-            self.h_x_given_y * factor,
-            self.h_x_given_z * factor,
-            self.var_x_given_y * factor,
-            self.var_x_given_z * factor,
-            self.rho_x_given_y * factor,
-        )
 
 
 def binary_entropy(p: float) -> float:
@@ -166,10 +146,12 @@ def _cascade_pmf(p: float, q: float) -> np.ndarray:
     return 0.5 * leg1[:, :, None] * leg2[None, :, :]
 
 
-def detect_bsc_chain(src: JointSource, tol: float = 1e-12) -> BscChainParams | None:
-    """Return the cascade parameters if `src` is entrywise a bsc_chain source, else None.
+def detect_bsc_chain(src: JointSource) -> BscChainParams | None:
+    """Return the cascade parameters if `src` is entrywise a bsc_chain source
+    (within PMF_TOL), else None.
 
-    Used by the decoder to decide whether the Hamming-ball specialization applies.
+    Computed once per source, as `JointSource.cascade`; the decoder, the desk
+    planner and the secrecy audit read that attribute.
     """
     if src.alphabet_sizes != (2, 2, 2):
         return None
@@ -178,7 +160,7 @@ def detect_bsc_chain(src: JointSource, tol: float = 1e-12) -> BscChainParams | N
     q_fit = float(p_yz[0, 1] + p_yz[1, 0])
     if not (0.0 <= p_fit <= 0.5 and 0.0 <= q_fit <= 0.5):
         return None
-    if np.max(np.abs(_cascade_pmf(p_fit, q_fit) - src.pmf)) <= tol:
+    if np.max(np.abs(_cascade_pmf(p_fit, q_fit) - src.pmf)) <= PMF_TOL:
         return BscChainParams(p_fit, q_fit)
     return None
 
@@ -263,17 +245,6 @@ def entropy_profile(src: JointSource) -> EntropyProfile:
     h_y, var_y, rho_y = _cond_info_moments(src.p_xy())
     h_z, var_z, _ = _cond_info_moments(src.p_xz())
     return EntropyProfile(h_y, h_z, var_y, var_z, rho_y)
-
-
-def combined_profile(sources: Sequence[JointSource]) -> EntropyProfile:
-    """Summed profile of a list of independent (not necessarily identical)
-    per-position sources; the IID case is a single-element list scaled by n."""
-    if not sources:
-        raise ValueError("need at least one source")
-    total = entropy_profile(sources[0])
-    for s in sources[1:]:
-        total = total + entropy_profile(s)
-    return total
 
 
 def ow_capacity_less_noisy(src: JointSource) -> float:

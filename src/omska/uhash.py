@@ -217,22 +217,6 @@ def encode_symbols(symbols, alphabet_size: int) -> BitString:
     return BitString(value, count * width)
 
 
-def decode_symbols(bs: BitString, alphabet_size: int, n: int) -> np.ndarray:
-    """Inverse of encode_symbols for a known vector length."""
-    width = symbol_width(alphabet_size)
-    if bs.length != n * width:
-        raise ValueError(f"bit length {bs.length} != n*width = {n * width}")
-    mask = (1 << width) - 1
-    out = np.empty(n, dtype=np.int64)
-    v = bs.value
-    for i in range(n - 1, -1, -1):
-        out[i] = v & mask
-        v >>= width
-    if np.any(out >= alphabet_size):
-        raise ValueError("decoded symbol outside alphabet")
-    return out
-
-
 def gf_mul(a: int, b: int, ctx: GFContext) -> int:
     """Product in GF(2^m): carryless multiply then reduce."""
     if not (0 <= a < (1 << ctx.bits) and 0 <= b < (1 << ctx.bits)):
@@ -287,19 +271,6 @@ class SeedHasher:
             if cur >> ctx.bits:
                 cur ^= ctx.poly  # degree-m overflow: one reduction step
         self.table = table
-
-    def product(self, x_value: int) -> int:
-        acc = 0
-        i = 0
-        while x_value:
-            if x_value & 1:
-                acc ^= self.table[i]
-            x_value >>= 1
-            i += 1
-        return acc
-
-    def hash_value(self, x_value: int, out_bits: int) -> int:
-        return self.product(x_value) >> (self.ctx.bits - out_bits) if out_bits else 0
 
     def symbol_table(self, n: int, alphabet_size: int) -> np.ndarray:
         """T[i, a] = (symbol a in slot i) (.) seed, the XOR of R[(n-1-i)*w + b]

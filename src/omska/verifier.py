@@ -26,8 +26,7 @@ import numpy as np
 
 from .planner import Plan
 from .protocol import run_session
-from .source import (JointSource, avg_min_entropy_product, crossover_convolve,
-                     detect_bsc_chain)
+from .source import JointSource, avg_min_entropy_product, crossover_convolve
 from .uhash import BitString, GFContext, SeedHasher, field_for_source
 
 # two-sided 95% normal quantile, fixed so intervals are reproducible
@@ -73,25 +72,25 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def run_batch(src: JointSource, plan: Plan, seed_seqs, method: str = "auto") -> Counter:
+def run_batch(src: JointSource, plan: Plan, seed_seqs) -> Counter:
     """Run one session per seed sequence and tally outcomes.
 
     Module-level so process pools can ship it to workers.
     """
     counts: Counter = Counter()
     for seq in seed_seqs:
-        counts[run_session(src, plan, seq, method=method).outcome] += 1
+        counts[run_session(src, plan, seq).outcome] += 1
     return counts
 
 
-def estimate_reliability(src: JointSource, plan: Plan, trials: int, rng_seed=0,
-                         method: str = "auto") -> ReliabilityEstimate:
+def estimate_reliability(src: JointSource, plan: Plan, trials: int,
+                         rng_seed=0) -> ReliabilityEstimate:
     """Monte Carlo reliability check: `trials` independent sessions, seeds
     spawned from one sequence so results are reproducible."""
     if trials < 1:
         raise ValueError("need at least one trial")
     seq = np.random.SeedSequence(rng_seed)
-    counts = run_batch(src, plan, seq.spawn(trials), method=method)
+    counts = run_batch(src, plan, seq.spawn(trials))
     return summarize_outcomes(counts, plan.eps)
 
 
@@ -334,7 +333,7 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
         terms = None
         sd = 0.0
     else:
-        chain = detect_bsc_chain(src)
+        chain = src.cascade
         if chain is None:
             distances = _pair_distances(src.p_xz(), ctx, t, ell)
         else:

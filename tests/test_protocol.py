@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from omska.planner import Plan, plan_desk_exact
 from omska.protocol import (DEFAULT_SEARCH_BUDGET, BudgetExceededError, Transcript,
-                            _guess_set_general, _pattern_table, alice_send, bob_decode,
-                            guess_set, run_session, search_budget)
+                            _decode_ball, _decode_scan, _guess_set_general, _pattern_table,
+                            alice_send, bob_decode, guess_set, run_session, search_budget)
 from omska.source import JointSource, bsc_chain, hamming_ball_size
 from omska.uhash import BitString, encode_symbols, field_for_source, hash as uhf_hash
 
@@ -84,10 +84,11 @@ def _dfs_guess_list(y, plan, src, budget):
 
 
 def _literal_decode(y, check_value, recon_seed, plan, ctx, src):
-    """Oracle: hash every listed block one at a time through the field
-    multiply; ('ok', block) on exactly one match."""
+    """Oracle: hash every block of the depth-first list one at a time through
+    the field multiply; ('ok', block) on exactly one match."""
     size_x = src.alphabet_sizes[0]
-    hits = [row for row in guess_set(y, plan, src)
+    rows, _ = _dfs_guess_list(y, plan, src, DEFAULT_SEARCH_BUDGET)
+    hits = [row for row in rows
             if uhf_hash(encode_symbols(row, size_x), recon_seed, plan.recon_bits,
                         ctx) == check_value]
     return ("ok", hits[0]) if len(hits) == 1 else ("abort", None)
@@ -160,23 +161,21 @@ def test_session_fields_on_agreement():
 
 
 def test_ball_and_scan_decoders_agree():
-    plan16 = plan_desk_exact(CHAIN, 16, 0.05, 0.05)
-    for seed in range(100):
-        a = run_session(CHAIN, plan16, rng_seed=seed, method="ball")
-        b = run_session(CHAIN, plan16, rng_seed=seed, method="scan")
-        assert a.outcome == b.outcome, seed
-        assert a.key_bob == b.key_bob
-        if a.decoded is None:
-            assert b.decoded is None
-        else:
-            assert np.array_equal(a.decoded, b.decoded)
-    plan32 = plan_desk_exact(CHAIN, 32, 0.05, 0.05)
-    for seed in range(15):
-        a = run_session(CHAIN, plan32, rng_seed=seed, method="ball")
-        b = run_session(CHAIN, plan32, rng_seed=seed, method="scan")
-        assert a.outcome == b.outcome, seed
-        if a.decoded is not None:
-            assert np.array_equal(a.decoded, b.decoded)
+    # each session decodes by the ball; the scan decoder must reproduce it
+    for n, sessions in ((16, 100), (32, 15)):
+        plan = plan_desk_exact(CHAIN, n, 0.05, 0.05)
+        ctx = field_for_source(n, 2)
+        for seed in range(sessions):
+            res = run_session(CHAIN, plan, rng_seed=seed)
+            tr = res.transcript
+            args = (res.y, tr.check_value, tr.recon_seed, plan, ctx, CHAIN)
+            ball, scan = _decode_ball(*args), _decode_scan(*args)
+            assert ball[0] == scan[0] == ("abort" if res.outcome == "aborted" else "ok"), seed
+            if res.decoded is None:
+                assert ball[1] is None and scan[1] is None
+            else:
+                assert np.array_equal(ball[1], res.decoded)
+                assert np.array_equal(scan[1], res.decoded)
 
 
 def test_guess_set_chain_matches_bruteforce():
@@ -241,6 +240,19 @@ def test_radius_edge_cases():
     assert rows.shape == (0, 8)
 
 
+def test_cascade_radius_tolerance_is_in_bits():
+    # step = log2((1-p)/p) is ~3e-16 bits here: a tolerance in flips admits no
+    # flip, one in bits admits the flipped block as the depth-first list does
+    p = 0.49999999999999994
+    src = bsc_chain(p, 0.1)
+    y = np.array([0])
+    p_xy = src.p_xy()
+    plan = _hand_plan(1, -math.log2(p_xy[:, 0].max() / p_xy[:, 0].sum()), 0, 0)
+    want, _ = _dfs_guess_list(y, plan, src, DEFAULT_SEARCH_BUDGET)
+    assert want.shape == (2, 1)
+    assert np.array_equal(guess_set(y, plan, src), want)
+
+
 def test_budget_environment(monkeypatch):
     monkeypatch.delenv("OMSKA_BUDGET", raising=False)
     assert search_budget() == DEFAULT_SEARCH_BUDGET == 10 ** 8
@@ -261,8 +273,8 @@ def test_budget_caps_all_search_paths(monkeypatch):
     with pytest.raises(BudgetExceededError) as listed:
         guess_set(y, plan, CHAIN)
     with pytest.raises(BudgetExceededError) as decoded:
-        bob_decode(y, BitString(0, plan.recon_bits), BitString(1, 8), plan,
-                   _ctx8(), CHAIN, method="ball")
+        _decode_ball(y, BitString(0, plan.recon_bits), BitString(1, 8), plan,
+                     _ctx8(), CHAIN)
     for exc in (listed.value, decoded.value):
         assert (exc.count, exc.budget) == (37, 10)
         assert str(exc) == "guess list holds 37 blocks, budget is 10"
@@ -328,7 +340,7 @@ def test_scan_decode_matches_literal_hash_oracle(data):
         check = alice_send(x, seed, plan, ctx, src.alphabet_sizes[0])
     else:
         check = BitString(data.draw(st.integers(0, (1 << t) - 1), label="check"), t)
-    got = bob_decode(y, check, seed, plan, ctx, src, method="scan")
+    got = _decode_scan(y, check, seed, plan, ctx, src)
     want = _literal_decode(y, check, seed, plan, ctx, src)
     assert got[0] == want[0]
     if want[1] is None:
@@ -355,6 +367,34 @@ def test_scan_decode_above_64_bits():
         want = _literal_decode(y, check, seed, plan, ctx, src)
         assert got[0] == want[0] == "ok"
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[1], rows[k])
+
+
+def test_ball_decode_above_64_bits():
+    # the ball serves cascades past 64 bits: the symbol table holds Python ints
+    rng = np.random.default_rng(65)
+    for n in (65, 80):
+        ctx = field_for_source(n, 2)
+        y = rng.integers(0, 2, n)
+        base, step = n * -math.log2(0.98), math.log2(0.98 / 0.02)
+        plan = _hand_plan(n, base + 2.5 * step, 30, 0)  # radius 2
+        rows = guess_set(y, plan, CHAIN)
+        assert rows.shape == (hamming_ball_size(n, 2), n)
+        for k in (0, 1, n + 3, rows.shape[0] - 1, None):
+            seed = BitString(int.from_bytes(rng.bytes(10), "big") >> (80 - n), n)
+            if k is None:  # a random check value
+                check = BitString(int(rng.integers(0, 1 << 30)), 30)
+            else:
+                check = alice_send(rows[k], seed, plan, ctx, 2)
+            got = _decode_ball(y, check, seed, plan, ctx, CHAIN)
+            scan = _decode_scan(y, check, seed, plan, ctx, CHAIN)
+            want = _literal_decode(y, check, seed, plan, ctx, CHAIN)
+            assert got[0] == scan[0] == want[0]
+            if want[1] is None:
+                assert got[1] is None and scan[1] is None
+            else:
+                assert np.array_equal(got[1], want[1]) and np.array_equal(scan[1], want[1])
+            if k is not None:
+                assert got[0] == "ok" and np.array_equal(got[1], rows[k])
 
 
 def test_general_budget_stops_before_the_crossing_level(monkeypatch):
@@ -388,7 +428,7 @@ def test_pattern_table_cached_and_capped_by_budget(monkeypatch):
     check = alice_send(y, BitString(1, 8), plan, _ctx8(), 2)
 
     def decode():
-        return bob_decode(y, check, BitString(1, 8), plan, _ctx8(), CHAIN, method="ball")
+        return _decode_ball(y, check, BitString(1, 8), plan, _ctx8(), CHAIN)
 
     assert guess_set(y, plan, CHAIN).shape == (37, 8)  # builds or reuses (8, 2)
     built = _pattern_table.cache_info()
@@ -440,8 +480,8 @@ def test_ball_decode_matches_scan_property(data):
         check = alice_send(x, seed, plan, ctx, 2)
     else:
         check = BitString(data.draw(st.integers(0, (1 << t) - 1), label="check"), t)
-    ball = bob_decode(y, check, seed, plan, ctx, src, method="ball")
-    scan = bob_decode(y, check, seed, plan, ctx, src, method="scan")
+    ball = _decode_ball(y, check, seed, plan, ctx, src)
+    scan = _decode_scan(y, check, seed, plan, ctx, src)
     assert ball[0] == scan[0]
     if scan[1] is None:
         assert ball[1] is None
@@ -497,27 +537,28 @@ def test_decode_guards():
     ctx = _ctx8()
     y = np.zeros(8, dtype=int)
     seed = BitString(1, 8)
-    with pytest.raises(ValueError, match="method"):
-        bob_decode(y, BitString(0, plan.recon_bits), seed, plan, ctx, CHAIN,
-                   method="bogus")
     with pytest.raises(ValueError, match="check value"):
         bob_decode(y, BitString(0, plan.recon_bits + 1), seed, plan, ctx, CHAIN)
     src3 = _ternary_source()
     ctx3 = field_for_source(5, 3)
-    with pytest.raises(ValueError, match="cascade"):
-        bob_decode(np.zeros(5, dtype=int), BitString(0, 0), BitString(1, ctx3.bits),
-                   _hand_plan(5, 7.0, 0, 0), ctx3, src3, method="ball")
+    # the guards run before either decoder: a cascade takes the ball, a
+    # binary non-cascade source the scan
+    lopsided = CHAIN.pmf.copy()
+    lopsided[0, 0, 0] += 0.01
+    lopsided[1, 1, 1] -= 0.01
+    lopsided = JointSource((2, 2, 2), lopsided)
+    assert lopsided.cascade is None
     for bad in ([0, 1, 2, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0, 0, 0], [[0] * 8]):
-        for method in ("ball", "scan"):
+        for source in (CHAIN, lopsided):
             with pytest.raises(ValueError, match="symbols below 2"):
                 bob_decode(np.array(bad), BitString(0, plan.recon_bits), seed, plan, ctx,
-                           CHAIN, method=method)
+                           source)
     # a check longer than the field is refused before any shift by a negative count
-    for source, field, n, method in ((src3, ctx3, 5, "scan"), (CHAIN, ctx, 8, "ball")):
+    for source, field, n in ((src3, ctx3, 5), (CHAIN, ctx, 8)):
         t = field.bits + 1
         with pytest.raises(ValueError, match="does not fit"):
             bob_decode(np.zeros(n, dtype=int), BitString(0, t), BitString(1, field.bits),
-                       _hand_plan(n, 7.0, t, 0), field, source, method=method)
+                       _hand_plan(n, 7.0, t, 0), field, source)
 
 
 def test_alice_send_length_guard():

@@ -2,15 +2,16 @@
 
 import json
 import math
+import pickle
 
 import mpmath
 import numpy as np
 import pytest
 
 from omska.source import (BscChainParams, EntropyProfile, JointSource, binary_entropy,
-                          bsc_chain, combined_profile, crossover_convolve,
-                          detect_bsc_chain, entropy_profile, load_joint_pmf,
-                          ow_capacity_less_noisy, sample)
+                          bsc_chain, crossover_convolve, detect_bsc_chain,
+                          entropy_profile, load_joint_pmf, ow_capacity_less_noisy,
+                          sample)
 
 CHAIN = bsc_chain(0.02, 0.15)
 
@@ -107,6 +108,19 @@ def test_detect_chain_builds_no_source(monkeypatch):
     assert detect_bsc_chain(lopsided) is None
 
 
+def test_source_kind_resolved_once_and_pickled():
+    # the cascade parameters are stored with the source, as detect_bsc_chain finds them
+    lopsided = CHAIN.pmf.copy()
+    lopsided[0, 0, 0] += 0.01
+    lopsided[1, 1, 1] -= 0.01
+    ternary = np.full((3, 2, 2), 1.0 / 12)
+    for src in (CHAIN, JointSource((2, 2, 2), lopsided), JointSource((3, 2, 2), ternary)):
+        assert src.cascade == detect_bsc_chain(src)
+        # process pools ship sources to workers
+        assert pickle.loads(pickle.dumps(src)).cascade == src.cascade
+    assert (CHAIN.cascade.p, CHAIN.cascade.q) == pytest.approx((0.02, 0.15), abs=1e-15)
+
+
 def test_entropy_profile_chain_frozen():
     prof = entropy_profile(CHAIN)
     assert prof.h_x_given_y == pytest.approx(0.141440542541821, abs=1e-12)
@@ -140,18 +154,6 @@ def test_entropy_profile_matches_literal_sums():
             var += p_xy[xv, yv] * (info - mean) ** 2
     assert prof.h_x_given_y == pytest.approx(mean, abs=1e-12)
     assert prof.var_x_given_y == pytest.approx(var, abs=1e-12)
-
-
-def test_profile_add_and_scale():
-    prof = entropy_profile(CHAIN)
-    doubled = prof + prof
-    scaled = prof.scaled(2)
-    for name in ("h_x_given_y", "h_x_given_z", "var_x_given_y", "var_x_given_z",
-                 "rho_x_given_y"):
-        assert getattr(doubled, name) == pytest.approx(getattr(scaled, name), abs=1e-12)
-        assert getattr(doubled, name) == pytest.approx(2 * getattr(prof, name), abs=1e-12)
-    assert combined_profile([CHAIN, CHAIN]).h_x_given_y == pytest.approx(
-        2 * prof.h_x_given_y, abs=1e-12)
 
 
 def test_capacity_frozen_value():
