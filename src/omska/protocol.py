@@ -12,14 +12,21 @@ list.  Enumeration is deterministic: the ball walks flip patterns by
 increasing Hamming weight (lexicographic within a weight), the level-wise
 list takes positions in natural order and per-position symbols by ascending
 cost, in depth-first order.  Both apply the threshold tolerance in bits and
-enumerate the same set; tests pin that down.  The hash is linear in the
+enumerate the same set; tests pin that down.  Whether a block is listed
+depends only on each symbol's rank within its y column's sorted costs, so the
+level-wise list is built in rank space, once per column-cost sequence, and
+kept read-only in a small LRU cache (up to _RANK_CACHE_BYTES a list); one
+gather through the source's rank-to-symbol table maps it to blocks.  A
+source whose columns are permutations of one another has one cost sequence
+for every y, so it builds the list once.  The hash is linear in the
 encoded bits, so a candidate's product is the XOR of the seed's symbol-table
 entries along its row.  The ball decoder, in any field size, XORs the flipped
 slots' entries onto the hash of y through a read-only flip-pattern table,
 built once per (n, radius) and kept in a small LRU cache.  Searches are
 capped by a node/candidate budget (default 1e8, or OMSKA_BUDGET), checked
-before any table is read or list level built, and raise BudgetExceededError,
-carrying the count and the budget, instead of thrashing.
+before any table is read or list level built (the budget is part of the rank
+cache's key), and raise BudgetExceededError, carrying the count and the
+budget, instead of thrashing.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ import itertools
 import json
 import math
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, asdict
 from functools import lru_cache
 
@@ -42,6 +51,9 @@ DEFAULT_SEARCH_BUDGET = 10 ** 8
 
 # floor() guard: threshold arithmetic may land a hair under an exact radius
 _RADIUS_TOL = 1e-9
+
+# rank lists over this size are built on every call rather than pinned
+_RANK_CACHE_BYTES = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -183,14 +195,24 @@ def _pattern_table(n: int, radius: int) -> np.ndarray:
     return table
 
 
+def _received(y, src: JointSource) -> np.ndarray:
+    """y as an int64 vector of receiver symbols; ValueError for any other shape
+    or for a symbol outside [0, |Y|)."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.ndim != 1 or np.any((y < 0) | (y >= src.alphabet_sizes[1])):
+        raise ValueError(f"y must be a vector of symbols below {src.alphabet_sizes[1]}")
+    return y
+
+
 def guess_set(y: np.ndarray, plan: Plan, src: JointSource) -> np.ndarray:
     """All source blocks whose surprisal given y is at most the plan threshold.
 
-    Returns an array of shape (count, n) in the deterministic enumeration
-    order described in the module docstring.  Raises BudgetExceededError when
-    the enumeration would exceed the search budget.
+    Returns a writable int64 array of shape (count, n) in the deterministic
+    enumeration order described in the module docstring.  Raises ValueError
+    unless y is a vector of receiver symbols, and BudgetExceededError when the
+    enumeration would exceed the search budget.
     """
-    y = np.asarray(y, dtype=np.int64)
+    y = _received(y, src)
     n = y.shape[0]
     if src.cascade is None:
         return _guess_set_general(y, plan, src, search_budget())
@@ -204,34 +226,61 @@ def guess_set(y: np.ndarray, plan: Plan, src: JointSource) -> np.ndarray:
 
 def _guess_set_general(y: np.ndarray, plan: Plan, src: JointSource,
                        budget: int) -> np.ndarray:
-    """Level-wise list: each prefix row is repeated for the symbols that keep
-    acc + cost + suffix_min[i+1] within the threshold, in ascending-cost
-    order.  The expansion is row-stable, so rows come out in depth-first order
-    (lexicographic in per-position cost rank).  A level's node count is
-    checked before it is built; an overrun reports the running node total."""
-    n = y.shape[0]
-    p_xy = src.p_xy()
-    p_y = p_xy.sum(axis=0)
-    lam = plan.list_log_threshold + _RADIUS_TOL
-    # per observed symbol: admissible symbols by ascending cost, ties by symbol;
-    # math.log2 and left-to-right sums keep every total equal to a scalar walk's
-    columns = {}
-    for i, yv in enumerate(y.tolist()):
-        if yv not in columns:
-            if p_y[yv] <= 0.0:
-                raise ValueError(f"observed symbol {yv} at position {i} has probability zero")
-            cond = p_xy[:, yv] / p_y[yv]
-            costs, syms = np.array(sorted((-math.log2(c), a) for a, c in
-                                          enumerate(cond.tolist()) if c > 0.0)).T
-            columns[yv] = (costs, syms.astype(np.int64))
-    # cheapest completion after each position, summed right to left
-    suffix_min = np.append(np.cumsum([columns[v][0][0] for v in y.tolist()[::-1]])[::-1], 0.0)
+    """Level-wise list: the rank patterns of y's column-cost sequence, mapped
+    to symbols by one gather through the source's rank-to-symbol table."""
+    columns = tuple(src.cost_columns[v] for v in y.tolist())
+    if () in columns:
+        i = columns.index(())
+        raise ValueError(f"observed symbol {y[i]} at position {i} has probability zero")
+    return src.rank_symbols[y, _rank_list(columns, plan.list_log_threshold, budget)]
 
-    acc, prefix = np.zeros(1), np.empty((1, 0), dtype=np.int64)
+
+class _PinnedCache:
+    """LRU cache of a builder's read-only arrays, keyed by its arguments.  An
+    array over max_bytes is returned but not pinned, and an exception is never
+    cached, so a smaller budget still raises on a key built before."""
+
+    def __init__(self, build, maxsize: int, max_bytes: int):
+        self.build, self.maxsize, self.max_bytes = build, maxsize, max_bytes
+        self.tables: OrderedDict = OrderedDict()
+        self.hits = self.misses = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, *key) -> np.ndarray:
+        with self.lock:
+            table = self.tables.get(key)
+            if table is not None:
+                self.tables.move_to_end(key)
+                self.hits += 1
+                return table
+            self.misses += 1
+        table = self.build(*key)
+        table.setflags(write=False)
+        if table.nbytes <= self.max_bytes:
+            with self.lock:
+                self.tables[key] = table
+                if len(self.tables) > self.maxsize:
+                    self.tables.popitem(last=False)
+        return table
+
+
+def _build_rank_list(columns: tuple[tuple[float, ...], ...], lam: float,
+                     budget: int) -> np.ndarray:
+    """Every rank pattern r with sum_i columns[i][r_i] within lam (plus the
+    tolerance), built level by level: each prefix row is repeated for the ranks
+    that keep acc + cost + suffix_min[i+1] within the threshold.  Columns are
+    sorted, so those ranks are a prefix of each row, and the expansion is
+    row-stable: rows come out in depth-first order (lexicographic in rank).
+    A level's node count is checked before it is built; an overrun reports the
+    running node total.  Ranks are stored in the narrowest unsigned dtype."""
+    lam += _RADIUS_TOL
+    # cheapest completion after each position, summed right to left
+    suffix_min = np.append(np.cumsum([costs[0] for costs in columns[::-1]])[::-1], 0.0)
+    dtype = np.min_scalar_type(max(map(len, columns), default=1) - 1)
+    acc, ranks = np.zeros(1), np.empty((1, 0), dtype=dtype)
     nodes = 0
-    for i, yv in enumerate(y.tolist()):
-        costs, syms = columns[yv]
-        totals = acc[:, None] + costs
+    for i, costs in enumerate(columns):
+        totals = acc[:, None] + np.array(costs)
         keep = totals + suffix_min[i + 1] <= lam  # a prefix of each sorted row
         nodes += int(np.count_nonzero(keep))
         if nodes > budget:
@@ -239,8 +288,11 @@ def _guess_set_general(y: np.ndarray, plan: Plan, src: JointSource,
                 f"list search exceeded budget {budget} at depth {i}", nodes, budget)
         rows, cols = np.nonzero(keep)
         acc = totals[rows, cols]
-        prefix = np.concatenate((prefix[rows], syms[cols, None]), axis=1)
-    return prefix
+        ranks = np.concatenate((ranks[rows], cols[:, None].astype(dtype)), axis=1)
+    return ranks
+
+
+_rank_list = _PinnedCache(_build_rank_list, maxsize=16, max_bytes=_RANK_CACHE_BYTES)
 
 
 def _unique_hit(prods: np.ndarray, check_value: BitString, bits: int) -> int | None:
@@ -301,9 +353,7 @@ def bob_decode(y: np.ndarray, check_value: BitString, recon_seed: BitString,
             f"check value has {check_value.length} bits, plan says {plan.recon_bits}")
     if plan.recon_bits > ctx.bits:
         raise ValueError(f"a {plan.recon_bits}-bit check does not fit a {ctx.bits}-bit field")
-    y = np.asarray(y, dtype=np.int64)
-    if y.ndim != 1 or np.any((y < 0) | (y >= src.alphabet_sizes[1])):
-        raise ValueError(f"y must be a vector of symbols below {src.alphabet_sizes[1]}")
+    y = _received(y, src)
     decode = _decode_scan if src.cascade is None else _decode_ball
     return decode(y, check_value, recon_seed, plan, ctx, src)
 

@@ -43,6 +43,11 @@ class JointSource:
     labels : optional symbol labels per axis, purely cosmetic
     cascade : BscChainParams when the pmf is entrywise a bsc_chain source, else
         None; derived from pmf at construction, not an argument
+    cost_columns : per y symbol, the costs -log2 P(x|y) of its admissible x in
+        ascending order, ties by symbol (empty for an unobserved y); derived
+    rank_symbols : (|Y|, |X|) int64, read-only; row y maps a rank in
+        cost_columns[y] to its x symbol (slots past the column's length are 0);
+        derived
     """
 
     alphabet_sizes: tuple[int, int, int]
@@ -68,6 +73,9 @@ class JointSource:
         cdf = arr.ravel().cumsum()  # sample()'s, normalised as Generator.choice does
         object.__setattr__(self, "_cdf", cdf / cdf[-1])
         object.__setattr__(self, "cascade", detect_bsc_chain(self))
+        columns, rank_symbols = _ranked_columns(self.p_xy())
+        object.__setattr__(self, "cost_columns", columns)
+        object.__setattr__(self, "rank_symbols", rank_symbols)
 
     # convenience marginals, all tiny
     def p_xy(self) -> np.ndarray:
@@ -163,6 +171,25 @@ def detect_bsc_chain(src: JointSource) -> BscChainParams | None:
     if np.max(np.abs(_cascade_pmf(p_fit, q_fit) - src.pmf)) <= PMF_TOL:
         return BscChainParams(p_fit, q_fit)
     return None
+
+
+def _ranked_columns(p_xy: np.ndarray) -> tuple[tuple[tuple[float, ...], ...], np.ndarray]:
+    """Each y column's admissible symbols by ascending cost, ties by symbol:
+    the cost tuples and the rank-to-symbol table of `JointSource`.  Costs are
+    math.log2 of the conditionals, so list totals summed from them match a
+    scalar walk's bit for bit."""
+    p_y = p_xy.sum(axis=0)
+    columns = []
+    rank_symbols = np.zeros(p_xy.shape[::-1], dtype=np.int64)
+    for yv in range(p_xy.shape[1]):
+        ranked = []
+        if p_y[yv] > 0.0:
+            cond = p_xy[:, yv] / p_y[yv]
+            ranked = sorted((-math.log2(c), a) for a, c in enumerate(cond.tolist()) if c > 0.0)
+        columns.append(tuple(cost for cost, _ in ranked))
+        rank_symbols[yv, :len(ranked)] = [a for _, a in ranked]
+    rank_symbols.setflags(write=False)
+    return tuple(columns), rank_symbols
 
 
 def hamming_ball_size(n: int, radius: int) -> int:

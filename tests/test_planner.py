@@ -384,6 +384,44 @@ def test_plan_validation():
     assert plan.mode == "berry_esseen"
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_plan_rejects_each_invalid_field(data):
+    # a valid plan builds; breaking any one checked field raises ValueError
+    eps = data.draw(st.floats(1e-6, 0.99), label="eps")
+    eps_miss = data.draw(st.floats(0.0, eps), label="eps_miss")
+    sigma = data.draw(st.floats(1e-6, 0.99), label="sigma")
+    fields = dict(mode=data.draw(st.sampled_from(PLAN_MODES), label="mode"),
+                  n=data.draw(st.integers(1, 10 ** 6), label="n"), eps=eps, sigma=sigma,
+                  eps_miss=eps_miss,
+                  eps_collide=data.draw(st.floats(0.0, eps - eps_miss), label="eps_collide"),
+                  eps_smooth=data.draw(st.floats(0.0, sigma / 2, exclude_max=True),
+                                       label="eps_smooth"),
+                  miss_slack=0.0, smooth_slack=0.0,
+                  list_log_threshold=data.draw(st.floats(0.0, 1e6), label="lam"),
+                  recon_bits=data.draw(st.integers(0, 4096), label="t"),
+                  key_bits=data.draw(st.integers(0, 4096), label="ell"),
+                  key_real=0.0, feasible=False)
+    Plan(**fields)
+    broken = data.draw(st.sampled_from(["mode", "n", "split", "eps_smooth",
+                                        "list_log_threshold", "recon_bits", "key_bits"]),
+                       label="broken field")
+    if broken == "mode":
+        fields["mode"] = data.draw(st.text().filter(lambda m: m not in PLAN_MODES), label="bad")
+    elif broken == "n":
+        fields["n"] = data.draw(st.integers(-10, 0), label="bad")
+    elif broken == "split":
+        fields["eps_collide"] = eps - eps_miss + data.draw(st.floats(1e-9, 1.0), label="over")
+    elif broken == "eps_smooth":
+        fields["eps_smooth"] = sigma / 2 + data.draw(st.floats(0.0, 1.0), label="over")
+    elif broken == "list_log_threshold":
+        fields[broken] = -data.draw(st.floats(1e-9, 1e6), label="bad")
+    else:
+        fields[broken] = data.draw(st.integers(-4096, -1), label="bad")
+    with pytest.raises(ValueError):
+        Plan(**fields)
+
+
 def test_planner_target_guards():
     for bad_eps in (0.0, 1.0, -0.1):
         with pytest.raises(ValueError):

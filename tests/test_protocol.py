@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omska.planner import Plan, plan_desk_exact
-from omska.protocol import (DEFAULT_SEARCH_BUDGET, BudgetExceededError, Transcript,
-                            _decode_ball, _decode_scan, _guess_set_general, _pattern_table,
-                            alice_send, bob_decode, guess_set, run_session, search_budget)
+from omska.protocol import (_RANK_CACHE_BYTES, DEFAULT_SEARCH_BUDGET, BudgetExceededError,
+                            Transcript, _decode_ball, _decode_scan, _guess_set_general,
+                            _pattern_table, _rank_list, alice_send, bob_decode, guess_set,
+                            run_session, search_budget)
 from omska.source import JointSource, bsc_chain, hamming_ball_size
 from omska.uhash import BitString, encode_symbols, field_for_source, hash as uhf_hash
 
@@ -33,6 +34,16 @@ def _ternary_source():
     pxy = np.array([[0.30, 0.06], [0.15, 0.15], [0.05, 0.29]])
     pmf = np.repeat(pxy[:, :, None] / 2.0, 2, axis=2)
     return JointSource((3, 2, 2), pmf)
+
+
+def _symmetric_ternary_source():
+    # the benchmark's general workload: X uniform, Y and Z ternary symmetric
+    # channels keeping the symbol w.p. 0.97 and 0.7, so every y column holds
+    # the same costs in a different order
+    def channel(err):
+        return np.full((3, 3), err / 2) + np.eye(3) * (1 - 1.5 * err)
+    pmf = np.einsum("x,xy,xz->xyz", np.full(3, 1 / 3), channel(0.03), channel(0.3))
+    return JointSource((3, 3, 3), pmf)
 
 
 def _dfs_guess_list(y, plan, src, budget):
@@ -118,6 +129,24 @@ def _threshold(data, src, y):
     p_xy = src.p_xy()
     cheapest = sum(-math.log2(p_xy[:, v].max() / p_xy[:, v].sum()) for v in y)
     return max(0.0, cheapest + data.draw(st.floats(-0.5, 1.5 * len(y)), label="slack"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_transcript_json_roundtrip_property(data):
+    # random seeds and check lengths in fields up to 130 bits, 0-bit checks included
+    bits = data.draw(st.integers(1, 130), label="field bits")
+    t = data.draw(st.integers(0, bits), label="check bits")
+
+    def element(label, length):
+        return BitString(data.draw(st.integers(0, (1 << length) - 1), label=label), length)
+
+    plan = _hand_plan(data.draw(st.integers(1, 64), label="n"),
+                      data.draw(st.floats(0.0, 1e4), label="lam"), t,
+                      data.draw(st.integers(0, bits), label="key bits"))
+    tr = Transcript(recon_seed=element("recon seed", bits), key_seed=element("key seed", bits),
+                    check_value=element("check", t), plan=plan)
+    assert Transcript.from_json(tr.to_json()) == tr
 
 
 def test_transcript_json_roundtrip():
@@ -220,6 +249,92 @@ def test_guess_set_general_matches_bruteforce():
 
     tight = guess_set(y, _hand_plan(5, 3.79, 0, 0), src)
     assert tight.shape[0] == 1  # only the pointwise-MAP block fits
+
+
+def test_guess_set_validates_y():
+    # y must be a vector of receiver symbols on both source kinds, as bob_decode requires
+    for src in (_ternary_source(), CHAIN):
+        plan = _hand_plan(3, 7.0, 0, 0)
+        for bad in ([0, 1, -1], [0, 1, 5], [0, 1, 2], [[0, 1, 0]], 0):
+            with pytest.raises(ValueError, match="symbols below 2"):
+                guess_set(np.array(bad), plan, src)
+    with pytest.raises(ValueError, match="symbols below 2"):
+        guess_set(np.array([0, -1, 0, 0]), _hand_plan(4, 7.0, 0, 0), CHAIN)
+    # an in-range symbol the source never emits has no column to list from
+    never_two = JointSource((2, 3, 1), np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])[:, :, None])
+    with pytest.raises(ValueError, match="symbol 2 at position 1 has probability zero"):
+        guess_set(np.array([0, 2]), _hand_plan(2, 7.0, 0, 0), never_two)
+
+
+def test_rank_list_built_once_for_a_symmetric_source():
+    # every y column holds the same costs, so every y shares one cached rank list
+    src = _symmetric_ternary_source()
+    n = 10
+    plan = _hand_plan(n, 12.0, 0, 0)
+    rng = np.random.default_rng(50)
+    _rank_list.tables.clear()
+    hits, misses = _rank_list.hits, _rank_list.misses
+    for _ in range(50):
+        y = rng.integers(0, 3, n)
+        rows = guess_set(y, plan, src)
+        want, _ = _dfs_guess_list(y, plan, src, DEFAULT_SEARCH_BUDGET)
+        assert rows.dtype == np.int64 and np.array_equal(rows, want)
+        assert rows.flags.writeable and rows.shape[0] > 1
+    assert (_rank_list.hits - hits, _rank_list.misses - misses) == (49, 1)
+    (ranks,) = _rank_list.tables.values()
+    assert not ranks.flags.writeable and ranks.dtype == np.uint8
+    assert ranks.nbytes <= _RANK_CACHE_BYTES
+    # a source with unlike columns reuses nothing across different y, and the
+    # cache stays within its size
+    unlike, plan = _ternary_source(), _hand_plan(6, 12.0, 0, 0)
+    misses = _rank_list.misses
+    for k in range(2 * _rank_list.maxsize):
+        y = np.array([int(b) for b in format(k, "06b")])
+        assert np.array_equal(guess_set(y, plan, unlike),
+                              _dfs_guess_list(y, plan, unlike, DEFAULT_SEARCH_BUDGET)[0])
+    assert _rank_list.misses - misses == 2 * _rank_list.maxsize
+    assert len(_rank_list.tables) == _rank_list.maxsize
+
+
+def test_rank_list_cached_and_capped_by_budget(monkeypatch):
+    monkeypatch.delenv("OMSKA_BUDGET", raising=False)
+    src = _symmetric_ternary_source()
+    y = np.array([0, 2, 1, 1, 0, 2])
+    plan = _hand_plan(6, 9.0, 0, 0)
+    rows = guess_set(y, plan, src)  # builds or reuses the entry
+    built = (_rank_list.hits, _rank_list.misses)
+    assert np.array_equal(guess_set(y, plan, src), rows)
+    assert (_rank_list.hits, _rank_list.misses) == (built[0] + 1, built[1])
+    # the budget is part of the key and a raise is never cached: a lower
+    # budget raises as if nothing were cached, every time
+    count = rows.shape[0]
+    _, per_depth = _dfs_guess_list(y, plan, src, DEFAULT_SEARCH_BUDGET)
+    crossed = next(t for t in itertools.accumulate(per_depth) if t > count // 2)
+    depth = next(i for i, t in enumerate(itertools.accumulate(per_depth)) if t > count // 2)
+    monkeypatch.setenv("OMSKA_BUDGET", str(count // 2))
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError) as exc:
+            guess_set(y, plan, src)
+        assert (exc.value.count, exc.value.budget) == (crossed, count // 2)
+        assert str(exc.value) == f"list search exceeded budget {count // 2} at depth {depth}"
+
+
+def test_rank_list_over_the_byte_cap_is_not_pinned(monkeypatch):
+    assert _rank_list.max_bytes == _RANK_CACHE_BYTES
+    src = _symmetric_ternary_source()
+    y = np.array([1, 0, 2, 2, 1])
+    plan = _hand_plan(5, 8.5, 0, 0)
+    want, _ = _dfs_guess_list(y, plan, src, DEFAULT_SEARCH_BUDGET)
+    monkeypatch.setattr(_rank_list, "max_bytes", want.size - 1)  # one uint8 rank a cell
+    _rank_list.tables.clear()
+    misses = _rank_list.misses
+    for _ in range(3):
+        rows = guess_set(y, plan, src)
+        assert np.array_equal(rows, want) and rows.flags.writeable
+    assert _rank_list.misses == misses + 3 and not _rank_list.tables
+    monkeypatch.setattr(_rank_list, "max_bytes", want.size)
+    guess_set(y, plan, src)
+    assert len(_rank_list.tables) == 1
 
 
 def test_radius_edge_cases():

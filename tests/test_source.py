@@ -121,6 +121,24 @@ def test_source_kind_resolved_once_and_pickled():
     assert (CHAIN.cascade.p, CHAIN.cascade.q) == pytest.approx((0.02, 0.15), abs=1e-15)
 
 
+def test_ranked_columns_sort_by_cost_then_symbol():
+    # y = 0: x = 1, 2 and 4 tie, x = 3 is inadmissible; y = 1 is never observed
+    p_xy = np.array([[0.1, 0.0], [0.3, 0.0], [0.3, 0.0], [0.0, 0.0], [0.3, 0.0]])
+    src = JointSource((5, 2, 1), p_xy[:, :, None])
+    cond = p_xy[:, 0] / p_xy[:, 0].sum()
+    assert src.rank_symbols.tolist() == [[1, 2, 4, 0, 0], [0, 0, 0, 0, 0]]
+    assert src.cost_columns == (tuple(-math.log2(cond[a]) for a in (1, 2, 4, 0)), ())
+    assert not src.rank_symbols.flags.writeable
+    back = pickle.loads(pickle.dumps(src))
+    assert back.cost_columns == src.cost_columns
+    assert np.array_equal(back.rank_symbols, src.rank_symbols)
+    # the cascade: y's own symbol first
+    keep, flip = -math.log2(0.98), -math.log2(0.02)
+    assert CHAIN.rank_symbols.tolist() == [[0, 1], [1, 0]]
+    for column in CHAIN.cost_columns:
+        assert column == pytest.approx((keep, flip), abs=1e-12)
+
+
 def test_entropy_profile_chain_frozen():
     prof = entropy_profile(CHAIN)
     assert prof.h_x_given_y == pytest.approx(0.141440542541821, abs=1e-12)

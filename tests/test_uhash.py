@@ -9,6 +9,7 @@ from omska.uhash import (MAX_FIELD_BITS, REDUCTION_POLYS, BitString, GFContext,
                          SeedHasher, _first_irreducible, encode_symbols,
                          field_for_source, fresh_seed, gf_mul, hash as uhf_hash,
                          is_irreducible, symbol_width)
+from omska.verifier import uhf_collision_census
 
 
 def test_reduction_polys_all_irreducible():
@@ -165,15 +166,37 @@ def test_hash_is_product_prefix():
             assert part.value == full.value >> (8 - t)
 
 
-def test_hash_linearity():
-    ctx = GFContext.for_bits(10)
-    rng = np.random.default_rng(21)
-    for _ in range(60):
-        x1 = BitString(int(rng.integers(0, 1 << 10)), 10)
-        x2 = BitString(int(rng.integers(0, 1 << 10)), 10)
-        s = BitString(int(rng.integers(0, 1 << 10)), 10)
-        t = int(rng.integers(0, 11))
-        assert uhf_hash(x1 ^ x2, s, t, ctx) == uhf_hash(x1, s, t, ctx) ^ uhf_hash(x2, s, t, ctx)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hash_linearity(data):
+    # for a fixed seed, hash(x1 ^ x2) = hash(x1) ^ hash(x2), in fields on
+    # either side of 64 bits and at every output length
+    m = data.draw(st.integers(1, 160), label="field bits")
+    ctx = GFContext.for_bits(m)
+
+    def element(label):
+        return BitString(data.draw(st.integers(0, (1 << m) - 1), label=label), m)
+
+    x1, x2, s = element("x1"), element("x2"), element("seed")
+    t = data.draw(st.integers(0, m), label="t")
+    assert uhf_hash(x1 ^ x2, s, t, ctx) == uhf_hash(x1, s, t, ctx) ^ uhf_hash(x2, s, t, ctx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_two_universality_matches_census(data):
+    # two distinct inputs collide under exactly 2^(m-t) of the 2^m seeds,
+    # counted literally here and by the verifier's census
+    m = data.draw(st.integers(1, 6), label="field bits")
+    t = data.draw(st.integers(1, m), label="t")
+    x1, x2 = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=2, max_size=2,
+                                unique=True), label="inputs")
+    ctx = GFContext.for_bits(m)
+    hits = sum(uhf_hash(BitString(x1, m), BitString(s, m), t, ctx)
+               == uhf_hash(BitString(x2, m), BitString(s, m), t, ctx) for s in range(1 << m))
+    census = uhf_collision_census(ctx, t)
+    assert hits == census[x1, x2] == census[x2, x1] == 1 << (m - t)
+    assert census[x1, x1] == 1 << m
 
 
 def test_zero_seed_hashes_to_zero():
