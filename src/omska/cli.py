@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -331,9 +332,17 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     return argv
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call without --config, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # --config plants its values as parser defaults, so such a call gets a
+    # parser of its own and later calls still see the built-in defaults
+    parser = build_parser() if "--config" in argv else _shared_parser()
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)

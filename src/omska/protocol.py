@@ -305,9 +305,10 @@ def _unique_hit(prods: np.ndarray, check_value: BitString, bits: int) -> int | N
 
 def _decode_scan(y: np.ndarray, check_value: BitString, recon_seed: BitString,
                  plan: Plan, ctx: GFContext, src: JointSource):
-    """Any alphabet: by linearity a listed block c hashes to XOR_i T[i, c_i]."""
-    n = y.shape[0]
+    """Any alphabet: by linearity a listed block c hashes to XOR_i T[i, c_i].
+    y is validated by guess_set."""
     candidates = guess_set(y, plan, src)
+    n = candidates.shape[1]
     table = SeedHasher(recon_seed, ctx).symbol_table(n, src.alphabet_sizes[0])
     prods = np.bitwise_xor.reduce(table[np.arange(n), candidates], axis=1)
     hit = _unique_hit(prods, check_value, ctx.bits)
@@ -353,9 +354,9 @@ def bob_decode(y: np.ndarray, check_value: BitString, recon_seed: BitString,
             f"check value has {check_value.length} bits, plan says {plan.recon_bits}")
     if plan.recon_bits > ctx.bits:
         raise ValueError(f"a {plan.recon_bits}-bit check does not fit a {ctx.bits}-bit field")
-    y = _received(y, src)
-    decode = _decode_scan if src.cascade is None else _decode_ball
-    return decode(y, check_value, recon_seed, plan, ctx, src)
+    if src.cascade is None:
+        return _decode_scan(y, check_value, recon_seed, plan, ctx, src)
+    return _decode_ball(_received(y, src), check_value, recon_seed, plan, ctx, src)
 
 
 def bob_extract(block: np.ndarray, key_seed: BitString, plan: Plan, ctx: GFContext,

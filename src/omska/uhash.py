@@ -19,6 +19,7 @@ Conventions, fixed bit-exactly:
 
 from __future__ import annotations
 
+import builtins
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,6 +69,11 @@ class BitString:
             raise ValueError(f"negative bit length: {self.length}")
         if not (0 <= self.value < (1 << self.length)):
             raise ValueError(f"value {self.value:#x} does not fit in {self.length} bits")
+
+    def __hash__(self) -> int:
+        # explicit: the generated __hash__ would look up `hash` in this
+        # module's globals and find the public hash() defined below
+        return builtins.hash((self.value, self.length))
 
     def to_hex(self) -> str:
         """Lowercase hex, ceil(length/4) digits; empty string for length 0."""
@@ -177,6 +183,9 @@ class GFContext:
             raise ValueError(f"field size {self.bits} outside [1, {MAX_FIELD_BITS}]")
         if self.poly.bit_length() - 1 != self.bits:
             raise ValueError(f"reduction polynomial degree {self.poly.bit_length() - 1} != {self.bits}")
+
+    def __hash__(self) -> int:
+        return builtins.hash((self.bits, self.poly))  # see BitString.__hash__
 
     @classmethod
     def for_bits(cls, m: int) -> "GFContext":

@@ -6,12 +6,14 @@ statistical distance between (key, transcript, eavesdropper block) and an
 ideal uniform key is computed per seed pair, over every seed pair for small
 fields.  On the binary cascade each pair's distance comes in closed form from
 the Walsh spectrum of L e, the (check, key) map applied to the end-to-end
-flip pattern; any other binary pmf enumerates every source block and
-eavesdropper block of the dense law, which also serves as the cascade's
-oracle in the tests.  No concentration inequality stands between the
-reported number and the definition; the only approximation ever introduced
-is seed-pair sampling, and then the report says so and carries a standard
-error.
+flip pattern, read from a table of seed masks that is built once per field;
+any other binary pmf enumerates every source block and eavesdropper block of
+the dense law, which also serves as the cascade's oracle in the tests.  Both
+walk the same seed pairs in the same order: a grid of reconciliation seeds,
+each against every key seed, or the drawn pairs themselves.  No
+concentration inequality stands between the reported number and the
+definition; the only approximation ever introduced is seed-pair sampling,
+and then the report says so and carries a standard error.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -156,24 +158,27 @@ class SecrecyReport:
     meets_target: bool
 
 
-def _seed_pair_chunks(m: int, draws: np.ndarray | None, chunk: int):
-    """Seed pairs in audit order, as (reconciliation seeds, key seeds) int64
-    arrays of at most `chunk` pairs each, computed from the pair index.
+def _seed_pair_blocks(m: int, draws: np.ndarray | None, chunk: int):
+    """Seed pairs in audit order, reconciliation seed major, as int64 index
+    arrays (seeds, key_seeds) that broadcast to at most `chunk` pairs each.
 
-    draws None is every pair, j -> (j >> m, j mod 2^m); 1-D draws are drawn
-    reconciliation seeds, each against every key seed, j -> (draws[j >> m],
-    j mod 2^m); 2-D draws are the drawn pairs themselves.
+    draws None is every reconciliation seed and 1-D draws are drawn ones; each
+    is paired with every key seed, so a block is a grid seeds[:, None] x
+    key_seeds[None, :] (a run of whole key-seed rows, or part of one row when
+    a row holds more than `chunk` pairs).  2-D draws are the drawn pairs
+    themselves, as two 1-D arrays.
     """
     if draws is not None and draws.ndim == 2:
         for lo in range(0, len(draws), chunk):
             block = draws[lo:lo + chunk].astype(np.int64)
             yield block[:, 0], block[:, 1]
         return
-    total = 1 << 2 * m if draws is None else len(draws) << m
-    for lo in range(0, total, chunk):
-        j = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        s = j >> m
-        yield (s if draws is None else draws[s].astype(np.int64)), j & ((1 << m) - 1)
+    recon = np.arange(1 << m, dtype=np.int64) if draws is None else draws.astype(np.int64)
+    keys = np.arange(1 << m, dtype=np.int64)[None, :]
+    width, rows = min(chunk, 1 << m), max(1, chunk >> m)
+    for lo in range(0, len(recon), rows):
+        for k in range(0, 1 << m, width):
+            yield recon[lo:lo + rows, None], keys[:, k:k + width]
 
 
 def _pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
@@ -181,7 +186,8 @@ def _pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
     t-bit check value and the eavesdropper block, by scattering the dense
     block law into (check, key) buckets; any binary pmf, blocks of m bits.
 
-    Returns distances(seeds, key_seeds), one term per pair of the arrays."""
+    Returns distances(seeds, key_seeds), one term per pair of the two index
+    arrays broadcast together, in C order."""
     m = ctx.bits
     # joint block distribution over (x-block, z-block), big-endian kron order
     M = reduce(np.kron, (pair,) * m)
@@ -194,6 +200,7 @@ def _pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
     inv_keys = 1.0 / (1 << ell)
 
     def distances(seeds: np.ndarray, key_seeds: np.ndarray) -> np.ndarray:
+        seeds, key_seeds = (a.ravel() for a in np.broadcast_arrays(seeds, key_seeds))
         # products of every x-block, once per distinct seed
         table = {s: SeedHasher(BitString(s, m), ctx).product_table()
                  for s in set(seeds.tolist()) | set(key_seeds.tolist())}
@@ -224,7 +231,12 @@ def _subset_xors(rows: np.ndarray) -> np.ndarray:
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform along axis 0 (length 2^k) of a
-    2-D array, by butterflies over whole rows."""
+    2-D array, by butterflies over whole rows.  Any memory layout; a
+    C-contiguous input's buffer is reused as scratch."""
+    # the butterflies write through reshaped views, which only a C-ordered
+    # buffer guarantees: reshaping any other layout would copy, and the
+    # writes would land in the copy
+    a = np.ascontiguousarray(a)
     size, cols = a.shape
     out = np.empty_like(a)
     h = 1
@@ -235,6 +247,27 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
         a, out = out, a
         h *= 2
     return a
+
+
+@lru_cache(maxsize=_EXACT_SD_MAX_N)
+def _field_masks(ctx: GFContext) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (masks, popcount) of a field of m <= 12 bits, built once.
+
+    masks[p, s]: bit p of x (.) s is the parity of masks[p, s] & x, for every
+    seed s; popcount[v] is the Hamming weight of every v < 2^m."""
+    m = ctx.bits
+    # row i: x^i (.) s for every seed s (the seeds' basis tables, column-wise)
+    basis = np.stack([SeedHasher(BitString(1 << i, m), ctx).product_table()
+                      for i in range(m)])
+    weights = (np.uint64(1) << np.arange(m, dtype=np.uint64))[:, None]
+    masks = np.stack([(((basis >> np.uint64(p)) & np.uint64(1)) * weights).sum(axis=0)
+                      for p in range(m)]).astype(np.int64)
+    popcount = np.zeros(1 << m, dtype=np.int64)
+    for i in range(m):
+        popcount[1 << i:2 << i] = popcount[:1 << i] + 1
+    masks.setflags(write=False)
+    popcount.setflags(write=False)
+    return masks, popcount
 
 
 def _cascade_pair_distances(delta: float, ctx: GFContext, t: int, ell: int):
@@ -248,31 +281,29 @@ def _cascade_pair_distances(delta: float, ctx: GFContext, t: int, ell: int):
     w); the ideal-key law has the same ones where the key part b of w = (a, b)
     is 0 and none elsewhere, so the difference is one inverse transform of the
     spectrum with b = 0 cleared.  L^T (a, b) = v_a(s) xor v_b(s2), where v_a(s)
-    is the mask of the functional x -> a . top_t(x (.) s).
+    is the mask of the functional x -> a . top_t(x (.) s), read from the
+    field's cached mask table.  A grid block tabulates v_a for its
+    reconciliation seeds and v_b for its key seeds, not for each pair.
 
-    Returns distances(seeds, key_seeds), one term per pair of the arrays."""
+    Returns distances(seeds, key_seeds), one term per pair of the two index
+    arrays broadcast together, in C order."""
     m = ctx.bits
-    # row i: x^i (.) s for every seed s (the seeds' basis tables, column-wise)
-    basis = np.stack([SeedHasher(BitString(1 << i, m), ctx).product_table()
-                      for i in range(m)])
-    weights = (np.uint64(1) << np.arange(m, dtype=np.uint64))[:, None]
-    # masks[p, s]: bit p of x (.) s is the parity of masks[p, s] & x
-    masks = np.stack([(((basis >> np.uint64(p)) & np.uint64(1)) * weights).sum(axis=0)
-                      for p in range(m)]).astype(np.int64)
-    popcount = np.zeros(1 << m, dtype=np.int64)
-    for i in range(m):
-        popcount[1 << i:2 << i] = popcount[:1 << i] + 1
+    masks, popcount = _field_masks(ctx)
     # Walsh coefficient of L e at the mask v: (1 - 2 delta)^wt(v)
     coeff = (1.0 - 2.0 * delta) ** popcount
     check_rows, key_rows = masks[m - t:], masks[m - ell:]
     scale = 0.5 / (1 << (t + ell))
 
+    def functionals(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+        # [a, *index.shape]: v_a of every seed in index
+        return _subset_xors(rows.take(index.ravel(), axis=1)).reshape(-1, *index.shape)
+
     def distances(seeds: np.ndarray, key_seeds: np.ndarray) -> np.ndarray:
-        check = _subset_xors(check_rows[:, seeds])          # [a, pair]: v_a(s)
-        key = _subset_xors(key_rows[:, key_seeds])          # [b, pair]: v_b(s2)
-        spectrum = coeff[check[:, None, :] ^ key[None, :, :]]
-        spectrum[:, 0, :] = 0.0
-        diff = _walsh_hadamard(spectrum.reshape(1 << (t + ell), len(seeds)))
+        # [a, b, pairs...]: the coefficient at v_a(s) xor v_b(s2)
+        spectrum = coeff[functionals(check_rows, seeds)[:, None]
+                         ^ functionals(key_rows, key_seeds)[None, :]]
+        spectrum[:, 0] = 0.0
+        diff = _walsh_hadamard(spectrum.reshape(1 << (t + ell), -1))
         return np.abs(diff).sum(axis=0) * scale
 
     return distances
@@ -294,6 +325,12 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
     average exact and only samples the outer one.  Either sampling mode
     reports a standard error (None after a single draw); they cannot be
     combined.
+
+    Full enumeration and recon_seeds both walk a grid, blocks of
+    reconciliation seeds against every key seed, reconciliation seed major;
+    seed_pairs walks its drawn pairs.  On the cascade the field's mask table
+    is built once and cached, so a call pays for its cells, seed pairs x
+    2^(t+ell), and holds at most one chunk of them at a time.
     """
     if src.alphabet_sizes[0] != 2 or src.alphabet_sizes[2] != 2:
         raise ValueError("exact secrecy enumeration supports binary X and Z only")
@@ -341,7 +378,7 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
                                                 ctx, t, ell)
         chunk = max(1, _CHUNK_CELLS >> (t + ell))
         terms = np.concatenate([distances(s, s2)
-                                for s, s2 in _seed_pair_chunks(m, draws, chunk)])
+                                for s, s2 in _seed_pair_blocks(m, draws, chunk)])
         sd = float(terms.mean())
 
     if exact or len(draws) == 1:

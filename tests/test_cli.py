@@ -245,6 +245,29 @@ def test_config_defaults_and_precedence(capsys, tmp_path):
     assert json.loads(out)["n"] == 2000
 
 
+def test_config_does_not_leak_between_calls(capsys, tmp_path, monkeypatch):
+    # calls without --config share one parser, built on first use; a --config
+    # call builds its own, so its defaults never reach a later call
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    argv = ["plan", *BSC, "--n", "1000"]
+    first = _run(capsys, argv)
+    assert json.loads(first[1])["eps"] == 0.05 and len(builds) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 0.2, "mode": "remark"}))
+    _, out = _run(capsys, [*argv, "--config", str(cfg)])
+    assert json.loads(out)["eps"] == 0.2 and json.loads(out)["mode"] == "remark"
+    assert len(builds) == 2
+    assert _run(capsys, argv) == first and len(builds) == 2
+
+
 def test_config_errors(capsys, tmp_path):
     assert cli.main(["plan", "--config"]) == 2
     capsys.readouterr()

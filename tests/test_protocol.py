@@ -676,6 +676,29 @@ def test_decode_guards():
                        _hand_plan(n, 7.0, t, 0), field, source)
 
 
+def test_decode_validates_y_once(monkeypatch):
+    # the ball path validates y in bob_decode, the scan path in guess_set
+    from omska import protocol
+    calls = []
+    received = protocol._received
+
+    def counted(y, src):
+        calls.append(1)
+        return received(y, src)
+
+    monkeypatch.setattr(protocol, "_received", counted)
+    lopsided = CHAIN.pmf.copy()
+    lopsided[0, 0, 0] += 0.01
+    lopsided[1, 1, 1] -= 0.01
+    lopsided = JointSource((2, 2, 2), lopsided)
+    plan = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
+    for source in (CHAIN, lopsided):
+        calls.clear()
+        status, _ = bob_decode([0] * 8, BitString(0, plan.recon_bits), BitString(1, 8),
+                               plan, _ctx8(), source)
+        assert status in ("ok", "abort") and len(calls) == 1
+
+
 def test_alice_send_length_guard():
     plan = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
     with pytest.raises(ValueError, match="bits"):

@@ -1,5 +1,7 @@
 """Seeded multiplicative hashing over GF(2^m): field table, algebra, hashing."""
 
+import builtins
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,18 @@ def test_bitstring_validation_and_xor():
     assert (a ^ b).value == 0b0110
     with pytest.raises(ValueError):
         a ^ BitString(0, 3)
+
+
+def test_bitstring_and_field_are_hashable():
+    # the dataclasses' hashes must reach the builtin, not the module's hash()
+    a, b = BitString(3, 4), BitString(3, 4)
+    assert hash(a) == hash(b) == builtins.hash(b)
+    assert {a, b, BitString(3, 5)} == {BitString(3, 4), BitString(3, 5)}
+    assert {a: "x"}[b] == "x"
+    f, g = GFContext.for_bits(8), GFContext(8, 0x11B)
+    assert builtins.hash(f) == builtins.hash(g)
+    assert {f, g, GFContext.for_bits(9)} == {g, GFContext.for_bits(9)}
+    assert {f: 1}[g] == 1
 
 
 def test_gf_mul_algebra():

@@ -13,8 +13,9 @@ from omska.planner import Plan, plan_desk_exact
 from omska.source import JointSource, bsc_chain, crossover_convolve, detect_bsc_chain
 from omska.uhash import BitString, GFContext, encode_symbols, field_for_source
 from omska.uhash import hash as uhf_hash
-from omska.verifier import (_cascade_pair_distances, _pair_distances,
-                            _seed_pair_chunks, avg_min_entropy_exact,
+from omska.verifier import (_CHUNK_CELLS, _cascade_pair_distances, _field_masks,
+                            _pair_distances, _seed_pair_blocks, _walsh_hadamard,
+                            avg_min_entropy_exact,
                             avg_min_entropy_product, estimate_reliability,
                             run_batch, secrecy_sd_exact, summarize_outcomes,
                             uhf_collision_census, wilson_interval)
@@ -212,7 +213,7 @@ def test_secrecy_accumulators_agree_medium():
 
 
 def _all_pairs(m):
-    return next(_seed_pair_chunks(m, None, 1 << 2 * m))
+    return next(_seed_pair_blocks(m, None, 1 << 2 * m))
 
 
 def _assert_cascade_matches_dense(src, n, points, seeds, key_seeds):
@@ -258,6 +259,77 @@ def test_secrecy_cascade_matches_dense_property(p, q, t, ell):
     _assert_cascade_matches_dense(bsc_chain(p, q), 5, [(t, ell)], *_all_pairs(5))
 
 
+def _pairs_in_audit_order(m, draws):
+    """The audited seed pairs as flat arrays, written from the pair index:
+    reconciliation seed major, every key seed against each."""
+    if draws is not None and draws.ndim == 2:
+        return draws[:, 0], draws[:, 1]
+    j = np.arange((1 << 2 * m) if draws is None else len(draws) << m)
+    return (j >> m) if draws is None else draws[j >> m], j & ((1 << m) - 1)
+
+
+def test_secrecy_grid_matches_per_pair_terms():
+    # grid blocks (a run of reconciliation seeds against every key seed)
+    # give the same terms, bit for bit, as explicit pairs in the same order.
+    # Chunks are powers of two, as in the audit, and no block is a lone pair:
+    # numpy sums a single column pairwise, not row by row
+    rng = np.random.default_rng(9)
+    for n in (3, 5, 6):
+        ctx = field_for_source(n, 2)
+        modes = (None, rng.integers(0, 1 << n, size=7), rng.integers(0, 1 << n, size=(50, 2)))
+        for t in range(n + 1):
+            for ell in range(n + 1 - t):
+                distances = _cascade_pair_distances(0.17, ctx, t, ell)
+                for draws in modes:
+                    seeds, key_seeds = _pairs_in_audit_order(n, draws)
+                    for chunk in (max(1, _CHUNK_CELLS >> (t + ell)), 16):
+                        blocks = list(_seed_pair_blocks(n, draws, chunk))
+                        assert all(np.broadcast(*b).size <= chunk for b in blocks)
+                        pairs = [np.broadcast_arrays(*b) for b in blocks]
+                        assert np.array_equal(np.concatenate([a.ravel() for a, _ in pairs]), seeds)
+                        assert np.array_equal(np.concatenate([b.ravel() for _, b in pairs]),
+                                              key_seeds)
+                        grid = np.concatenate([distances(*b) for b in blocks])
+                        assert np.array_equal(grid, distances(seeds, key_seeds)), \
+                            (n, t, ell, chunk)
+
+
+def test_field_masks_built_once_and_read_only(monkeypatch):
+    from omska.uhash import SeedHasher
+    _field_masks.cache_clear()
+    plan = _hand_plan(8, 8.0, 2, 1)
+    first = secrecy_sd_exact(CHAIN, plan)
+    masks, popcount = _field_masks(field_for_source(8, 2))
+    assert masks.shape == (8, 256) and masks.dtype == np.int64
+    assert not masks.flags.writeable and not popcount.flags.writeable
+    # further audits on the field, any point and mode, build no seed table
+    monkeypatch.setattr(SeedHasher, "product_table", None)
+    assert secrecy_sd_exact(CHAIN, plan) == first
+    secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 4, 4), seed_pairs=9)
+    secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 0, 3), recon_seeds=2)
+    info = _field_masks.cache_info()
+    assert info.misses == 1 and info.hits == 4  # three audits and the lookup above
+
+
+def _sylvester(k):
+    h = np.ones((1, 1))
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def test_walsh_hadamard_any_layout():
+    # integer entries keep every sum exact, so the butterflies must match the
+    # dense Hadamard product exactly in every memory layout
+    rng = np.random.default_rng(3)
+    for k, cols in ((0, 3), (1, 1), (3, 5), (5, 4)):
+        base = rng.integers(-9, 10, size=(1 << k, cols)).astype(np.float64)
+        want = _sylvester(k) @ base
+        for a in (base.copy(), np.asfortranarray(base), base.T.copy().T,
+                  np.repeat(base, 2, axis=1)[:, ::2]):
+            assert np.array_equal(_walsh_hadamard(a), want), (k, cols)
+
+
 def test_secrecy_zero_key_skips_enumeration(monkeypatch):
     # a 0-bit key is uniform by definition: no seed table is built, and the
     # report matches the enumerated one field for field
@@ -294,6 +366,21 @@ def test_secrecy_zero_key_audit_streams_pairs():
     assert peak < 4 * 2 ** 20, peak
     assert rep.sd == 0.0 and not rep.exact
     assert rep.seed_pairs == 256 * 1024 and rep.std_error == 0.0
+
+
+def test_secrecy_audit_memory_stays_within_a_chunk():
+    # an 11-bit field: a table of v_b over all 2048 key seeds at l = 11 would
+    # take 16 MiB, one chunk's cells take 0.5 MiB
+    secrecy_sd_exact(CHAIN, _hand_plan(11, 8.0, 1, 1), recon_seeds=1)  # warm caches
+    for t, ell in ((0, 11), (10, 1)):
+        tracemalloc.start()
+        try:
+            rep = secrecy_sd_exact(CHAIN, _hand_plan(11, 8.0, t, ell), recon_seeds=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, (t, ell, peak)
+        assert rep.seed_pairs == 2048 and 0.0 < rep.sd <= 1.0
 
 
 def test_secrecy_frozen_n8_point():
