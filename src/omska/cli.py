@@ -310,14 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull --config FILE out of argv and fold its values in as defaults."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise UsageError("--config needs a file argument")
-    path = argv[idx + 1]
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Fold the values of the JSON config file at path into parser and its
+    subcommands as defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -329,7 +324,6 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     parser.set_defaults(**defaults)
     for sub in parser.omska_subparsers.values():
         sub.set_defaults(**defaults)
-    return argv
 
 
 @functools.cache
@@ -338,14 +332,27 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv.  argparse itself finds --config in any spelling it accepts
+    (--config FILE, --config=FILE, an abbreviation); the file's values are
+    planted as defaults on a parser of the call's own, which parses argv
+    again, so later calls still see the built-in defaults."""
+    args = _shared_parser().parse_args(argv)
+    if args.config is None:
+        return args
+    parser = build_parser()
+    _apply_config(parser, args.config)
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # --config plants its values as parser defaults, so such a call gets a
-    # parser of its own and later calls still see the built-in defaults
-    parser = build_parser() if "--config" in argv else _shared_parser()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        try:
+            args = _parse(argv)
+        except SystemExit as exc:
+            # argparse has printed the usage error, or the help, already
+            return exc.code
         if args.format == "csv" and args.command != "bounds":
             raise UsageError("--format csv is only available for 'bounds'")
         return args.func(args)

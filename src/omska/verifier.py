@@ -10,16 +10,21 @@ flip pattern, read from a table of seed masks that is built once per field;
 any other binary pmf enumerates every source block and eavesdropper block of
 the dense law, which also serves as the cascade's oracle in the tests.  Both
 walk the same seed pairs in the same order: a grid of reconciliation seeds,
-each against every key seed, or the drawn pairs themselves.  No
-concentration inequality stands between the reported number and the
-definition; the only approximation ever introduced is seed-pair sampling,
-and then the report says so and carries a standard error.
+each against every key seed, or the drawn pairs themselves.  The cascade
+computes each chunk of at most 2^16 (check, key) cells in buffers that its
+thread keeps from chunk to chunk and audit to audit, and each chunk writes
+its terms straight into the audit's array, so a steady run of audits maps
+in no fresh pages.  No concentration inequality stands between the reported
+number and the definition; the only approximation ever introduced is
+seed-pair sampling, and then the report says so and carries a standard
+error.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -140,8 +145,11 @@ class SecrecyReport:
     (key, check value, eavesdropper block) and (uniform key, check value,
     eavesdropper block).  exact=True means every seed pair was enumerated and
     sd is the definition, bit for bit; otherwise seed pairs were sampled and
-    std_error estimates the Monte Carlo error.  lhl_bound is the two-hash
-    leftover-hash guarantee (1/2)*sqrt(2^(recon_bits + key_bits - Hmin)).
+    std_error estimates the Monte Carlo error.  cells counts the (check, key)
+    cells the audit computed, seed_pairs x 2^(recon_bits + key_bits), or 0
+    for a 0-bit key, whose distance is 0 by definition.  lhl_bound is the
+    two-hash leftover-hash guarantee (1/2)*sqrt(2^(recon_bits + key_bits -
+    Hmin)).
     """
 
     n: int
@@ -150,6 +158,7 @@ class SecrecyReport:
     sd: float
     exact: bool
     seed_pairs: int
+    cells: int
     std_error: float | None
     avg_min_entropy: float
     lhl_bound: float
@@ -186,8 +195,9 @@ def _pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
     t-bit check value and the eavesdropper block, by scattering the dense
     block law into (check, key) buckets; any binary pmf, blocks of m bits.
 
-    Returns distances(seeds, key_seeds), one term per pair of the two index
-    arrays broadcast together, in C order."""
+    Returns distances(seeds, key_seeds, out), which writes one term per pair
+    of the two index arrays broadcast together, in C order, into out and
+    returns it."""
     m = ctx.bits
     # joint block distribution over (x-block, z-block), big-endian kron order
     M = reduce(np.kron, (pair,) * m)
@@ -199,12 +209,11 @@ def _pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
     flat_weights = np.ascontiguousarray(M).ravel()
     inv_keys = 1.0 / (1 << ell)
 
-    def distances(seeds: np.ndarray, key_seeds: np.ndarray) -> np.ndarray:
+    def distances(seeds: np.ndarray, key_seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
         seeds, key_seeds = (a.ravel() for a in np.broadcast_arrays(seeds, key_seeds))
         # products of every x-block, once per distinct seed
         table = {s: SeedHasher(BitString(s, m), ctx).product_table()
                  for s in set(seeds.tolist()) | set(key_seeds.tolist())}
-        terms = np.empty(len(seeds), dtype=np.float64)
         for j, (s, s2) in enumerate(zip(seeds.tolist(), key_seeds.tolist())):
             bucket = ((table[s] >> to_check) << np.uint64(ell)
                       | table[s2] >> to_key).astype(np.int64)
@@ -213,8 +222,8 @@ def _pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
                                 minlength=n_buckets * z_cols).reshape(n_buckets, z_cols)
             by_check = joint.reshape(1 << t, 1 << ell, z_cols)
             ideal = by_check.sum(axis=1, keepdims=True) * inv_keys
-            terms[j] = 0.5 * np.abs(by_check - ideal).sum()
-        return terms
+            out[j] = 0.5 * np.abs(by_check - ideal).sum()
+        return out
 
     return distances
 
@@ -229,16 +238,18 @@ def _subset_xors(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform along axis 0 (length 2^k) of a
     2-D array, by butterflies over whole rows.  Any memory layout; a
-    C-contiguous input's buffer is reused as scratch."""
+    C-contiguous input's buffer is reused as scratch.  The butterflies
+    ping-pong between that buffer and `scratch`, a C-contiguous array of a's
+    shape, or a fresh one when it is None; the result is one of the two."""
     # the butterflies write through reshaped views, which only a C-ordered
     # buffer guarantees: reshaping any other layout would copy, and the
     # writes would land in the copy
     a = np.ascontiguousarray(a)
     size, cols = a.shape
-    out = np.empty_like(a)
+    out = np.empty_like(a) if scratch is None else scratch
     h = 1
     while h < size:
         v, w = a.reshape(-1, 2, h * cols), out.reshape(-1, 2, h * cols)
@@ -270,6 +281,24 @@ def _field_masks(ctx: GFContext) -> tuple[np.ndarray, np.ndarray]:
     return masks, popcount
 
 
+_workspace = threading.local()
+
+
+def _chunk_buffers(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's chunk workspace, cut to `cells`: an int64 XOR index, a
+    float64 spectrum and a float64 butterfly scratch.
+
+    The flat buffers grow to the largest chunk the thread has run and are
+    then kept, so later chunks and audits reuse pages already mapped in
+    instead of allocating and faulting in three fresh ones each."""
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None or len(buffers[0]) < cells:
+        buffers = (np.empty(cells, dtype=np.int64), np.empty(cells, dtype=np.float64),
+                   np.empty(cells, dtype=np.float64))
+        _workspace.buffers = buffers
+    return tuple(b[:cells] for b in buffers)
+
+
 def _cascade_pair_distances(delta: float, ctx: GFContext, t: int, ell: int):
     """Per seed pair, the _pair_distances term for the binary cascade, where
     X is uniform and Z = X xor e with e i.i.d. Bernoulli(delta), from the
@@ -283,10 +312,14 @@ def _cascade_pair_distances(delta: float, ctx: GFContext, t: int, ell: int):
     spectrum with b = 0 cleared.  L^T (a, b) = v_a(s) xor v_b(s2), where v_a(s)
     is the mask of the functional x -> a . top_t(x (.) s), read from the
     field's cached mask table.  A grid block tabulates v_a for its
-    reconciliation seeds and v_b for its key seeds, not for each pair.
+    reconciliation seeds and v_b for its key seeds, not for each pair.  Each
+    block's cells are computed in the calling thread's chunk workspace.
 
-    Returns distances(seeds, key_seeds), one term per pair of the two index
-    arrays broadcast together, in C order."""
+    Returns distances(seeds, key_seeds, out), which writes one term per pair
+    of the two index arrays broadcast together, in C order, into out and
+    returns it.  A pair's |diff| column is summed row by row wherever it
+    falls, alone in its block or not, so its term never depends on its
+    neighbours."""
     m = ctx.bits
     masks, popcount = _field_masks(ctx)
     # Walsh coefficient of L e at the mask v: (1 - 2 delta)^wt(v)
@@ -298,13 +331,27 @@ def _cascade_pair_distances(delta: float, ctx: GFContext, t: int, ell: int):
         # [a, *index.shape]: v_a of every seed in index
         return _subset_xors(rows.take(index.ravel(), axis=1)).reshape(-1, *index.shape)
 
-    def distances(seeds: np.ndarray, key_seeds: np.ndarray) -> np.ndarray:
+    def distances(seeds: np.ndarray, key_seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
         # [a, b, pairs...]: the coefficient at v_a(s) xor v_b(s2)
-        spectrum = coeff[functionals(check_rows, seeds)[:, None]
-                         ^ functionals(key_rows, key_seeds)[None, :]]
-        spectrum[:, 0] = 0.0
-        diff = _walsh_hadamard(spectrum.reshape(1 << (t + ell), -1))
-        return np.abs(diff).sum(axis=0) * scale
+        shape = (1 << t, 1 << ell, *np.broadcast_shapes(seeds.shape, key_seeds.shape))
+        index, spectrum, scratch = _chunk_buffers(math.prod(shape))
+        np.bitwise_xor(functionals(check_rows, seeds)[:, None],
+                       functionals(key_rows, key_seeds)[None, :], out=index.reshape(shape))
+        # "clip" lets take write straight into out ("raise" buffers it); every
+        # index is a mask below 2^m, so nothing is clipped
+        np.take(coeff, index, mode="clip", out=spectrum)
+        spectrum.reshape(shape[:2] + (-1,))[:, 0] = 0.0
+        diff = _walsh_hadamard(spectrum.reshape(1 << (t + ell), -1),
+                               scratch=scratch.reshape(1 << (t + ell), -1))
+        np.abs(diff, out=diff)
+        if diff.shape[1] == 1:
+            # numpy sums a lone column pairwise; accumulate adds it row by
+            # row, as the sum over a wider block does
+            out[0] = np.add.accumulate(diff[:, 0])[-1]
+        else:
+            np.sum(diff, axis=0, out=out)
+        out *= scale
+        return out
 
     return distances
 
@@ -330,7 +377,8 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
     reconciliation seeds against every key seed, reconciliation seed major;
     seed_pairs walks its drawn pairs.  On the cascade the field's mask table
     is built once and cached, so a call pays for its cells, seed pairs x
-    2^(t+ell), and holds at most one chunk of them at a time.
+    2^(t+ell) (reported as cells), and holds at most one chunk of them at a
+    time, in its thread's reused chunk workspace.
     """
     if src.alphabet_sizes[0] != 2 or src.alphabet_sizes[2] != 2:
         raise ValueError("exact secrecy enumeration supports binary X and Z only")
@@ -377,8 +425,14 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
             distances = _cascade_pair_distances(crossover_convolve(chain.p, chain.q),
                                                 ctx, t, ell)
         chunk = max(1, _CHUNK_CELLS >> (t + ell))
-        terms = np.concatenate([distances(s, s2)
-                                for s, s2 in _seed_pair_blocks(m, draws, chunk)])
+        # each block writes its terms in place: a fresh array per block would
+        # be mapped in and faulted in again on every block
+        terms = np.empty(count, dtype=np.float64)
+        lo = 0
+        for s, s2 in _seed_pair_blocks(m, draws, chunk):
+            hi = lo + np.broadcast(s, s2).size
+            distances(s, s2, terms[lo:hi])
+            lo = hi
         sd = float(terms.mean())
 
     if exact or len(draws) == 1:
@@ -395,7 +449,8 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
     lhl = min(1.0, 0.5 * math.sqrt(2.0 ** (t + ell - hmin)))
     return SecrecyReport(
         n=n, recon_bits=t, key_bits=ell, sd=sd, exact=exact,
-        seed_pairs=count, std_error=std_error,
+        seed_pairs=count, cells=0 if terms is None else count << (t + ell),
+        std_error=std_error,
         avg_min_entropy=hmin, lhl_bound=lhl, sigma_target=plan.sigma,
         meets_lhl=sd <= lhl + 1e-12, meets_target=sd <= plan.sigma + 1e-12,
     )

@@ -127,9 +127,20 @@ def test_verify_uniform_block(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["exact"] is True
-    assert rep["key_bits"] == 0 and rep["sd"] == 0.0
+    assert rep["key_bits"] == 0 and rep["sd"] == 0.0 and rep["cells"] == 0
     assert rep["avg_min_entropy"] == pytest.approx(4.0)
     assert rep["plan"]["mode"] == "desk_exact"
+
+
+def test_verify_reports_cells(capsys):
+    # a noiseless receiver and a useless eavesdropper link leave a 4-bit key
+    # at n = 6: every seed pair's 2^(t + l) (check, key) cells are counted
+    code, out = _run(capsys, ["verify", "--bsc", "0.0,0.5", "--n", "6",
+                              "--eps", "0.5", "--sigma", "0.5"])
+    rep = json.loads(out)
+    assert (rep["recon_bits"], rep["key_bits"], rep["seed_pairs"]) == (2, 4, 4096)
+    assert rep["cells"] == 4096 << 6
+    assert code == (0 if rep["meets_target"] else 1)
 
 
 def test_verify_sampled_pairs(capsys):
@@ -137,6 +148,8 @@ def test_verify_sampled_pairs(capsys):
                               "--seed", "7"])
     rep = json.loads(out)
     assert rep["exact"] is False and rep["seed_pairs"] == 50
+    t, ell = rep["recon_bits"], rep["key_bits"]
+    assert rep["cells"] == (0 if ell == 0 else 50 << (t + ell))
     assert rep["std_error"] is not None
     assert code == (0 if rep["meets_target"] else 1)
 
@@ -268,9 +281,27 @@ def test_config_does_not_leak_between_calls(capsys, tmp_path, monkeypatch):
     assert _run(capsys, argv) == first and len(builds) == 2
 
 
+def test_config_every_spelling_is_read(capsys, tmp_path):
+    # argparse takes --config FILE, --config=FILE and any unambiguous
+    # abbreviation, each with or without "="; every one of them is read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 1000, "eps": 0.2}))
+    for flags in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)],
+                  [f"--co={cfg}"]):
+        code, out = _run(capsys, ["plan", *BSC, *flags])
+        assert code == 0, flags
+        plan = json.loads(out)
+        assert plan["n"] == 1000 and plan["eps"] == 0.2, flags
+    # a prefix that argparse finds ambiguous (--ceiling, --config) exits 2
+    assert cli.main(["threshold", *BSC, "--c", str(cfg)]) == 2
+    assert "ambiguous option: --c" in capsys.readouterr().err
+
+
 def test_config_errors(capsys, tmp_path):
     assert cli.main(["plan", "--config"]) == 2
-    capsys.readouterr()
+    assert "--config: expected one argument" in capsys.readouterr().err
+    assert cli.main(["plan", "--config="]) == 2
+    assert "cannot load config ''" in capsys.readouterr().err
     missing = tmp_path / "absent.json"
     assert cli.main(["plan", "--config", str(missing)]) == 2
     capsys.readouterr()

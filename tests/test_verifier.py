@@ -1,6 +1,8 @@
 """Reliability MC, min-entropy enumeration, exact secrecy distance, census."""
 
 import itertools
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -199,6 +201,12 @@ def test_secrecy_accumulators_agree():
     assert secrecy_sd_exact(LOPSIDED, _hand_plan(3, 3.0, 3, 0)).sd == 0.0
 
 
+def _terms(distances, seeds, key_seeds):
+    """The terms of distances on the pairs of seeds and key_seeds broadcast
+    together, in a fresh array."""
+    return distances(seeds, key_seeds, np.empty(np.broadcast(seeds, key_seeds).size))
+
+
 def test_secrecy_accumulators_agree_medium():
     # n=6 exercises ragged buckets (zero seeds): the dense accumulator's
     # per-pair terms against the definition, pair by pair
@@ -206,7 +214,7 @@ def test_secrecy_accumulators_agree_medium():
     seeds = np.array([0, 0, 37, 1, 63, 20])
     key_seeds = np.array([0, 45, 0, 1, 2, 63])
     for t, ell in [(3, 3), (4, 2), (6, 0), (0, 6)]:
-        terms = _pair_distances(LOPSIDED.p_xz(), ctx, t, ell)(seeds, key_seeds)
+        terms = _terms(_pair_distances(LOPSIDED.p_xz(), ctx, t, ell), seeds, key_seeds)
         want = [_sd_bruteforce_pair(LOPSIDED, 6, t, ell, int(s), int(s2))
                 for s, s2 in zip(seeds, key_seeds)]
         assert terms == pytest.approx(want, abs=1e-13), (t, ell)
@@ -221,8 +229,8 @@ def _assert_cascade_matches_dense(src, n, points, seeds, key_seeds):
     delta = crossover_convolve(chain.p, chain.q)
     ctx = field_for_source(n, 2)
     for t, ell in points:
-        spectral = _cascade_pair_distances(delta, ctx, t, ell)(seeds, key_seeds)
-        dense = _pair_distances(src.p_xz(), ctx, t, ell)(seeds, key_seeds)
+        spectral = _terms(_cascade_pair_distances(delta, ctx, t, ell), seeds, key_seeds)
+        dense = _terms(_pair_distances(src.p_xz(), ctx, t, ell), seeds, key_seeds)
         assert np.max(np.abs(spectral - dense)) <= 1e-13, (n, t, ell)
 
 
@@ -270,28 +278,48 @@ def _pairs_in_audit_order(m, draws):
 
 def test_secrecy_grid_matches_per_pair_terms():
     # grid blocks (a run of reconciliation seeds against every key seed)
-    # give the same terms, bit for bit, as explicit pairs in the same order.
-    # Chunks are powers of two, as in the audit, and no block is a lone pair:
-    # numpy sums a single column pairwise, not row by row
+    # give the same terms, bit for bit, as explicit pairs in the same order,
+    # also where a block is a lone pair: chunk 1, and 49 drawn pairs in
+    # chunks of 16, which leave one pair in the last block
     rng = np.random.default_rng(9)
     for n in (3, 5, 6):
         ctx = field_for_source(n, 2)
-        modes = (None, rng.integers(0, 1 << n, size=7), rng.integers(0, 1 << n, size=(50, 2)))
+        modes = (None, rng.integers(0, 1 << n, size=7), rng.integers(0, 1 << n, size=(49, 2)))
         for t in range(n + 1):
             for ell in range(n + 1 - t):
                 distances = _cascade_pair_distances(0.17, ctx, t, ell)
                 for draws in modes:
                     seeds, key_seeds = _pairs_in_audit_order(n, draws)
-                    for chunk in (max(1, _CHUNK_CELLS >> (t + ell)), 16):
+                    chunks = (max(1, _CHUNK_CELLS >> (t + ell)), 16, 1)
+                    if draws is None and n == 6:
+                        # 4,096 lone blocks a point; n = 3 and 5 cover the case
+                        chunks = chunks[:2]
+                    for chunk in chunks:
                         blocks = list(_seed_pair_blocks(n, draws, chunk))
                         assert all(np.broadcast(*b).size <= chunk for b in blocks)
                         pairs = [np.broadcast_arrays(*b) for b in blocks]
                         assert np.array_equal(np.concatenate([a.ravel() for a, _ in pairs]), seeds)
                         assert np.array_equal(np.concatenate([b.ravel() for _, b in pairs]),
                                               key_seeds)
-                        grid = np.concatenate([distances(*b) for b in blocks])
-                        assert np.array_equal(grid, distances(seeds, key_seeds)), \
+                        grid = np.concatenate([_terms(distances, *b) for b in blocks])
+                        assert np.array_equal(grid, _terms(distances, seeds, key_seeds)), \
                             (n, t, ell, chunk)
+
+
+def test_secrecy_lone_pair_term_matches_its_block():
+    # 257 drawn pairs at n = 8, (4, 4) leave pair 257 alone in the audit's
+    # second chunk of 256; its term, and so sd and std_error, must be the
+    # ones the same pairs give in a single block
+    plan = _hand_plan(8, 8.0, 4, 4)
+    assert _CHUNK_CELLS >> 8 == 256
+    rep = secrecy_sd_exact(CHAIN, plan, seed_pairs=257, rng_seed=257)
+    draws = np.random.default_rng(257).integers(0, 256, size=(257, 2), dtype=np.uint64)
+    distances = _cascade_pair_distances(crossover_convolve(0.02, 0.15),
+                                        field_for_source(8, 2), 4, 4)
+    terms = _terms(distances, draws[:, 0].astype(np.int64), draws[:, 1].astype(np.int64))
+    assert rep.sd == float(terms.mean())
+    assert rep.std_error == float(terms.std(ddof=1) / np.sqrt(257))
+    assert rep.seed_pairs == 257 and rep.cells == 257 * 256
 
 
 def test_field_masks_built_once_and_read_only(monkeypatch):
@@ -328,6 +356,11 @@ def test_walsh_hadamard_any_layout():
         for a in (base.copy(), np.asfortranarray(base), base.T.copy().T,
                   np.repeat(base, 2, axis=1)[:, ::2]):
             assert np.array_equal(_walsh_hadamard(a), want), (k, cols)
+        # with a scratch buffer the result lands in the input or the scratch
+        a, scratch = base.copy(), np.empty_like(base)
+        got = _walsh_hadamard(a, scratch=scratch)
+        assert got is a or got is scratch
+        assert np.array_equal(got, want), (k, cols)
 
 
 def test_secrecy_zero_key_skips_enumeration(monkeypatch):
@@ -381,6 +414,64 @@ def test_secrecy_audit_memory_stays_within_a_chunk():
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20, (t, ell, peak)
         assert rep.seed_pairs == 2048 and 0.0 < rep.sd <= 1.0
+
+
+def test_secrecy_workspace_reused_across_audits():
+    # the chunk buffers of the first audit serve the second: at n = 8, (4, 4)
+    # a chunk is 256 pairs x 256 cells, and one of its buffers alone takes
+    # 512 KiB, which the second audit must not allocate again
+    plan = _hand_plan(8, 8.0, 4, 4)
+    first = secrecy_sd_exact(CHAIN, plan, seed_pairs=512)
+    tracemalloc.start()
+    try:
+        second = secrecy_sd_exact(CHAIN, plan, seed_pairs=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert peak < 512 * 1024, peak
+
+
+def test_secrecy_workspace_per_thread():
+    # threads auditing different (t, l) points at once, more threads than
+    # cores and with frequent switches, each compute in their own workspace
+    # and return the serial reports
+    jobs = [(_hand_plan(8, 8.0, 1, 1), {}), (_hand_plan(8, 8.0, 4, 4), {"seed_pairs": 512}),
+            (_hand_plan(8, 8.0, 0, 3), {"recon_seeds": 32}),
+            (_hand_plan(8, 8.0, 2, 5), {"seed_pairs": 700})]
+    serial = [secrecy_sd_exact(CHAIN, plan, **kw) for plan, kw in jobs]
+    got = {}
+    start = threading.Barrier(len(jobs))
+
+    def audit(i):
+        start.wait(timeout=60)
+        got[i] = [secrecy_sd_exact(CHAIN, jobs[i][0], **jobs[i][1]) for _ in range(3)]
+
+    threads = [threading.Thread(target=audit, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i, want in enumerate(serial):
+        assert got[i] == [want] * 3, i
+
+
+def test_secrecy_cells_count():
+    # cells = seed pairs x 2^(t + l) in every mode, on both routes; 0 for a
+    # 0-bit key, whose audit computes none
+    assert secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 1, 2)).cells == 65536 * 8
+    assert secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 4, 4), seed_pairs=9).cells == 9 * 256
+    assert secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 0, 3), recon_seeds=2).cells == \
+        2 * 256 * 8
+    assert secrecy_sd_exact(LOPSIDED, _hand_plan(3, 3.0, 2, 1)).cells == 64 * 8
+    zero = secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 3, 0))
+    assert zero.cells == 0 and zero.seed_pairs == 65536
 
 
 def test_secrecy_frozen_n8_point():
