@@ -6,27 +6,37 @@ builds the list of source blocks whose conditional surprisal given y stays
 under the plan's threshold, keeps the candidates whose check hash matches,
 and aborts unless exactly one survives.
 
-The source picks the decoder: on a binary cascade (`JointSource.cascade`)
-the list is a Hamming ball around y, any other source takes a level-wise
-list.  Enumeration is deterministic: the ball walks flip patterns by
-increasing Hamming weight (lexicographic within a weight), the level-wise
-list takes positions in natural order and per-position symbols by ascending
-cost, in depth-first order.  Both apply the threshold tolerance in bits and
-enumerate the same set; tests pin that down.  Whether a block is listed
-depends only on each symbol's rank within its y column's sorted costs, so the
-level-wise list is built in rank space, once per column-cost sequence, and
-kept read-only in a small LRU cache (up to _RANK_CACHE_BYTES a list); one
-gather through the source's rank-to-symbol table maps it to blocks.  A
-source whose columns are permutations of one another has one cost sequence
-for every y, so it builds the list once.  The hash is linear in the
-encoded bits, so a candidate's product is the XOR of the seed's symbol-table
-entries along its row.  The ball decoder, in any field size, XORs the flipped
-slots' entries onto the hash of y through a read-only flip-pattern table,
-built once per (n, radius) and kept in a small LRU cache.  Searches are
-capped by a node/candidate budget (default 1e8, or OMSKA_BUDGET), checked
-before any table is read or list level built (the budget is part of the rank
-cache's key), and raise BudgetExceededError, carrying the count and the
-budget, instead of thrashing.
+The source picks the list: on a binary cascade (`JointSource.cascade`) it
+is a Hamming ball around y, any other source takes a level-wise list.
+Enumeration is deterministic: the ball walks flip patterns by increasing
+Hamming weight (lexicographic within a weight), the level-wise list takes
+positions in natural order and per-position symbols by ascending cost, in
+depth-first order.  Both apply the threshold tolerance in bits and enumerate
+the same set; tests pin that down.
+
+Both lists are stored the same way, as a read-only, column-major deviation
+table around a center block: one row per listed block, holding the flat index
+i*k + r - 1 of every slot i that takes its r-th alternative symbol (k
+alternatives a slot), padded with n*k, the index of a zero that callers
+append.  The ball's center is y, its one alternative a slot the flipped
+symbol, and its table is built once per (n, radius).  The level-wise center
+is the cheapest block, each slot's rank-0 symbol given y, and the
+alternatives are the costlier symbols of the slot's y column by rank.  Whether
+a block is listed depends only on those ranks, so that table is built once per
+column-cost sequence; a source whose columns are permutations of one another
+builds it once for every y.  Both tables live in small LRU caches (the
+level-wise one up to _RANK_CACHE_BYTES a table).
+
+The hash is linear in the encoded bits, so one kernel decodes both lists: a
+listed block's product is the center's product XOR, along its row, the
+differences T[i, alternative] ^ T[i, center_i] of the seed's symbol table.
+Only those inputs differ, where the maths does: on a cascade T[i, 0] is zero,
+so every flip adds T[i, 1].  guess_set expands the same tables into blocks.
+
+Searches are capped by a node/candidate budget (default 1e8, or
+OMSKA_BUDGET), checked before any table is read or list level built (the
+budget is part of the rank cache's key), and raise BudgetExceededError,
+carrying the count and the budget, instead of thrashing.
 """
 
 from __future__ import annotations
@@ -76,10 +86,10 @@ def search_budget() -> int:
         return DEFAULT_SEARCH_BUDGET
     try:
         budget = int(float(raw))
-    except ValueError as exc:
-        raise ValueError(f"OMSKA_BUDGET must be numeric, got {raw!r}") from exc
+    except (ValueError, OverflowError) as exc:  # not a number, NaN, or infinite
+        raise ValueError(f"OMSKA_BUDGET must be a finite number, got {raw!r}") from exc
     if budget < 1:
-        raise ValueError(f"OMSKA_BUDGET must be positive, got {budget}")
+        raise ValueError(f"OMSKA_BUDGET must be positive once rounded down, got {raw!r}")
     return budget
 
 
@@ -204,6 +214,53 @@ def _received(y, src: JointSource) -> np.ndarray:
     return y
 
 
+# the deviation table of an empty list
+_NO_ROWS = np.empty((0, 0), dtype=np.int64)
+_NO_ROWS.setflags(write=False)
+
+
+def _ball_list(y: np.ndarray, plan: Plan, src: JointSource):
+    """The cascade's Hamming ball around y as (table, center, alt): the flip
+    patterns are a deviation table whose entry i sets slot i to alt[i, 0],
+    the flipped symbol."""
+    n = y.shape[0]
+    radius, _ = _hamming_ball(plan, n, src.cascade.p)
+    table = _pattern_table(n, radius) if radius >= 0 else _NO_ROWS
+    return table, y, (y ^ 1)[:, None]
+
+
+def _level_list(y: np.ndarray, plan: Plan, src: JointSource, budget: int):
+    """The level-wise list as (table, center, alt): the cached deviation table
+    of y's column-cost sequence, the rank-0 symbol of every slot, and alt[i,
+    r - 1], the rank-r symbol of slot i (padded with 0 past a short column)."""
+    columns = tuple(src.cost_columns[v] for v in y.tolist())
+    if () in columns:
+        i = columns.index(())
+        raise ValueError(f"observed symbol {y[i]} at position {i} has probability zero")
+    table = _rank_list(columns, plan.list_log_threshold, budget, src.alphabet_sizes[0])
+    symbols = src.rank_symbols[y]
+    return table, symbols[:, 0], symbols[:, 1:]
+
+
+def _block(row: np.ndarray, center: np.ndarray, alt: np.ndarray) -> np.ndarray:
+    """The block of one deviation-table row: the center with slot e // k set
+    to alt.flat[e] for every entry e, k = alt.shape[1]; entries equal to
+    alt.size are padding."""
+    entries = row[row < alt.size]
+    block = center.copy()
+    block[entries // alt.shape[1]] = alt.take(entries)
+    return block
+
+
+def _expand(table: np.ndarray, center: np.ndarray, alt: np.ndarray) -> np.ndarray:
+    """_block of every row of a deviation table, as one writable int64 array."""
+    blocks = np.repeat(center[None, :], table.shape[0], axis=0)
+    rows, cols = np.nonzero(table < alt.size)
+    entries = table[rows, cols]
+    blocks[rows, entries // alt.shape[1]] = alt.take(entries)
+    return blocks
+
+
 def guess_set(y: np.ndarray, plan: Plan, src: JointSource) -> np.ndarray:
     """All source blocks whose surprisal given y is at most the plan threshold.
 
@@ -213,26 +270,9 @@ def guess_set(y: np.ndarray, plan: Plan, src: JointSource) -> np.ndarray:
     enumeration would exceed the search budget.
     """
     y = _received(y, src)
-    n = y.shape[0]
     if src.cascade is None:
-        return _guess_set_general(y, plan, src, search_budget())
-    radius, count = _hamming_ball(plan, n, src.cascade.p)
-    if radius < 0:
-        return np.empty((0, n), dtype=np.int64)
-    flips = np.zeros((count, n + 1), dtype=np.int64)
-    flips[np.arange(count)[:, None], _pattern_table(n, radius)] = 1
-    return flips[:, :n] ^ y
-
-
-def _guess_set_general(y: np.ndarray, plan: Plan, src: JointSource,
-                       budget: int) -> np.ndarray:
-    """Level-wise list: the rank patterns of y's column-cost sequence, mapped
-    to symbols by one gather through the source's rank-to-symbol table."""
-    columns = tuple(src.cost_columns[v] for v in y.tolist())
-    if () in columns:
-        i = columns.index(())
-        raise ValueError(f"observed symbol {y[i]} at position {i} has probability zero")
-    return src.rank_symbols[y, _rank_list(columns, plan.list_log_threshold, budget)]
+        return _expand(*_level_list(y, plan, src, search_budget()))
+    return _expand(*_ball_list(y, plan, src))
 
 
 class _PinnedCache:
@@ -265,14 +305,19 @@ class _PinnedCache:
 
 
 def _build_rank_list(columns: tuple[tuple[float, ...], ...], lam: float,
-                     budget: int) -> np.ndarray:
+                     budget: int, alphabet_size: int) -> np.ndarray:
     """Every rank pattern r with sum_i columns[i][r_i] within lam (plus the
     tolerance), built level by level: each prefix row is repeated for the ranks
     that keep acc + cost + suffix_min[i+1] within the threshold.  Columns are
     sorted, so those ranks are a prefix of each row, and the expansion is
     row-stable: rows come out in depth-first order (lexicographic in rank).
     A level's node count is checked before it is built; an overrun reports the
-    running node total.  Ranks are stored in the narrowest unsigned dtype."""
+    running node total.
+
+    Returned as a deviation table, the form of the ball's flip patterns: one
+    row per pattern, holding in slot order the index i*(|X|-1) + r - 1 of each
+    slot i at rank r >= 1, padded with n*(|X|-1), the index of the zero that
+    callers append.  Column-major, as _pattern_table is."""
     lam += _RADIUS_TOL
     # cheapest completion after each position, summed right to left
     suffix_min = np.append(np.cumsum([costs[0] for costs in columns[::-1]])[::-1], 0.0)
@@ -289,7 +334,15 @@ def _build_rank_list(columns: tuple[tuple[float, ...], ...], lam: float,
         rows, cols = np.nonzero(keep)
         acc = totals[rows, cols]
         ranks = np.concatenate((ranks[rows], cols[:, None].astype(dtype)), axis=1)
-    return ranks
+    stride = alphabet_size - 1
+    rows, slots = np.nonzero(ranks)
+    per_row = np.bincount(rows, minlength=ranks.shape[0])
+    table = np.full((ranks.shape[0], per_row.max(initial=0)), len(columns) * stride,
+                    dtype=np.int64, order="F")
+    # the k-th deviation of a row goes to its column k
+    place = np.arange(rows.shape[0]) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    table[rows, place] = slots * stride + ranks[rows, slots] - 1
+    return table
 
 
 _rank_list = _PinnedCache(_build_rank_list, maxsize=16, max_bytes=_RANK_CACHE_BYTES)
@@ -303,42 +356,46 @@ def _unique_hit(prods: np.ndarray, check_value: BitString, bits: int) -> int | N
     return int(hits[0]) if hits.shape[0] == 1 else None
 
 
-def _decode_scan(y: np.ndarray, check_value: BitString, recon_seed: BitString,
-                 plan: Plan, ctx: GFContext, src: JointSource):
-    """Any alphabet: by linearity a listed block c hashes to XOR_i T[i, c_i].
-    y is validated by guess_set."""
-    candidates = guess_set(y, plan, src)
-    n = candidates.shape[1]
-    table = SeedHasher(recon_seed, ctx).symbol_table(n, src.alphabet_sizes[0])
-    prods = np.bitwise_xor.reduce(table[np.arange(n), candidates], axis=1)
-    hit = _unique_hit(prods, check_value, ctx.bits)
-    return ("abort", None) if hit is None else ("ok", candidates[hit].copy())
-
-
-def _decode_ball(y: np.ndarray, check_value: BitString, recon_seed: BitString,
-                 plan: Plan, ctx: GFContext, src: JointSource):
-    """Binary cascade: hash(y xor e) = hash(y) xor basis products of e, for
-    every flip pattern e of the ball at once."""
+def _ball_inputs(y: np.ndarray, recon_seed: BitString, plan: Plan, ctx: GFContext,
+                 src: JointSource):
+    """Kernel inputs on a binary cascade: the ball around y.  T[i, 0] is zero,
+    so a flip at slot i adds T[i, 1] whatever y_i is."""
+    table, center, alt = _ball_list(y, plan, src)
     n = y.shape[0]
-    radius, _ = _hamming_ball(plan, n, src.cascade.p)
-    if radius < 0:
-        return "abort", None
-
     symbols = SeedHasher(recon_seed, ctx).symbol_table(n, 2)
-    # a flip at slot i adds T[i, 1]; index n is the zero row that the pattern
-    # table's padding slots point at, a zero of the table's own dtype (uint64,
-    # or a Python int above 64 bits)
-    basis = np.concatenate((symbols[:, 1], symbols[:1, 0]))
-    table = _pattern_table(n, radius)
+    # index n is the zero that padding points at, a zero of the table's own
+    # dtype (uint64, or a Python int above 64 bits)
+    diffs = np.concatenate((symbols[:, 1], symbols[:1, 0]))
     base = np.bitwise_xor.reduce(symbols[np.arange(n), y])
-    hit = _unique_hit(np.bitwise_xor.reduce(basis[table], axis=1) ^ base,
+    return table, center, alt, diffs, base
+
+
+def _level_inputs(y: np.ndarray, recon_seed: BitString, plan: Plan, ctx: GFContext,
+                  src: JointSource):
+    """Kernel inputs on any source: the level-wise list.  Slot i at rank r
+    adds T[i, alt[i, r - 1]] ^ T[i, center[i]]."""
+    table, center, alt = _level_list(y, plan, src, search_budget())
+    n = y.shape[0]
+    symbols = SeedHasher(recon_seed, ctx).symbol_table(n, src.alphabet_sizes[0])
+    slots = np.arange(n)
+    at_center = symbols[slots, center]
+    diffs = np.concatenate(((symbols[slots[:, None], alt] ^ at_center[:, None]).ravel(),
+                            symbols[:1, 0]))
+    return table, center, alt, diffs, np.bitwise_xor.reduce(at_center)
+
+
+def _list_decode(inputs, y: np.ndarray, check_value: BitString, recon_seed: BitString,
+                 plan: Plan, ctx: GFContext, src: JointSource):
+    """The one list decoder, fed by _ball_inputs or _level_inputs.  The hash is
+    linear, so a listed block's product is the center's product (base) XOR
+    the product differences (diffs) its deviation-table row points at.  y is
+    validated by bob_decode."""
+    table, center, alt, diffs, base = inputs(y, recon_seed, plan, ctx, src)
+    hit = _unique_hit(np.bitwise_xor.reduce(diffs[table], axis=1) ^ base,
                       check_value, ctx.bits)
     if hit is None:
         return "abort", None  # no match, or an ambiguous list
-    positions = table[hit]
-    match = y.copy()
-    match[positions[positions < n]] ^= 1
-    return "ok", match
+    return "ok", _block(table[hit], center, alt)
 
 
 def bob_decode(y: np.ndarray, check_value: BitString, recon_seed: BitString,
@@ -354,9 +411,8 @@ def bob_decode(y: np.ndarray, check_value: BitString, recon_seed: BitString,
             f"check value has {check_value.length} bits, plan says {plan.recon_bits}")
     if plan.recon_bits > ctx.bits:
         raise ValueError(f"a {plan.recon_bits}-bit check does not fit a {ctx.bits}-bit field")
-    if src.cascade is None:
-        return _decode_scan(y, check_value, recon_seed, plan, ctx, src)
-    return _decode_ball(_received(y, src), check_value, recon_seed, plan, ctx, src)
+    inputs = _level_inputs if src.cascade is None else _ball_inputs
+    return _list_decode(inputs, _received(y, src), check_value, recon_seed, plan, ctx, src)
 
 
 def bob_extract(block: np.ndarray, key_seed: BitString, plan: Plan, ctx: GFContext,
@@ -392,10 +448,12 @@ def run_session(src: JointSource, plan: Plan, rng_seed) -> SessionResult:
     recon_seed = fresh_seed(ctx, rng_recon)
     key_seed = fresh_seed(ctx, rng_key)
 
-    check_value = alice_send(x, recon_seed, plan, ctx, size_x)
+    # alice_send and Alice's bob_extract, sharing one encode of x
+    encoded = encode_symbols(x, size_x)
+    check_value = uhf_hash(encoded, recon_seed, plan.recon_bits, ctx)
     transcript = Transcript(recon_seed=recon_seed, key_seed=key_seed,
                             check_value=check_value, plan=plan)
-    key_alice = bob_extract(x, key_seed, plan, ctx, size_x)
+    key_alice = uhf_hash(encoded, key_seed, plan.key_bits, ctx)
 
     status, decoded = bob_decode(y, check_value, recon_seed, plan, ctx, src)
     if status != "ok":

@@ -15,7 +15,7 @@ import numpy as np
 from omska.planner import (Plan, bound_berry_esseen, bound_hr_concatenated,
                            bound_hr_random_linear, bound_remark, bound_theorem_main,
                            min_positive_n, plan_desk_exact)
-from omska.protocol import _decode_ball, _decode_scan
+from omska.protocol import _ball_inputs, _level_inputs, _list_decode
 from omska.source import bsc_chain, entropy_profile, ow_capacity_less_noisy
 from omska.uhash import BitString, GFContext, field_for_source, fresh_seed
 from omska.uhash import hash as uhf_hash
@@ -151,8 +151,9 @@ def test_06_decoder_equivalence():
                     matches = ball[table[ball] == int(table[x_int])]
                     want = ("ok", matches[0]) if matches.shape[0] == 1 \
                         else ("abort", None)
-                    got_b = _decode_ball(y_arr, check, seed_bs, plan, ctx, CHAIN)
-                    got_s = _decode_scan(y_arr, check, seed_bs, plan, ctx, CHAIN)
+                    args = (y_arr, check, seed_bs, plan, ctx, CHAIN)
+                    got_b = _list_decode(_ball_inputs, *args)
+                    got_s = _list_decode(_level_inputs, *args)
                     cases += 1
                     same = got_b[0] == got_s[0] == want[0]
                     if same and want[0] == "ok":

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omska import cli
 from omska.planner import Plan, plan_desk_exact
 from omska.protocol import (_RANK_CACHE_BYTES, DEFAULT_SEARCH_BUDGET, BudgetExceededError,
-                            Transcript, _decode_ball, _decode_scan, _guess_set_general,
-                            _pattern_table, _rank_list, alice_send, bob_decode, guess_set,
-                            run_session, search_budget)
+                            Transcript, _ball_inputs, _expand, _level_inputs, _level_list,
+                            _list_decode, _pattern_table, _rank_list, alice_send, bob_decode,
+                            guess_set, run_session, search_budget)
 from omska.source import JointSource, bsc_chain, hamming_ball_size
 from omska.uhash import BitString, encode_symbols, field_for_source, hash as uhf_hash
 
@@ -103,6 +104,16 @@ def _literal_decode(y, check_value, recon_seed, plan, ctx, src):
             if uhf_hash(encode_symbols(row, size_x), recon_seed, plan.recon_bits,
                         ctx) == check_value]
     return ("ok", hits[0]) if len(hits) == 1 else ("abort", None)
+
+
+def _deviations(rows):
+    """Slots off the cheapest block, per row of a depth-first list (its first
+    row is that block): the width a row takes in a deviation table."""
+    return (rows != rows[0]).sum(axis=1)
+
+
+def _general_list(y, plan, src, budget):
+    return _expand(*_level_list(y, plan, src, budget))
 
 
 def _random_source(data):
@@ -198,7 +209,7 @@ def test_ball_and_scan_decoders_agree():
             res = run_session(CHAIN, plan, rng_seed=seed)
             tr = res.transcript
             args = (res.y, tr.check_value, tr.recon_seed, plan, ctx, CHAIN)
-            ball, scan = _decode_ball(*args), _decode_scan(*args)
+            ball, scan = _list_decode(_ball_inputs, *args), _list_decode(_level_inputs, *args)
             assert ball[0] == scan[0] == ("abort" if res.outcome == "aborted" else "ok"), seed
             if res.decoded is None:
                 assert ball[1] is None and scan[1] is None
@@ -281,9 +292,10 @@ def test_rank_list_built_once_for_a_symmetric_source():
         assert rows.dtype == np.int64 and np.array_equal(rows, want)
         assert rows.flags.writeable and rows.shape[0] > 1
     assert (_rank_list.hits - hits, _rank_list.misses - misses) == (49, 1)
-    (ranks,) = _rank_list.tables.values()
-    assert not ranks.flags.writeable and ranks.dtype == np.uint8
-    assert ranks.nbytes <= _RANK_CACHE_BYTES
+    (table,) = _rank_list.tables.values()
+    assert not table.flags.writeable and table.dtype == np.int64 and table.flags.f_contiguous
+    assert table.shape == (rows.shape[0], _deviations(rows).max())
+    assert table.nbytes <= _RANK_CACHE_BYTES
     # a source with unlike columns reuses nothing across different y, and the
     # cache stays within its size
     unlike, plan = _ternary_source(), _hand_plan(6, 12.0, 0, 0)
@@ -325,14 +337,16 @@ def test_rank_list_over_the_byte_cap_is_not_pinned(monkeypatch):
     y = np.array([1, 0, 2, 2, 1])
     plan = _hand_plan(5, 8.5, 0, 0)
     want, _ = _dfs_guess_list(y, plan, src, DEFAULT_SEARCH_BUDGET)
-    monkeypatch.setattr(_rank_list, "max_bytes", want.size - 1)  # one uint8 rank a cell
+    # one int64 entry a deviation, as wide as the row with the most
+    nbytes = 8 * want.shape[0] * _deviations(want).max()
+    monkeypatch.setattr(_rank_list, "max_bytes", nbytes - 1)
     _rank_list.tables.clear()
     misses = _rank_list.misses
     for _ in range(3):
         rows = guess_set(y, plan, src)
         assert np.array_equal(rows, want) and rows.flags.writeable
     assert _rank_list.misses == misses + 3 and not _rank_list.tables
-    monkeypatch.setattr(_rank_list, "max_bytes", want.size)
+    monkeypatch.setattr(_rank_list, "max_bytes", nbytes)
     guess_set(y, plan, src)
     assert len(_rank_list.tables) == 1
 
@@ -379,6 +393,14 @@ def test_budget_environment(monkeypatch):
     monkeypatch.setenv("OMSKA_BUDGET", "0")
     with pytest.raises(ValueError, match="positive"):
         search_budget()
+    # infinite budgets are refused as bad values, not as arithmetic failures,
+    # and a budget that rounds down to 0 is quoted as given
+    for raw, why in (("inf", "finite"), ("1e400", "finite"), ("0.5", "positive")):
+        monkeypatch.setenv("OMSKA_BUDGET", raw)
+        with pytest.raises(ValueError, match=f"OMSKA_BUDGET must be .*{why}.*got '{raw}'"):
+            search_budget()
+        assert cli.main(["run", "--bsc", "0.02,0.15", "--n", "8", "--mode", "desk_exact",
+                         "--trials", "1"]) == 2
 
 
 def test_budget_caps_all_search_paths(monkeypatch):
@@ -388,8 +410,8 @@ def test_budget_caps_all_search_paths(monkeypatch):
     with pytest.raises(BudgetExceededError) as listed:
         guess_set(y, plan, CHAIN)
     with pytest.raises(BudgetExceededError) as decoded:
-        _decode_ball(y, BitString(0, plan.recon_bits), BitString(1, 8), plan,
-                     _ctx8(), CHAIN)
+        _list_decode(_ball_inputs, y, BitString(0, plan.recon_bits), BitString(1, 8),
+                     plan, _ctx8(), CHAIN)
     for exc in (listed.value, decoded.value):
         assert (exc.count, exc.budget) == (37, 10)
         assert str(exc) == "guess list holds 37 blocks, budget is 10"
@@ -416,7 +438,7 @@ def test_levelwise_list_matches_depth_first_oracle(data):
     except BudgetExceededError:
         # too large to enumerate here: both searches must still stop
         with pytest.raises(BudgetExceededError):
-            _guess_set_general(y, plan, src, min(budget, 20000))
+            _general_list(y, plan, src, min(budget, 20000))
         return
     crossed = [total for total in itertools.accumulate(per_depth) if total > budget]
     oracle_raised = False
@@ -427,11 +449,11 @@ def test_levelwise_list_matches_depth_first_oracle(data):
     assert oracle_raised == bool(crossed)
     if crossed:
         with pytest.raises(BudgetExceededError) as exc:
-            _guess_set_general(y, plan, src, budget)
+            _general_list(y, plan, src, budget)
         # the running node total at the level that crossed the budget
         assert (exc.value.count, exc.value.budget) == (crossed[0], budget)
     else:
-        got = _guess_set_general(y, plan, src, budget)
+        got = _general_list(y, plan, src, budget)
         assert got.dtype == np.int64 and got.shape == want.shape
         assert np.array_equal(got, want)
 
@@ -455,13 +477,16 @@ def test_scan_decode_matches_literal_hash_oracle(data):
         check = alice_send(x, seed, plan, ctx, src.alphabet_sizes[0])
     else:
         check = BitString(data.draw(st.integers(0, (1 << t) - 1), label="check"), t)
-    got = _decode_scan(y, check, seed, plan, ctx, src)
     want = _literal_decode(y, check, seed, plan, ctx, src)
-    assert got[0] == want[0]
-    if want[1] is None:
-        assert got[1] is None
-    else:
-        assert got[1].dtype == np.int64 and np.array_equal(got[1], want[1])
+    # the level-wise table on every source, and the ball's on a cascade too
+    tables = (_level_inputs,) if src.cascade is None else (_level_inputs, _ball_inputs)
+    for inputs in tables:
+        got = _list_decode(inputs, y, check, seed, plan, ctx, src)
+        assert got[0] == want[0]
+        if want[1] is None:
+            assert got[1] is None
+        else:
+            assert got[1].dtype == np.int64 and np.array_equal(got[1], want[1])
 
 
 def test_scan_decode_above_64_bits():
@@ -500,8 +525,8 @@ def test_ball_decode_above_64_bits():
                 check = BitString(int(rng.integers(0, 1 << 30)), 30)
             else:
                 check = alice_send(rows[k], seed, plan, ctx, 2)
-            got = _decode_ball(y, check, seed, plan, ctx, CHAIN)
-            scan = _decode_scan(y, check, seed, plan, ctx, CHAIN)
+            got = _list_decode(_ball_inputs, y, check, seed, plan, ctx, CHAIN)
+            scan = _list_decode(_level_inputs, y, check, seed, plan, ctx, CHAIN)
             want = _literal_decode(y, check, seed, plan, ctx, CHAIN)
             assert got[0] == scan[0] == want[0]
             if want[1] is None:
@@ -510,6 +535,45 @@ def test_ball_decode_above_64_bits():
                 assert np.array_equal(got[1], want[1]) and np.array_equal(scan[1], want[1])
             if k is not None:
                 assert got[0] == "ok" and np.array_equal(got[1], rows[k])
+
+
+def test_one_block_and_empty_lists_match_literal_oracle():
+    # a one-block list is a zero-width deviation table, the center alone; an
+    # empty list has no rows.  Both in an 80-bit ternary field (Python ints)
+    # and in a 65-bit cascade, where the ball and the level-wise table meet.
+    rng = np.random.default_rng(81)
+    cases = [(_ternary_source(), 40, (_level_inputs,)),
+             (CHAIN, 65, (_ball_inputs, _level_inputs))]
+    for src, n, tables in cases:
+        ctx = field_for_source(n, src.alphabet_sizes[0])
+        assert ctx.bits in (80, 65)
+        y = rng.integers(0, 2, n)
+        p_xy = src.p_xy()
+        cheapest = sum(-math.log2(p_xy[:, v].max() / p_xy[:, v].sum()) for v in y)
+        for slack, count in ((0.1, 1), (-0.1, 0)):
+            plan = _hand_plan(n, cheapest + slack, 20, 0)
+            rows = guess_set(y, plan, src)
+            assert rows.shape == (count, n)
+            for inputs in tables:
+                table = inputs(y, BitString(1, ctx.bits), plan, ctx, src)[0]
+                assert table.shape == (count, 0)
+            for k in range(3):
+                seed = BitString(int.from_bytes(rng.bytes(10), "big") >> (80 - ctx.bits),
+                                 ctx.bits)
+                if count and k < 2:
+                    check = alice_send(rows[0], seed, plan, ctx, src.alphabet_sizes[0])
+                else:
+                    check = BitString(int(rng.integers(0, 1 << 20)), 20)
+                want = _literal_decode(y, check, seed, plan, ctx, src)
+                if count and k < 2:
+                    assert want[0] == "ok"
+                for inputs in tables:
+                    got = _list_decode(inputs, y, check, seed, plan, ctx, src)
+                    assert got[0] == want[0]
+                    if want[1] is None:
+                        assert got[1] is None
+                    else:
+                        assert got[1].dtype == np.int64 and np.array_equal(got[1], want[1])
 
 
 def test_general_budget_stops_before_the_crossing_level(monkeypatch):
@@ -543,7 +607,7 @@ def test_pattern_table_cached_and_capped_by_budget(monkeypatch):
     check = alice_send(y, BitString(1, 8), plan, _ctx8(), 2)
 
     def decode():
-        return _decode_ball(y, check, BitString(1, 8), plan, _ctx8(), CHAIN)
+        return _list_decode(_ball_inputs, y, check, BitString(1, 8), plan, _ctx8(), CHAIN)
 
     assert guess_set(y, plan, CHAIN).shape == (37, 8)  # builds or reuses (8, 2)
     built = _pattern_table.cache_info()
@@ -595,13 +659,14 @@ def test_ball_decode_matches_scan_property(data):
         check = alice_send(x, seed, plan, ctx, 2)
     else:
         check = BitString(data.draw(st.integers(0, (1 << t) - 1), label="check"), t)
-    ball = _decode_ball(y, check, seed, plan, ctx, src)
-    scan = _decode_scan(y, check, seed, plan, ctx, src)
-    assert ball[0] == scan[0]
-    if scan[1] is None:
-        assert ball[1] is None
+    ball = _list_decode(_ball_inputs, y, check, seed, plan, ctx, src)
+    scan = _list_decode(_level_inputs, y, check, seed, plan, ctx, src)
+    want = _literal_decode(y, check, seed, plan, ctx, src)
+    assert ball[0] == scan[0] == want[0]
+    if want[1] is None:
+        assert ball[1] is None and scan[1] is None
     else:
-        assert np.array_equal(ball[1], scan[1])
+        assert np.array_equal(ball[1], scan[1]) and np.array_equal(scan[1], want[1])
 
 
 def test_tampered_check_value_rejects_truth():
@@ -677,7 +742,7 @@ def test_decode_guards():
 
 
 def test_decode_validates_y_once(monkeypatch):
-    # the ball path validates y in bob_decode, the scan path in guess_set
+    # bob_decode validates y once, whichever table it decodes through
     from omska import protocol
     calls = []
     received = protocol._received
