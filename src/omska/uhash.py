@@ -243,8 +243,9 @@ def hash(x: BitString, seed: HashSeed, out_bits: int, ctx: GFContext) -> BitStri
         raise ValueError(f"input and seed must be {ctx.bits}-bit field elements")
     if not (0 <= out_bits <= ctx.bits):
         raise ValueError(f"out_bits {out_bits} outside [0, {ctx.bits}]")
-    prod = gf_mul(x.value, seed.value, ctx)
-    return BitString(prod >> (ctx.bits - out_bits), out_bits) if out_bits else BitString(0, 0)
+    if out_bits == 0:
+        return BitString(0, 0)
+    return BitString(gf_mul(x.value, seed.value, ctx) >> (ctx.bits - out_bits), out_bits)
 
 
 def fresh_seed(ctx: GFContext, rng_seed: int | np.random.Generator) -> HashSeed:

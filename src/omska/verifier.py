@@ -14,10 +14,14 @@ each against every key seed, or the drawn pairs themselves.  The cascade
 computes each chunk of at most 2^16 (check, key) cells in buffers that its
 thread keeps from chunk to chunk and audit to audit, and each chunk writes
 its terms straight into the audit's array, so a steady run of audits maps
-in no fresh pages.  No concentration inequality stands between the reported
-number and the definition; the only approximation ever introduced is
-seed-pair sampling, and then the report says so and carries a standard
-error.
+in no fresh pages.  Cells shared between seed pairs are computed once: with
+no check value (t = 0) a term depends on the key seed alone, so one term per
+key seed serves every reconciliation seed; a grid block gathers the spectrum
+slice that does not involve the reconciliation seed once per key seed; and a
+1-bit key transforms only the check rows.  No concentration inequality
+stands between the reported number and the definition; the only
+approximation ever introduced is seed-pair sampling, and then the report
+says so and carries a standard error.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ _CENSUS_MAX_BITS = 10
 _EXACT_SD_MAX_N = 12
 _ENUM_SEED_MAX_BITS = 8
 _FALLBACK_RECON_SAMPLE = 256
+# seed pairs an audit may cover: a full enumeration at the 12-bit cap, whose
+# terms array takes 128 MiB
+_MAX_SEED_PAIRS = 1 << 24
 _MINENTROPY_MAX_CELLS = 10 ** 8
 # cells (seed pairs x (check, key) buckets) handled per vectorised chunk
 _CHUNK_CELLS = 1 << 16
@@ -146,10 +153,11 @@ class SecrecyReport:
     eavesdropper block).  exact=True means every seed pair was enumerated and
     sd is the definition, bit for bit; otherwise seed pairs were sampled and
     std_error estimates the Monte Carlo error.  cells counts the (check, key)
-    cells the audit computed, seed_pairs x 2^(recon_bits + key_bits), or 0
-    for a 0-bit key, whose distance is 0 by definition.  lhl_bound is the
-    two-hash leftover-hash guarantee (1/2)*sqrt(2^(recon_bits + key_bits -
-    Hmin)).
+    cells the audit covers, seed_pairs x 2^(recon_bits + key_bits), or 0 for
+    a 0-bit key, whose distance is 0 by definition; cells that several seed
+    pairs share are computed once, so an audit may compute fewer.  lhl_bound
+    is the two-hash leftover-hash guarantee (1/2)*sqrt(2^(recon_bits +
+    key_bits - Hmin)).
     """
 
     n: int
@@ -315,6 +323,14 @@ def _cascade_pair_distances(delta: float, ctx: GFContext, t: int, ell: int):
     reconciliation seeds and v_b for its key seeds, not for each pair.  Each
     block's cells are computed in the calling thread's chunk workspace.
 
+    Two slices of the spectrum cost less than a gather per pair.  At a = 0
+    the cell is coeff[v_b(s2)], whatever the reconciliation seed, so a block
+    gathers it once per key seed and copies it to the block's other seeds.
+    The b = 0 slice is cleared, which at ell = 1 leaves one key column: the
+    key-axis butterfly turns its (0, x) into (x, -x), so only the b = 1 cells
+    are gathered and transformed, over the t check bits, and each |row| is
+    then added twice, in the order of the full (a, b) transform.
+
     Returns distances(seeds, key_seeds, out), which writes one term per pair
     of the two index arrays broadcast together, in C order, into out and
     returns it.  A pair's |diff| column is summed row by row wherever it
@@ -332,18 +348,35 @@ def _cascade_pair_distances(delta: float, ctx: GFContext, t: int, ell: int):
         return _subset_xors(rows.take(index.ravel(), axis=1)).reshape(-1, *index.shape)
 
     def distances(seeds: np.ndarray, key_seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
+        pairs = np.broadcast_shapes(seeds.shape, key_seeds.shape)
+        index, spectrum, scratch = _chunk_buffers(math.prod(pairs) << (t + ell))
+        # the key functionals gathered: b = 1 alone at ell = 1, else every b
+        keys = functionals(key_rows, key_seeds)[int(ell == 1):]
         # [a, b, pairs...]: the coefficient at v_a(s) xor v_b(s2)
-        shape = (1 << t, 1 << ell, *np.broadcast_shapes(seeds.shape, key_seeds.shape))
-        index, spectrum, scratch = _chunk_buffers(math.prod(shape))
-        np.bitwise_xor(functionals(check_rows, seeds)[:, None],
-                       functionals(key_rows, key_seeds)[None, :], out=index.reshape(shape))
+        shape = (1 << t, len(keys), *pairs)
+        cells = spectrum[:math.prod(shape)].reshape(shape)
         # "clip" lets take write straight into out ("raise" buffers it); every
-        # index is a mask below 2^m, so nothing is clipped
-        np.take(coeff, index, mode="clip", out=spectrum)
-        spectrum.reshape(shape[:2] + (-1,))[:, 0] = 0.0
-        diff = _walsh_hadamard(spectrum.reshape(1 << (t + ell), -1),
-                               scratch=scratch.reshape(1 << (t + ell), -1))
-        np.abs(diff, out=diff)
+        # index is a mask below 2^m, so nothing is clipped.  a = 0 is gathered
+        # once per key seed, into the scratch that the transform uses later
+        top = scratch[:keys.size].reshape(keys.shape)
+        np.take(coeff, keys, mode="clip", out=top)
+        np.copyto(cells[0], top)
+        below = index[:cells[1:].size].reshape(cells[1:].shape)
+        np.bitwise_xor(functionals(check_rows, seeds)[1:, None], keys[None], out=below)
+        np.take(coeff, below, mode="clip", out=cells[1:])
+        rows = 1 << t
+        if ell != 1:
+            cells[:, 0] = 0.0
+            rows <<= ell
+        diff = _walsh_hadamard(cells.reshape(rows, -1),
+                               scratch=scratch[:cells.size].reshape(rows, -1))
+        if ell == 1:
+            # |x|, |-x| of each check row, written into the dead XOR index
+            total = index.view(np.float64).reshape(rows, 2, -1)
+            np.abs(diff[:, None], out=total)
+            diff = total.reshape(2 * rows, -1)
+        else:
+            np.abs(diff, out=diff)
         if diff.shape[1] == 1:
             # numpy sums a lone column pairwise; accumulate adds it row by
             # row, as the sum over a wider block does
@@ -375,10 +408,14 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
 
     Full enumeration and recon_seeds both walk a grid, blocks of
     reconciliation seeds against every key seed, reconciliation seed major;
-    seed_pairs walks its drawn pairs.  On the cascade the field's mask table
-    is built once and cached, so a call pays for its cells, seed pairs x
-    2^(t+ell) (reported as cells), and holds at most one chunk of them at a
-    time, in its thread's reused chunk workspace.
+    seed_pairs walks its drawn pairs.  At t = 0 there is no check value and a
+    term depends on the key seed alone: the grid modes compute one row of
+    2^m key seeds and copy it to every reconciliation seed, and seed_pairs
+    computes each distinct drawn key seed once.  On the cascade the field's
+    mask table is built once and cached, so a call pays for at most its
+    cells, seed pairs x 2^(t+ell) (reported as cells), and holds at most one
+    chunk of them at a time, in its thread's reused chunk workspace.  More
+    than 2^24 seed pairs are refused before anything is drawn.
     """
     if src.alphabet_sizes[0] != 2 or src.alphabet_sizes[2] != 2:
         raise ValueError("exact secrecy enumeration supports binary X and Z only")
@@ -397,20 +434,24 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
         # seed space too wide to enumerate both sides; the mean over the
         # reconciliation seed is what the secrecy claim averages, so sample it
         recon_seeds = _FALLBACK_RECON_SAMPLE
-    if seed_pairs is None and recon_seeds is None:
-        draws, count = None, 1 << 2 * m
-    elif seed_pairs is not None:
+    if seed_pairs is not None:
         if seed_pairs < 1:
             raise ValueError("seed_pairs must be positive")
-        draws = np.random.default_rng(rng_seed).integers(
-            0, 1 << m, size=(seed_pairs, 2), dtype=np.uint64)
         count = seed_pairs
-    else:
+    elif recon_seeds is not None:
         if recon_seeds < 1:
             raise ValueError("recon_seeds must be positive")
-        draws = np.random.default_rng(rng_seed).integers(
-            0, 1 << m, size=recon_seeds, dtype=np.uint64)
         count = recon_seeds << m
+    else:
+        count = 1 << 2 * m
+    if count > _MAX_SEED_PAIRS:
+        # checked before anything is drawn: the draws and the terms array
+        # both grow with the count
+        raise ValueError(f"an audit of {count} seed pairs exceeds the cap of "
+                         f"{_MAX_SEED_PAIRS} (2^24)")
+    size = (seed_pairs, 2) if seed_pairs is not None else recon_seeds
+    draws = None if size is None else np.random.default_rng(rng_seed).integers(
+        0, 1 << m, size=size, dtype=np.uint64)
     exact = draws is None
 
     if ell == 0:
@@ -425,14 +466,29 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
             distances = _cascade_pair_distances(crossover_convolve(chain.p, chain.q),
                                                 ctx, t, ell)
         chunk = max(1, _CHUNK_CELLS >> (t + ell))
-        # each block writes its terms in place: a fresh array per block would
-        # be mapped in and faulted in again on every block
+
+        def walk(pairs, out: np.ndarray) -> np.ndarray:
+            # each block writes its terms in place: a fresh array per block
+            # would be mapped in and faulted in again on every block
+            lo = 0
+            for s, s2 in _seed_pair_blocks(m, pairs, chunk):
+                hi = lo + np.broadcast(s, s2).size
+                distances(s, s2, out[lo:hi])
+                lo = hi
+            return out
+
         terms = np.empty(count, dtype=np.float64)
-        lo = 0
-        for s, s2 in _seed_pair_blocks(m, draws, chunk):
-            hi = lo + np.broadcast(s, s2).size
-            distances(s, s2, terms[lo:hi])
-            lo = hi
+        if t > 0:
+            walk(draws, terms)
+        elif draws is None or draws.ndim == 1:
+            # with no check value a term depends on the key seed alone: one
+            # grid row of every key seed serves every reconciliation seed
+            terms.reshape(-1, 1 << m)[:] = walk(np.zeros(1, dtype=np.int64),
+                                                np.empty(1 << m))
+        else:
+            keys, spread = np.unique(draws[:, 1], return_inverse=True)
+            once = walk(np.stack([np.zeros_like(keys), keys], axis=1), np.empty(len(keys)))
+            np.take(once, spread, out=terms)
         sd = float(terms.mean())
 
     if exact or len(draws) == 1:

@@ -223,6 +223,8 @@ def test_usage_errors_exit_2(capsys):
         ["threshold", *BSC, "--mode", "nope"],
         ["plan", *BSC, "--n", "100", "--eps", "2.0"],  # library domain error
         ["verify", *BSC, "--n", "13"],                 # over the exact-n cap
+        ["verify", *BSC, "--n", "8", "--seed-pairs", "100000000000"],  # over 2^24
+        ["verify", *BSC, "--n", "8", "--recon-seeds", "100000000000"],  # seed pairs
         ["bounds", "--source", "/no/such/file.json", "--n", "10"],
     ]
     for argv in bad_calls:

@@ -231,6 +231,27 @@ def test_hash_guards():
         uhf_hash(BitString(1, 4), s, 2, ctx)
 
 
+def test_zero_bit_hash_skips_the_multiply(monkeypatch):
+    # a 0-bit hash is the empty string whatever the product, so no field
+    # multiply is made; the argument checks still run first
+    from omska import uhash
+
+    def refuse(*args):
+        raise AssertionError("field multiply for a 0-bit hash")
+
+    monkeypatch.setattr(uhash, "gf_mul", refuse)
+    for m in (8, 32, 80):
+        ctx = GFContext.for_bits(m)
+        x, s = BitString((1 << m) - 3, m), BitString(5, m)
+        assert uhf_hash(x, s, 0, ctx) == BitString(0, 0)
+        with pytest.raises(ValueError, match="field elements"):
+            uhf_hash(BitString(1, m - 1), s, 0, ctx)
+        with pytest.raises(ValueError, match="field elements"):
+            uhf_hash(x, BitString(1, m + 1), 0, ctx)
+        with pytest.raises(ValueError, match="outside"):
+            uhf_hash(x, s, -1, ctx)
+
+
 def test_collision_census_literal_small_field():
     # every pair of distinct inputs collides under exactly 2^(m-t) seeds
     m = 4

@@ -16,8 +16,8 @@ from omska.source import JointSource, bsc_chain, crossover_convolve, detect_bsc_
 from omska.uhash import BitString, GFContext, encode_symbols, field_for_source
 from omska.uhash import hash as uhf_hash
 from omska.verifier import (_CHUNK_CELLS, _cascade_pair_distances, _field_masks,
-                            _pair_distances, _seed_pair_blocks, _walsh_hadamard,
-                            avg_min_entropy_exact,
+                            _pair_distances, _seed_pair_blocks, _subset_xors,
+                            _walsh_hadamard, avg_min_entropy_exact,
                             avg_min_entropy_product, estimate_reliability,
                             run_batch, secrecy_sd_exact, summarize_outcomes,
                             uhf_collision_census, wilson_interval)
@@ -236,12 +236,13 @@ def _assert_cascade_matches_dense(src, n, points, seeds, key_seeds):
 
 def test_secrecy_cascade_matches_dense(monkeypatch):
     # the Walsh-spectrum terms against the dense scatter on the same pairs:
-    # every (t, l) and every pair at n = 3, 5, 6, then 512 drawn pairs at n = 8
+    # every (t, l) and every pair at n = 3, 5, 6, then 512 drawn pairs at
+    # n = 8, l = 1 (check rows only) at every t among them
     for n in (3, 5, 6):
         points = [(t, ell) for t in range(n + 1) for ell in range(n + 1 - t)]
         _assert_cascade_matches_dense(CHAIN, n, points, *_all_pairs(n))
     draws = np.random.default_rng(8).integers(0, 256, size=(512, 2))
-    _assert_cascade_matches_dense(CHAIN, 8, [(2, 1), (0, 8), (4, 4), (7, 1)],
+    _assert_cascade_matches_dense(CHAIN, 8, [(0, 8), (4, 4)] + [(t, 1) for t in range(8)],
                                   draws[:, 0], draws[:, 1])
     # edge cascades: noiseless receiver, a useless eavesdropper block (delta
     # = 1/2, every nonzero coefficient 0) and a noiseless eavesdropper link
@@ -304,6 +305,119 @@ def test_secrecy_grid_matches_per_pair_terms():
                         grid = np.concatenate([_terms(distances, *b) for b in blocks])
                         assert np.array_equal(grid, _terms(distances, seeds, key_seeds)), \
                             (n, t, ell, chunk)
+
+
+def _full_spectrum_terms(delta, ctx, t, ell, seeds, key_seeds):
+    """Per seed pair (flat arrays), the term of the full-spectrum kernel:
+    gather every (a, b) cell, clear b = 0, transform all t + l bits and add
+    |.| row by row.  Columns never interact, so pairs are taken 512 at a
+    time."""
+    m = ctx.bits
+    masks, popcount = _field_masks(ctx)
+    coeff = (1.0 - 2.0 * delta) ** popcount
+    out = []
+    for lo in range(0, len(seeds), 512):
+        va = _subset_xors(masks[m - t:, seeds[lo:lo + 512]])
+        vb = _subset_xors(masks[m - ell:, key_seeds[lo:lo + 512]])
+        spectrum = coeff[va[:, None] ^ vb[None, :]]
+        spectrum[:, 0] = 0.0
+        diff = np.abs(_walsh_hadamard(spectrum.reshape(1 << (t + ell), -1)))
+        total = diff[0].copy()
+        for row in diff[1:]:
+            total += row
+        total *= 0.5 / (1 << (t + ell))
+        out.append(total)
+    return np.concatenate(out)
+
+
+def _reference_report(delta, n, t, ell, draws):
+    """(sd, std_error) of the audit of `draws` (as _seed_pair_blocks takes
+    them), from the full-spectrum terms of every pair in audit order."""
+    ctx = field_for_source(n, 2)
+    seeds, key_seeds = (a.astype(np.int64) for a in _pairs_in_audit_order(n, draws))
+    terms = _full_spectrum_terms(delta, ctx, t, ell, seeds, key_seeds)
+    if draws is None or len(draws) == 1:
+        return float(terms.mean()), None
+    samples = terms if draws.ndim == 2 else terms.reshape(len(draws), -1).mean(axis=1)
+    return float(terms.mean()), float(samples.std(ddof=1) / np.sqrt(len(samples)))
+
+
+def test_secrecy_shared_slices_match_full_spectrum():
+    # t = 0 audits (one row of key seeds) in every mode and every l, and
+    # l = 1 audits (check rows only) at every t, against the full spectrum
+    # of every pair: sd and std_error bit for bit
+    delta = crossover_convolve(0.02, 0.15)
+    rng = np.random.default_rng
+    for n in (3, 5, 8):
+        # each mode's keywords and the seeds secrecy_sd_exact draws with them
+        modes = (({}, None),
+                 ({"recon_seeds": 5, "rng_seed": n},
+                  rng(n).integers(0, 1 << n, size=5, dtype=np.uint64)),
+                 ({"seed_pairs": 300, "rng_seed": n},
+                  rng(n).integers(0, 1 << n, size=(300, 2), dtype=np.uint64)))
+        points = [(0, ell) for ell in range(1, n + 1)] + [(t, 1) for t in range(1, n)]
+        for t, ell in points:
+            plan = _hand_plan(n, float(n), t, ell)
+            for kw, draws in modes:
+                rep = secrecy_sd_exact(CHAIN, plan, **kw)
+                assert (rep.sd, rep.std_error) == _reference_report(delta, n, t, ell, draws), \
+                    (n, t, ell, kw)
+
+
+def test_secrecy_grid_blocks_match_full_spectrum():
+    # the kernel's terms on grid blocks of several reconciliation seeds
+    # (the a = 0 slice gathered once per key seed) and on drawn pairs,
+    # bit for bit against the full spectrum of every pair
+    delta = 0.23
+    for n in (3, 5, 6):
+        ctx = field_for_source(n, 2)
+        draws = np.random.default_rng(n).integers(0, 1 << n, size=(40, 2))
+        for t in range(n):
+            for ell in range(1, n + 1 - t):
+                distances = _cascade_pair_distances(delta, ctx, t, ell)
+                for pairs, chunk in ((None, 4 << n), (draws, 16)):
+                    for block in _seed_pair_blocks(n, pairs, chunk):
+                        s, s2 = (a.ravel() for a in np.broadcast_arrays(*block))
+                        want = _full_spectrum_terms(delta, ctx, t, ell, s, s2)
+                        assert np.array_equal(_terms(distances, *block), want), (n, t, ell)
+    # a grid block of 4 reconciliation seeds at n = 8, l = 1
+    ctx = field_for_source(8, 2)
+    block = next(_seed_pair_blocks(8, np.array([0, 3, 200, 255]), 4 << 8))
+    assert block[0].shape == (4, 1) and block[1].shape == (1, 256)
+    s, s2 = (a.ravel() for a in np.broadcast_arrays(*block))
+    for t in range(8):
+        got = _terms(_cascade_pair_distances(delta, ctx, t, 1), *block)
+        assert np.array_equal(got, _full_spectrum_terms(delta, ctx, t, 1, s, s2)), t
+
+
+def test_secrecy_t0_audit_computes_one_row(monkeypatch):
+    # with no check value a term depends on the key seed alone: a full
+    # n = 8 audit runs the kernel on one row of 256 pairs, not 65,536, and
+    # drawn pairs on each distinct key seed once
+    from omska import verifier
+    kernel = verifier._cascade_pair_distances
+    counted = []
+
+    def counting(*args):
+        distances = kernel(*args)
+
+        def wrapped(seeds, key_seeds, out):
+            counted.append(np.broadcast(seeds, key_seeds).size)
+            return distances(seeds, key_seeds, out)
+
+        return wrapped
+
+    monkeypatch.setattr(verifier, "_cascade_pair_distances", counting)
+    for ell in (1, 3, 8):
+        counted.clear()
+        rep = secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 0, ell))
+        assert rep.exact and rep.seed_pairs == 65536 and rep.cells == 65536 << ell
+        assert sum(counted) <= 256, (ell, counted)
+    counted.clear()
+    rep = secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 0, 2), seed_pairs=2000, rng_seed=1)
+    keys = np.random.default_rng(1).integers(0, 256, size=(2000, 2), dtype=np.uint64)[:, 1]
+    assert sum(counted) == len(np.unique(keys)) < 2000
+    assert rep.seed_pairs == 2000
 
 
 def test_secrecy_lone_pair_term_matches_its_block():
@@ -417,19 +531,23 @@ def test_secrecy_audit_memory_stays_within_a_chunk():
 
 
 def test_secrecy_workspace_reused_across_audits():
-    # the chunk buffers of the first audit serve the second: at n = 8, (4, 4)
-    # a chunk is 256 pairs x 256 cells, and one of its buffers alone takes
-    # 512 KiB, which the second audit must not allocate again
-    plan = _hand_plan(8, 8.0, 4, 4)
-    first = secrecy_sd_exact(CHAIN, plan, seed_pairs=512)
-    tracemalloc.start()
-    try:
-        second = secrecy_sd_exact(CHAIN, plan, seed_pairs=512)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert second == first
-    assert peak < 512 * 1024, peak
+    # the chunk buffers of a first audit serve the second: at n = 8, (4, 4)
+    # a chunk is 256 pairs x 256 cells and at (1, 1) 16,384 pairs x 4 cells,
+    # and one of the buffers alone takes 512 KiB, which the second audit must
+    # not allocate again; the t = 0 audit computes one row of key seeds.
+    # Beyond the buffers an audit holds its terms, 8 bytes a seed pair
+    for plan, kw in ((_hand_plan(8, 8.0, 4, 4), {"seed_pairs": 512}),
+                     (_hand_plan(8, 8.0, 1, 1), {}),
+                     (_hand_plan(8, 8.0, 0, 3), {"recon_seeds": 32})):
+        first = secrecy_sd_exact(CHAIN, plan, **kw)
+        tracemalloc.start()
+        try:
+            second = secrecy_sd_exact(CHAIN, plan, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second == first
+        assert peak < 8 * first.seed_pairs + 512 * 1024, (plan.recon_bits, plan.key_bits, peak)
 
 
 def test_secrecy_workspace_per_thread():
@@ -438,7 +556,8 @@ def test_secrecy_workspace_per_thread():
     # and return the serial reports
     jobs = [(_hand_plan(8, 8.0, 1, 1), {}), (_hand_plan(8, 8.0, 4, 4), {"seed_pairs": 512}),
             (_hand_plan(8, 8.0, 0, 3), {"recon_seeds": 32}),
-            (_hand_plan(8, 8.0, 2, 5), {"seed_pairs": 700})]
+            (_hand_plan(8, 8.0, 2, 5), {"seed_pairs": 700}),
+            (_hand_plan(8, 8.0, 0, 5), {"seed_pairs": 600})]
     serial = [secrecy_sd_exact(CHAIN, plan, **kw) for plan, kw in jobs]
     got = {}
     start = threading.Barrier(len(jobs))
@@ -523,6 +642,24 @@ def test_secrecy_guards(monkeypatch):
     # explicit sampling works past the full-enumeration cap
     rep = secrecy_sd_exact(CHAIN, _hand_plan(9, 8.0, 2, 1), seed_pairs=40)
     assert 0.0 <= rep.sd <= 1.0 and not rep.exact
+
+
+def test_secrecy_pair_cap_checked_before_drawing(monkeypatch):
+    # more than 2^24 seed pairs is refused before any seed is drawn or any
+    # array allocated; 2^24 itself is allowed through to the draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("seeds drawn for an audit over the cap")
+
+    plan = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for kw in ({"seed_pairs": 10 ** 11}, {"recon_seeds": 10 ** 11},
+               {"seed_pairs": (1 << 24) + 1}, {"recon_seeds": (1 << 16) + 1}):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            secrecy_sd_exact(CHAIN, plan, **kw)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 1, 1), **kw)
+    with pytest.raises(AssertionError, match="seeds drawn"):
+        secrecy_sd_exact(CHAIN, plan, recon_seeds=1 << 16)
 
 
 def test_secrecy_wide_field_falls_back_to_sampling(monkeypatch):
