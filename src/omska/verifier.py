@@ -409,9 +409,9 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
     Full enumeration and recon_seeds both walk a grid, blocks of
     reconciliation seeds against every key seed, reconciliation seed major;
     seed_pairs walks its drawn pairs.  At t = 0 there is no check value and a
-    term depends on the key seed alone: the grid modes compute one row of
-    2^m key seeds and copy it to every reconciliation seed, and seed_pairs
-    computes each distinct drawn key seed once.  On the cascade the field's
+    term depends on the key seed alone, so each distinct key seed (every one
+    of the 2^m in the grid modes, the drawn ones for seed_pairs) is computed
+    once and copied to every pair that holds it.  On the cascade the field's
     mask table is built once and cached, so a call pays for at most its
     cells, seed pairs x 2^(t+ell) (reported as cells), and holds at most one
     chunk of them at a time, in its thread's reused chunk workspace.  More
@@ -480,15 +480,15 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
         terms = np.empty(count, dtype=np.float64)
         if t > 0:
             walk(draws, terms)
-        elif draws is None or draws.ndim == 1:
-            # with no check value a term depends on the key seed alone: one
-            # grid row of every key seed serves every reconciliation seed
-            terms.reshape(-1, 1 << m)[:] = walk(np.zeros(1, dtype=np.int64),
-                                                np.empty(1 << m))
         else:
-            keys, spread = np.unique(draws[:, 1], return_inverse=True)
+            # with no check value a term depends on the key seed alone: each
+            # distinct key seed is computed once, against reconciliation seed
+            # 0, and serves every pair (every grid row) it appears in
+            key_seeds = draws[:, 1] if draws is not None and draws.ndim == 2 else \
+                np.arange(1 << m, dtype=np.uint64)
+            keys, spread = np.unique(key_seeds, return_inverse=True)
             once = walk(np.stack([np.zeros_like(keys), keys], axis=1), np.empty(len(keys)))
-            np.take(once, spread, out=terms)
+            terms.reshape(-1, key_seeds.size)[:] = once[spread]
         sd = float(terms.mean())
 
     if exact or len(draws) == 1:

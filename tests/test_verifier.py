@@ -532,22 +532,41 @@ def test_secrecy_audit_memory_stays_within_a_chunk():
 
 def test_secrecy_workspace_reused_across_audits():
     # the chunk buffers of a first audit serve the second: at n = 8, (4, 4)
-    # a chunk is 256 pairs x 256 cells and at (1, 1) 16,384 pairs x 4 cells,
-    # and one of the buffers alone takes 512 KiB, which the second audit must
-    # not allocate again; the t = 0 audit computes one row of key seeds.
-    # Beyond the buffers an audit holds its terms, 8 bytes a seed pair
-    for plan, kw in ((_hand_plan(8, 8.0, 4, 4), {"seed_pairs": 512}),
-                     (_hand_plan(8, 8.0, 1, 1), {}),
-                     (_hand_plan(8, 8.0, 0, 3), {"recon_seeds": 32})):
-        first = secrecy_sd_exact(CHAIN, plan, **kw)
-        tracemalloc.start()
-        try:
-            second = secrecy_sd_exact(CHAIN, plan, **kw)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert second == first
-        assert peak < 8 * first.seed_pairs + 512 * 1024, (plan.recon_bits, plan.key_bits, peak)
+    # a chunk is 256 pairs x 256 cells, and one of its buffers alone takes
+    # 512 KiB, which the second audit must not allocate again
+    plan = _hand_plan(8, 8.0, 4, 4)
+    first = secrecy_sd_exact(CHAIN, plan, seed_pairs=512)
+    tracemalloc.start()
+    try:
+        second = secrecy_sd_exact(CHAIN, plan, seed_pairs=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert peak < 512 * 1024, peak
+
+
+@pytest.mark.parametrize("n, t, ell, kw, rest", [
+    # a chunk of 16,384 pairs x 4 cells, 512 KiB a buffer; the audit holds
+    # about 145 KiB beside its terms
+    (8, 1, 1, {}, 256 * 1024),
+    # t = 0: one row of 4,096 key seeds x 8 cells, 256 KiB a buffer; the audit
+    # holds about 840 KiB beside its terms, most of it the row's key
+    # functionals and the transform's temporaries
+    (12, 0, 3, {"recon_seeds": 1}, 960 * 1024)], ids=["n8-full-1-1", "n12-recon-0-3"])
+def test_secrecy_workspace_reused_by_shared_slice_audits(n, t, ell, kw, rest):
+    # beside its terms, 8 bytes a seed pair, a second audit stays within
+    # `rest`, which one chunk buffer allocated again would break
+    plan = _hand_plan(n, float(n), t, ell)
+    first = secrecy_sd_exact(CHAIN, plan, **kw)
+    tracemalloc.start()
+    try:
+        second = secrecy_sd_exact(CHAIN, plan, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert peak < 8 * first.seed_pairs + rest, peak
 
 
 def test_secrecy_workspace_per_thread():
