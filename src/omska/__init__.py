@@ -18,11 +18,11 @@ from .planner import (BOUND_NAMES, PLAN_MODES, BoundReport, Plan,
                       bound_hr_random_linear, bound_remark, bound_report,
                       bound_theorem_main, comm_cost, min_positive_n, plan_desk_exact,
                       plan_remark, plan_theorem_main, qfunc, qfunc_inv)
-from .protocol import (BudgetExceededError, SessionResult, Transcript, alice_send,
-                       bob_decode, bob_extract, guess_set, run_session)
-from .verifier import (ReliabilityEstimate, SecrecyReport, avg_min_entropy_exact,
-                       avg_min_entropy_product, estimate_reliability,
-                       secrecy_sd_exact, uhf_collision_census, wilson_interval)
+from .protocol import (BudgetExceededError, SessionResult, Transcript, bob_decode,
+                       bob_extract, guess_set, run_session)
+from .verifier import (ReliabilityEstimate, SecrecyReport, avg_min_entropy_product,
+                       estimate_reliability, secrecy_sd_exact, uhf_collision_census,
+                       wilson_interval)
 
 __version__ = "0.1.0"
 
@@ -37,10 +37,10 @@ __all__ = [
     "bound_hr_concatenated", "bound_hr_random_linear", "bound_remark", "bound_report",
     "bound_theorem_main", "comm_cost", "min_positive_n", "plan_desk_exact",
     "plan_remark", "plan_theorem_main", "qfunc", "qfunc_inv",
-    "BudgetExceededError", "SessionResult", "Transcript", "alice_send",
-    "bob_decode", "bob_extract", "guess_set", "run_session",
-    "ReliabilityEstimate", "SecrecyReport", "avg_min_entropy_exact",
-    "avg_min_entropy_product", "estimate_reliability", "secrecy_sd_exact",
-    "uhf_collision_census", "wilson_interval",
+    "BudgetExceededError", "SessionResult", "Transcript", "bob_decode",
+    "bob_extract", "guess_set", "run_session",
+    "ReliabilityEstimate", "SecrecyReport", "avg_min_entropy_product",
+    "estimate_reliability", "secrecy_sd_exact", "uhf_collision_census",
+    "wilson_interval",
     "__version__",
 ]

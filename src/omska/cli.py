@@ -3,7 +3,7 @@
 Subcommands:
   bounds     evaluate every key-length bound over a block-length sweep
   plan       print the session parameters for one block length
-  run        Monte Carlo reliability check over full sessions
+  run        Monte Carlo reliability check over full sessions (desk plans)
   verify     exact secrecy check by seed/block enumeration
   threshold  smallest block length at which a bound turns positive
 
@@ -31,8 +31,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .planner import (BOUND_NAMES, bound_report, min_positive_n, plan_desk_exact,
-                      plan_remark, plan_theorem_main)
+from .planner import (BOUND_NAMES, PLAN_MODES, bound_report, min_positive_n,
+                      plan_desk_exact, plan_remark, plan_theorem_main)
 from .protocol import BudgetExceededError
 from .source import JointSource, bsc_chain, entropy_profile, load_joint_pmf, \
     ow_capacity_less_noisy
@@ -44,9 +44,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 CSV_COLUMNS = ("bound_name", "n", "eps", "sigma", "value_bits", "rate")
-
-PLAN_CHOICES = ("theorem_main", "remark", "desk_exact")
-
 
 class UsageError(Exception):
     """Input problem surfaced after argparse: malformed source, bad range."""
@@ -158,20 +155,30 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _build_plan(args, src: JointSource):
-    profile = entropy_profile(src)
-    ax = int(src.alphabet_sizes[0])
+def _need_n(args) -> int:
     if args.n is None:
         raise UsageError("this subcommand needs --n")
-    if args.mode == "theorem_main":
-        return plan_theorem_main(args.n, args.eps, args.sigma, profile, ax)
-    if args.mode == "remark":
-        return plan_remark(args.n, args.eps, args.sigma, profile, ax)
+    return args.n
+
+
+def _desk_plan(args, src: JointSource):
+    n = _need_n(args)
+    try:
+        return plan_desk_exact(src, n, args.eps, args.sigma)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _build_plan(args, src: JointSource):
+    """The plan of `omska plan`, in any of PLAN_MODES."""
     if args.mode == "desk_exact":
-        try:
-            return plan_desk_exact(src, args.n, args.eps, args.sigma)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return _desk_plan(args, src)
+    n = _need_n(args)
+    ax = int(src.alphabet_sizes[0])
+    if args.mode == "theorem_main":
+        return plan_theorem_main(n, args.eps, args.sigma, entropy_profile(src), ax)
+    if args.mode == "remark":
+        return plan_remark(n, args.eps, args.sigma, entropy_profile(src), ax)
     raise UsageError(f"unknown plan mode {args.mode!r}")
 
 
@@ -183,8 +190,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_run(args) -> int:
+    # the bound-driven modes never run a session: their lists exceed the
+    # search budget, or their checks the field; a --config file can still
+    # plant one past argparse's choices
+    if args.mode != "desk_exact":
+        raise UsageError(f"run takes desk_exact plans only, not mode {args.mode!r}")
     src = _load_source(args)
-    plan = _build_plan(args, src)
+    plan = _desk_plan(args, src)
     if args.trials < 1:
         raise UsageError("--trials must be positive")
     seqs = np.random.SeedSequence(args.seed).spawn(args.trials)
@@ -209,8 +221,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     src = _load_source(args)
-    args.mode = "desk_exact"
-    plan = _build_plan(args, src)
+    plan = _desk_plan(args, src)
     try:
         report = secrecy_sd_exact(src, plan, seed_pairs=args.seed_pairs,
                                   rng_seed=args.seed,
@@ -267,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = subs.add_parser("plan", help="print session parameters")
     _add_common(p_plan)
     p_plan.add_argument("--n", type=int, help="block length")
-    p_plan.add_argument("--mode", choices=PLAN_CHOICES, default="theorem_main")
+    p_plan.add_argument("--mode", choices=PLAN_MODES, default="theorem_main")
     p_plan.set_defaults(func=cmd_plan)
 
     p_run = subs.add_parser("run", help="Monte Carlo reliability over sessions")
     _add_common(p_run)
     p_run.add_argument("--n", type=int, help="block length")
-    p_run.add_argument("--mode", choices=PLAN_CHOICES, default="desk_exact")
+    p_run.add_argument("--mode", choices=("desk_exact",), default="desk_exact")
     p_run.add_argument("--trials", type=int, default=1000)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--jobs", type=int, default=1,

@@ -16,7 +16,8 @@ from functools import partial
 from .source import (EntropyProfile, JointSource, avg_min_entropy_product,
                      hamming_ball_size)
 
-PLAN_MODES = ("theorem_main", "remark", "berry_esseen", "desk_exact")
+# the modes a planner emits: plan_theorem_main, plan_remark, plan_desk_exact
+PLAN_MODES = ("theorem_main", "remark", "desk_exact")
 
 # least n for which the n-dependent privacy/reliability splits are defined
 MIN_PLAN_N = 2

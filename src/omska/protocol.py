@@ -4,7 +4,9 @@ The sender observes x, publishes two hash seeds and a short check value, and
 both sides extract keys from their reconstructed source block.  The receiver
 builds the list of source blocks whose conditional surprisal given y stays
 under the plan's threshold, keeps the candidates whose check hash matches,
-and aborts unless exactly one survives.
+and aborts unless exactly one survives.  run_session plays the sender: it
+encodes x once and hashes it to the check value and to Alice's key.
+bob_decode and bob_extract are the receiver's two steps.
 
 The source picks the list: on a binary cascade (`JointSource.cascade`) it
 is a Hamming ball around y, any other source takes a level-wise list.
@@ -149,15 +151,6 @@ class SessionResult:
     y: np.ndarray
     z: np.ndarray
     transcript: Transcript
-
-
-def alice_send(x: np.ndarray, recon_seed: BitString, plan: Plan, ctx: GFContext,
-               alphabet_size: int) -> BitString:
-    """Sender's check value: the reconciliation hash of the encoded block."""
-    encoded = encode_symbols(x, alphabet_size)
-    if encoded.length != ctx.bits:
-        raise ValueError(f"block encodes to {encoded.length} bits, field has {ctx.bits}")
-    return uhf_hash(encoded, recon_seed, plan.recon_bits, ctx)
 
 
 def _hamming_ball(plan: Plan, n: int, p: float) -> tuple[int, int]:
@@ -448,7 +441,7 @@ def run_session(src: JointSource, plan: Plan, rng_seed) -> SessionResult:
     recon_seed = fresh_seed(ctx, rng_recon)
     key_seed = fresh_seed(ctx, rng_key)
 
-    # alice_send and Alice's bob_extract, sharing one encode of x
+    # Alice's check value and key, sharing one encode of x
     encoded = encode_symbols(x, size_x)
     check_value = uhf_hash(encoded, recon_seed, plan.recon_bits, ctx)
     transcript = Transcript(recon_seed=recon_seed, key_seed=key_seed,

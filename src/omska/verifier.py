@@ -21,12 +21,13 @@ slice that does not involve the reconciliation seed once per key seed; and a
 1-bit key transforms only the check rows.  No concentration inequality
 stands between the reported number and the definition; the only
 approximation ever introduced is seed-pair sampling, and then the report
-says so and carries a standard error.
+says so and carries a standard error.  The report's leftover-hash bound
+takes the average min-entropy in closed form from the product law
+(source.avg_min_entropy_product); its dense enumeration is a test oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from collections import Counter
@@ -50,7 +51,6 @@ _FALLBACK_RECON_SAMPLE = 256
 # seed pairs an audit may cover: a full enumeration at the 12-bit cap, whose
 # terms array takes 128 MiB
 _MAX_SEED_PAIRS = 1 << 24
-_MINENTROPY_MAX_CELLS = 10 ** 8
 # cells (seed pairs x (check, key) buckets) handled per vectorised chunk
 _CHUNK_CELLS = 1 << 16
 
@@ -117,31 +117,6 @@ def summarize_outcomes(counts: Counter, eps_target: float) -> ReliabilityEstimat
         failure_rate=failures / trials, wilson_lower=low, wilson_upper=high,
         eps_target=eps_target, meets_target=high <= eps_target,
     )
-
-
-def avg_min_entropy_exact(src: JointSource, n: int, given: str = "z") -> float:
-    """Average conditional min-entropy of the length-n block given the named
-    side (-log2 of the best-guess success probability), by full enumeration.
-
-    Every (block, side-block) cell is visited; nothing exploits the product
-    structure, so this doubles as an independent check of closed forms.
-    Capped at 1e8 cells.
-    """
-    pair = src.p_x_and(given)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    size_x, size_v = pair.shape
-    cells = (size_x * size_v) ** n
-    if cells > _MINENTROPY_MAX_CELLS:
-        raise ValueError(f"enumeration would touch {cells} cells, cap is {_MINENTROPY_MAX_CELLS}")
-    total = 0.0
-    for digits in itertools.product(range(size_v), repeat=n):
-        # probability column over all x-blocks for this fixed side-block
-        column = reduce(np.kron, (pair[:, d] for d in digits))
-        total += float(column.max())
-    if total <= 0.0:
-        raise ValueError("side information has zero total mass")
-    return -math.log2(total)
 
 
 @dataclass(frozen=True)

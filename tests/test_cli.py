@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from omska import cli
+import omska
+from omska import cli, protocol, verifier
+from omska.planner import PLAN_MODES
 
 BSC = ["--bsc", "0.02,0.15"]
 
@@ -226,6 +228,9 @@ def test_usage_errors_exit_2(capsys):
         ["verify", *BSC, "--n", "8", "--seed-pairs", "100000000000"],  # over 2^24
         ["verify", *BSC, "--n", "8", "--recon-seeds", "100000000000"],  # seed pairs
         ["bounds", "--source", "/no/such/file.json", "--n", "10"],
+        ["plan", *BSC, "--n", "100", "--mode", "berry_esseen"],  # a bound, not a plan
+        ["run", *BSC, "--n", "16", "--mode", "theorem_main"],  # run takes desk plans
+        ["run", *BSC, "--n", "100", "--mode", "remark"],
     ]
     for argv in bad_calls:
         code = cli.main(argv)
@@ -311,6 +316,24 @@ def test_config_errors(capsys, tmp_path):
     bad.write_text("[1, 2]")
     assert cli.main(["plan", "--config", str(bad)]) == 2
     capsys.readouterr()
+    # argparse does not check planted defaults against --mode's choices; run
+    # names the planted mode before it looks for a source or builds a plan
+    for mode in ("bogus", "remark"):
+        planted = tmp_path / f"{mode}.json"
+        planted.write_text(json.dumps({"mode": mode}))
+        assert cli.main(["run", "--config", str(planted)]) == 2
+        assert f"not mode {mode!r}" in capsys.readouterr().err
+
+
+def test_public_surface():
+    for name in omska.__all__:
+        assert getattr(omska, name) is not None, name
+    for module, name in ((protocol, "alice_send"), (verifier, "avg_min_entropy_exact")):
+        assert name not in omska.__all__ and not hasattr(omska, name)
+        assert not hasattr(module, name)
+    actions = cli.build_parser().omska_subparsers["plan"]._actions
+    assert next(a for a in actions if a.dest == "mode").choices == PLAN_MODES
+    # berry_esseen stays a bound name: test_threshold_single_bound runs it
 
 
 def test_out_writes_file(capsys, tmp_path):

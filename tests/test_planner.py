@@ -367,7 +367,7 @@ def test_desk_plan_guards():
 
 
 def test_plan_validation():
-    assert set(PLAN_MODES) == {"theorem_main", "remark", "berry_esseen", "desk_exact"}
+    assert PLAN_MODES == ("theorem_main", "remark", "desk_exact")
     with pytest.raises(ValueError, match="mode"):
         Plan(mode="nope", n=8, eps=0.1, sigma=0.1, eps_miss=0.05, eps_collide=0.05,
              eps_smooth=0.0, miss_slack=0.0, smooth_slack=0.0, list_log_threshold=1.0,
@@ -376,12 +376,12 @@ def test_plan_validation():
         Plan(mode="desk_exact", n=8, eps=0.1, sigma=0.1, eps_miss=0.09, eps_collide=0.02,
              eps_smooth=0.0, miss_slack=0.0, smooth_slack=0.0, list_log_threshold=1.0,
              recon_bits=1, key_bits=0, key_real=0.0, feasible=False)
-    # the fourth mode is legal for hand-built plans even though no planner emits it
-    plan = Plan(mode="berry_esseen", n=8, eps=0.1, sigma=0.1, eps_miss=0.05,
-                eps_collide=0.05, eps_smooth=0.0, miss_slack=0.0, smooth_slack=0.0,
-                list_log_threshold=1.0, recon_bits=1, key_bits=0, key_real=0.0,
-                feasible=False)
-    assert plan.mode == "berry_esseen"
+    # a bound name that no planner emits is not a plan mode
+    with pytest.raises(ValueError, match="mode"):
+        Plan(mode="berry_esseen", n=8, eps=0.1, sigma=0.1, eps_miss=0.05,
+             eps_collide=0.05, eps_smooth=0.0, miss_slack=0.0, smooth_slack=0.0,
+             list_log_threshold=1.0, recon_bits=1, key_bits=0, key_real=0.0,
+             feasible=False)
 
 
 @settings(max_examples=200, deadline=None)

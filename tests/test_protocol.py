@@ -14,10 +14,11 @@ from omska import cli
 from omska.planner import Plan, plan_desk_exact
 from omska.protocol import (_RANK_CACHE_BYTES, DEFAULT_SEARCH_BUDGET, BudgetExceededError,
                             Transcript, _ball_inputs, _expand, _level_inputs, _level_list,
-                            _list_decode, _pattern_table, _rank_list, alice_send, bob_decode,
-                            guess_set, run_session, search_budget)
+                            _list_decode, _pattern_table, _rank_list, bob_decode, guess_set,
+                            run_session, search_budget)
 from omska.source import JointSource, bsc_chain, hamming_ball_size
-from omska.uhash import BitString, encode_symbols, field_for_source, hash as uhf_hash
+from omska.uhash import BitString, encode_symbols, field_for_source, symbol_width
+from omska.uhash import hash as uhf_hash
 
 CHAIN = bsc_chain(0.02, 0.15)
 
@@ -95,14 +96,40 @@ def _dfs_guess_list(y, plan, src, budget):
     return np.array(found, dtype=np.int64).reshape(-1, n), per_depth
 
 
+def _field_hashes(rows, seed, t, ctx, size_x):
+    """The t-bit hash of every row under seed, for fields up to 64 bits: the
+    rows encoded big-endian into uint64, then multiplied by the seed one seed
+    bit at a time (most significant first), shifting and reducing by
+    ctx.poly, all rows at once."""
+    m = ctx.bits
+    width, one = np.uint64(symbol_width(size_x)), np.uint64(1)
+    x = np.zeros(len(rows), dtype=np.uint64)
+    for column in rows.T:
+        x = (x << width) | column.astype(np.uint64)
+    field, low = np.uint64((1 << m) - 1), np.uint64(ctx.poly & ((1 << m) - 1))
+    acc = np.zeros_like(x)
+    for i in range(m - 1, -1, -1):
+        acc = ((acc << one) & field) ^ ((acc >> np.uint64(m - 1)) * low)
+        if seed.value >> i & 1:
+            acc ^= x
+    return acc >> np.uint64(m - t) if t else np.zeros_like(acc)
+
+
 def _literal_decode(y, check_value, recon_seed, plan, ctx, src):
-    """Oracle: hash every block of the depth-first list one at a time through
-    the field multiply; ('ok', block) on exactly one match."""
+    """Oracle: hash every block of the depth-first list through a field
+    multiply written out here (uhash.hash itself above 64 bits, one block at
+    a time); ('ok', block) on exactly one match."""
     size_x = src.alphabet_sizes[0]
     rows, _ = _dfs_guess_list(y, plan, src, DEFAULT_SEARCH_BUDGET)
-    hits = [row for row in rows
-            if uhf_hash(encode_symbols(row, size_x), recon_seed, plan.recon_bits,
-                        ctx) == check_value]
+    if ctx.bits > 64:
+        hits = [row for row in rows
+                if uhf_hash(encode_symbols(row, size_x), recon_seed, plan.recon_bits,
+                            ctx) == check_value]
+    elif check_value.length != plan.recon_bits:
+        hits = []
+    else:
+        hashes = _field_hashes(rows, recon_seed, plan.recon_bits, ctx, size_x)
+        hits = rows[hashes == check_value.value]
     return ("ok", hits[0]) if len(hits) == 1 else ("abort", None)
 
 
@@ -474,7 +501,7 @@ def test_scan_decode_matches_literal_hash_oracle(data):
     rows = guess_set(y, plan, src)
     if rows.shape[0] and data.draw(st.booleans(), label="check of a listed block"):
         x = rows[data.draw(st.integers(0, rows.shape[0] - 1), label="row")]
-        check = alice_send(x, seed, plan, ctx, src.alphabet_sizes[0])
+        check = uhf_hash(encode_symbols(x, src.alphabet_sizes[0]), seed, plan.recon_bits, ctx)
     else:
         check = BitString(data.draw(st.integers(0, (1 << t) - 1), label="check"), t)
     want = _literal_decode(y, check, seed, plan, ctx, src)
@@ -502,7 +529,7 @@ def test_scan_decode_above_64_bits():
     assert rows.shape == (41, n)
     for k in range(4):
         seed = BitString(int(rng.integers(0, 1 << 62)) << 18 | k, ctx.bits)
-        check = alice_send(rows[k], seed, plan, ctx, 3)
+        check = uhf_hash(encode_symbols(rows[k], 3), seed, plan.recon_bits, ctx)
         got = bob_decode(y, check, seed, plan, ctx, src)
         want = _literal_decode(y, check, seed, plan, ctx, src)
         assert got[0] == want[0] == "ok"
@@ -524,7 +551,7 @@ def test_ball_decode_above_64_bits():
             if k is None:  # a random check value
                 check = BitString(int(rng.integers(0, 1 << 30)), 30)
             else:
-                check = alice_send(rows[k], seed, plan, ctx, 2)
+                check = uhf_hash(encode_symbols(rows[k], 2), seed, plan.recon_bits, ctx)
             got = _list_decode(_ball_inputs, y, check, seed, plan, ctx, CHAIN)
             scan = _list_decode(_level_inputs, y, check, seed, plan, ctx, CHAIN)
             want = _literal_decode(y, check, seed, plan, ctx, CHAIN)
@@ -561,7 +588,8 @@ def test_one_block_and_empty_lists_match_literal_oracle():
                 seed = BitString(int.from_bytes(rng.bytes(10), "big") >> (80 - ctx.bits),
                                  ctx.bits)
                 if count and k < 2:
-                    check = alice_send(rows[0], seed, plan, ctx, src.alphabet_sizes[0])
+                    check = uhf_hash(encode_symbols(rows[0], src.alphabet_sizes[0]), seed,
+                                     plan.recon_bits, ctx)
                 else:
                     check = BitString(int(rng.integers(0, 1 << 20)), 20)
                 want = _literal_decode(y, check, seed, plan, ctx, src)
@@ -604,7 +632,7 @@ def test_pattern_table_cached_and_capped_by_budget(monkeypatch):
     monkeypatch.delenv("OMSKA_BUDGET", raising=False)
     plan = plan_desk_exact(CHAIN, 8, 0.005, 0.05)  # radius 2, 37 candidates
     y = np.array([1, 0, 0, 1, 1, 1, 0, 1])
-    check = alice_send(y, BitString(1, 8), plan, _ctx8(), 2)
+    check = uhf_hash(encode_symbols(y, 2), BitString(1, 8), plan.recon_bits, _ctx8())
 
     def decode():
         return _list_decode(_ball_inputs, y, check, BitString(1, 8), plan, _ctx8(), CHAIN)
@@ -656,7 +684,7 @@ def test_ball_decode_matches_scan_property(data):
     if data.draw(st.booleans(), label="check of a nearby block"):
         x = y.copy()
         x[data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="flips")] ^= 1
-        check = alice_send(x, seed, plan, ctx, 2)
+        check = uhf_hash(encode_symbols(x, 2), seed, plan.recon_bits, ctx)
     else:
         check = BitString(data.draw(st.integers(0, (1 << t) - 1), label="check"), t)
     ball = _list_decode(_ball_inputs, y, check, seed, plan, ctx, src)
@@ -764,7 +792,7 @@ def test_decode_validates_y_once(monkeypatch):
         assert status in ("ok", "abort") and len(calls) == 1
 
 
-def test_alice_send_length_guard():
-    plan = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
-    with pytest.raises(ValueError, match="bits"):
-        alice_send(np.zeros(7, dtype=int), BitString(1, 8), plan, _ctx8(), 2)
+def test_hash_rejects_a_short_block():
+    # a session hashes the encoded block as it is: 7 symbols do not fill n = 8
+    with pytest.raises(ValueError, match="8-bit field elements"):
+        uhf_hash(encode_symbols(np.zeros(7, dtype=int), 2), BitString(1, 8), 4, _ctx8())
