@@ -15,7 +15,7 @@ from .uhash import (BitString, GFContext, HashSeed, SeedHasher, encode_symbols,
                     symbol_width)
 from .planner import (BOUND_NAMES, PLAN_MODES, BoundReport, Plan,
                       bound_berry_esseen, bound_hr_concatenated,
-                      bound_hr_random_linear, bound_remark, bound_report,
+                      bound_hr_random_linear, bound_remark, bound_report, bound_sweep,
                       bound_theorem_main, comm_cost, min_positive_n, plan_desk_exact,
                       plan_remark, plan_theorem_main, qfunc, qfunc_inv)
 from .protocol import (BudgetExceededError, SessionResult, Transcript, bob_decode,
@@ -35,8 +35,8 @@ __all__ = [
     "symbol_width",
     "BOUND_NAMES", "PLAN_MODES", "BoundReport", "Plan", "bound_berry_esseen",
     "bound_hr_concatenated", "bound_hr_random_linear", "bound_remark", "bound_report",
-    "bound_theorem_main", "comm_cost", "min_positive_n", "plan_desk_exact",
-    "plan_remark", "plan_theorem_main", "qfunc", "qfunc_inv",
+    "bound_sweep", "bound_theorem_main", "comm_cost", "min_positive_n",
+    "plan_desk_exact", "plan_remark", "plan_theorem_main", "qfunc", "qfunc_inv",
     "BudgetExceededError", "SessionResult", "Transcript", "bob_decode",
     "bob_extract", "guess_set", "run_session",
     "ReliabilityEstimate", "SecrecyReport", "avg_min_entropy_product",

@@ -31,7 +31,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .planner import (BOUND_NAMES, PLAN_MODES, bound_report, min_positive_n,
+from .planner import (BOUND_NAMES, PLAN_MODES, bound_sweep, min_positive_n,
                       plan_desk_exact, plan_remark, plan_theorem_main)
 from .protocol import BudgetExceededError
 from .source import JointSource, bsc_chain, entropy_profile, load_joint_pmf, \
@@ -44,6 +44,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 CSV_COLUMNS = ("bound_name", "n", "eps", "sigma", "value_bits", "rate")
+
+# most block lengths one bounds sweep evaluates; a 10,000-point sweep takes
+# about a second, and a larger one is refused before any list is built
+MAX_SWEEP_POINTS = 10_000
 
 class UsageError(Exception):
     """Input problem surfaced after argparse: malformed source, bad range."""
@@ -59,7 +63,7 @@ def _parse_bsc(text: str) -> tuple[float, float]:
         raise UsageError(f"--bsc expects numeric 'p,q', got {text!r}") from exc
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"--n-range expects 'start:stop:step', got {text!r}")
@@ -69,7 +73,12 @@ def _parse_n_range(text: str) -> list[int]:
         raise UsageError(f"--n-range expects integers, got {text!r}") from exc
     if start < 1 or stop < start or step < 1:
         raise UsageError(f"bad --n-range {text!r}")
-    return list(range(start, stop + 1, step))
+    # counted, not len(range): a range longer than sys.maxsize has no len()
+    points = (stop - start) // step + 1
+    if points > MAX_SWEEP_POINTS:
+        raise UsageError(f"--n-range {text!r} has {points} points; "
+                         f"a sweep takes at most {MAX_SWEEP_POINTS}")
+    return range(start, stop + 1, step)
 
 
 def _load_source(args) -> JointSource:
@@ -143,8 +152,7 @@ def cmd_bounds(args) -> int:
     rows.append({"bound_name": "capacity", "n": 0, "eps": args.eps,
                  "sigma": args.sigma, "value_bits": None, "rate": capacity})
     for name in BOUND_NAMES:
-        for n in ns:
-            rep = bound_report(name, n, args.eps, args.sigma, profile, ax, ay)
+        for rep in bound_sweep(name, ns, args.eps, args.sigma, profile, ax, ay):
             rows.append({"bound_name": rep.bound_name, "n": rep.n, "eps": args.eps,
                          "sigma": args.sigma, "value_bits": rep.value_bits,
                          "rate": rep.rate})

@@ -274,8 +274,9 @@ def _hr_check(eps: float, sigma: float) -> None:
 
 
 def _hr_details(constants: dict):
-    """A comparison bound's details: its constants, and a caution below n = 100."""
-    return lambda n, bits: constants if n >= 100 else \
+    """A comparison bound's details: its constants, and a caution below n = 100.
+    Each report gets its own dict, so reports from one formula share nothing."""
+    return lambda n, bits: dict(constants) if n >= 100 else \
         {**constants, "small_n_caution": "stated only for large n"}
 
 
@@ -316,6 +317,22 @@ def _bound(name: str):
     if name not in _BOUNDS:
         raise ValueError(f"unknown bound {name!r}; choices: {', '.join(_BOUNDS)}")
     return _BOUNDS[name]
+
+
+def bound_sweep(bound_name: str, ns, eps: float, sigma: float, profile: EntropyProfile,
+                alphabet_x, alphabet_y) -> list[BoundReport]:
+    """bound_report at each n of the sequence ns, with the formula and its
+    input checks built once for the whole sweep."""
+    formula, least_n = _bound(bound_name)
+    for n in ns:
+        _check_n(n, least_n)
+    value, details = formula(eps, sigma, profile, alphabet_x, alphabet_y)
+    reports = []
+    for n in ns:
+        bits = value(n)
+        reports.append(_report(bound_name, n, max(0.0, bits), eps, sigma, profile,
+                               details(n, bits)))
+    return reports
 
 
 def bound_report(bound_name: str, n: int, eps: float, sigma: float,
@@ -400,35 +417,58 @@ def min_positive_n(bound_name: str, eps: float, sigma: float, profile: EntropyPr
                    alphabet_x: int, alphabet_y: int, ceiling: int = 10 ** 12) -> int | None:
     """Smallest n at which the named bound is strictly positive.
 
-    Doubling search then bisection over the bound's formula, whose input
-    checks run once; the result is verified locally (value(n*) > 0 and
-    value(n*-1) <= 0).  Returns None if the bound never turns positive at or
-    below the ceiling.  The bounds here are eventually monotone in n for
-    positive-rate sources, which is all the search needs.
+    The bracket grows x256 from MIN_PLAN_N until the bound is positive or the
+    ceiling is reached; Illinois regula falsi then narrows it: each step
+    evaluates the secant point, clamped inside the bracket, and halves the
+    weight of an end kept twice in a row.  The formula is built once, and a
+    search evaluates it at most 16 times on the benchmark's planning grid
+    (hr_concat, whose n* is near 1e9, takes the most).  The result passes a
+    local check (value(n*) > 0 and value(n*-1) <= 0, read from the bracket's
+    two ends).  Returns None if the bound never turns positive at or below
+    the ceiling; a ceiling below MIN_PLAN_N is a ValueError.  The bounds here
+    are eventually monotone in n for positive-rate sources, which is all the
+    search needs.
     """
     formula = _bound(bound_name)[0]
     if ceiling > 10 ** 12:
         raise ValueError("ceiling above 1e12 not supported")
+    if ceiling < MIN_PLAN_N:
+        raise ValueError(f"ceiling must be at least {MIN_PLAN_N}, got {ceiling}")
     value = formula(eps, sigma, profile, alphabet_x, alphabet_y)[0]
 
-    lo = MIN_PLAN_N
-    if value(lo) > 0.0:
+    lo, f_lo = MIN_PLAN_N, value(MIN_PLAN_N)
+    if f_lo > 0.0:
         return lo
-    hi = lo
     while True:
-        hi = min(hi * 2, ceiling)
-        if value(hi) > 0.0:
+        hi = min(lo * 256, ceiling)
+        f_hi = value(hi)
+        if f_hi > 0.0:
             break
         if hi >= ceiling:
             return None
-    # invariant: value(lo) <= 0 < value(hi)
+        lo, f_lo = hi, f_hi
+    # invariant from here on: f_lo = value(lo) <= 0 < value(hi) = f_hi; the
+    # secant runs on the weights w_lo and w_hi, and kept is -1 (+1) when the
+    # last step kept lo (hi)
+    w_lo, w_hi, kept = f_lo, f_hi, 0
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if value(mid) > 0.0:
-            hi = mid
+        span = w_hi - w_lo
+        # a weight that is infinite or NaN has no secant: bisect instead
+        mid = lo + math.ceil((hi - lo) * (-w_lo / span)) if 0.0 < span < math.inf \
+            else (lo + hi) // 2
+        mid = min(max(mid, lo + 1), hi - 1)
+        f_mid = value(mid)
+        if f_mid > 0.0:
+            hi, f_hi, w_hi = mid, f_mid, f_mid
+            if kept < 0:
+                w_lo /= 2.0
+            kept = -1
         else:
-            lo = mid
-    if not (value(hi) > 0.0 and value(hi - 1) <= 0.0):
+            lo, f_lo, w_lo = mid, f_mid, f_mid
+            if kept > 0:
+                w_hi /= 2.0
+            kept = 1
+    if not (f_hi > 0.0 and f_lo <= 0.0):
         raise ArithmeticError(f"positivity crossing not locally monotone near n={hi}")
     return hi
 

@@ -202,7 +202,8 @@ def _received(y, src: JointSource) -> np.ndarray:
     """y as an int64 vector of receiver symbols; ValueError for any other shape
     or for a symbol outside [0, |Y|)."""
     y = np.asarray(y, dtype=np.int64)
-    if y.ndim != 1 or np.any((y < 0) | (y >= src.alphabet_sizes[1])):
+    # one comparison: a negative symbol viewed as uint64 is at least 2^63
+    if y.ndim != 1 or np.count_nonzero(y.view(np.uint64) >= src.alphabet_sizes[1]):
         raise ValueError(f"y must be a vector of symbols below {src.alphabet_sizes[1]}")
     return y
 

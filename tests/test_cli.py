@@ -4,6 +4,8 @@ import concurrent.futures
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -18,6 +20,12 @@ def _run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _run_err(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, (captured.out, captured.err)
 
 
 def test_bounds_csv_shape(capsys):
@@ -186,6 +194,38 @@ def test_threshold_all_with_ceiling(capsys):
                            "hr_concat"}
     assert result["hr_concat"] == 1143045317
     assert 900 < result["theorem_main"] <= 1000
+
+
+def test_threshold_ceiling_below_least_n(capsys):
+    # a bad ceiling is bad usage (exit 2), not a failed check
+    for ceiling in ("1", "0", "-5"):
+        code, out = _run_err(capsys, ["threshold", *BSC, "--ceiling", ceiling])
+        assert code == 2 and out[0] == ""
+        assert out[1] == f"error: ceiling must be at least 2, got {ceiling}\n"
+    for ceiling in ("2", "3"):
+        code, out = _run(capsys, ["threshold", *BSC, "--ceiling", ceiling])
+        assert code == 1
+        assert set(json.loads(out).values()) == {None}
+
+
+def test_bounds_refuses_a_huge_sweep(capsys):
+    # the sweep is counted, not built: a billion points exit 2 at once
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, (out, err) = _run_err(capsys, ["bounds", *BSC, "--n-range", "1:1000000000:1"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "1000000000 points" in err and "10000" in err
+    assert elapsed < 1.0 and peak < 1 << 20
+    # a range too long for len() is counted all the same
+    assert cli.main(["bounds", *BSC, "--n-range", f"1:{10 ** 30}:1"]) == 2
+    assert "points" in capsys.readouterr().err
+    # the cap itself is allowed
+    assert len(cli._parse_n_range("2:20000:2")) == cli.MAX_SWEEP_POINTS == 10_000
 
 
 def test_threshold_checks_inputs_like_bounds(capsys):

@@ -8,11 +8,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omska.planner import (BOUND_NAMES, PLAN_MODES, Plan, bound_berry_esseen,
+from omska import planner
+from omska.planner import (BOUND_NAMES, MIN_PLAN_N, PLAN_MODES, Plan, bound_berry_esseen,
                            bound_hr_concatenated, bound_hr_random_linear, bound_remark,
-                           bound_report, bound_theorem_main, comm_cost, min_positive_n,
-                           plan_desk_exact, plan_remark, plan_theorem_main, qfunc,
-                           qfunc_inv)
+                           bound_report, bound_sweep, bound_theorem_main, comm_cost,
+                           min_positive_n, plan_desk_exact, plan_remark, plan_theorem_main,
+                           qfunc, qfunc_inv)
 from omska.source import bsc_chain, entropy_profile
 from omska.uhash import BitString, GFContext, hash as uhf_hash
 from omska.verifier import avg_min_entropy_product
@@ -262,6 +263,143 @@ def test_min_positive_n_rejects_unknown():
         min_positive_n("nothing", EPS, SIGMA, PROF, 2, 2)
     with pytest.raises(ValueError):
         min_positive_n("hr_linear", EPS, SIGMA, PROF, 2, 2, ceiling=10 ** 13)
+
+
+def test_min_positive_n_ceiling_below_least_n(evaluations):
+    # a ceiling below MIN_PLAN_N is refused by name before any evaluation,
+    # where 0 would divide by zero and -5 take the square root of a negative
+    for ceiling in (1, 0, -5):
+        for name in BOUND_NAMES:
+            with pytest.raises(ValueError, match=f"ceiling must be at least 2, got {ceiling}"):
+                min_positive_n(name, EPS, SIGMA, PROF, 2, 2, ceiling=ceiling)
+    assert sum(evaluations.values()) == 0
+    for ceiling in (2, 3):
+        for name in BOUND_NAMES:
+            assert min_positive_n(name, EPS, SIGMA, PROF, 2, 2, ceiling=ceiling) is None
+
+
+def _doubling_search(bound_name, eps, sigma, profile, alphabet_x, alphabet_y,
+                     ceiling=10 ** 12):
+    """The reference search: double from MIN_PLAN_N, then bisect."""
+    if ceiling > 10 ** 12:
+        raise ValueError("ceiling above 1e12 not supported")
+    value = planner._BOUNDS[bound_name][0](eps, sigma, profile, alphabet_x, alphabet_y)[0]
+    lo = MIN_PLAN_N
+    if value(lo) > 0.0:
+        return lo
+    hi = lo
+    while True:
+        hi = min(hi * 2, ceiling)
+        if value(hi) > 0.0:
+            break
+        if hi >= ceiling:
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if value(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    if not (value(hi) > 0.0 and value(hi - 1) <= 0.0):
+        raise ArithmeticError(f"positivity crossing not locally monotone near n={hi}")
+    return hi
+
+
+def _outcome(search, *args, **kwargs):
+    """A search's result, or the type and text of what it raised."""
+    try:
+        return search(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_reference(name, p, q, eps, sigma, ceiling):
+    prof = entropy_profile(bsc_chain(p, q))
+    args = (name, eps, sigma, prof, 2, 2)
+    assert _outcome(min_positive_n, *args, ceiling=ceiling) == \
+        _outcome(_doubling_search, *args, ceiling=ceiling), (args, ceiling)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(BOUND_NAMES), p=st.floats(0.0, 0.5), q=st.floats(0.0, 0.5),
+       eps=st.floats(1e-4, 0.2), sigma=st.floats(1e-4, 0.2),
+       ceiling=st.integers(MIN_PLAN_N, 10 ** 12))
+def test_min_positive_n_matches_doubling_search(name, p, q, eps, sigma, ceiling):
+    _assert_matches_reference(name, p, q, eps, sigma, ceiling)
+
+
+def test_min_positive_n_matches_doubling_search_on_a_grid():
+    # the ceilings include the reference source's hr crossings, met exactly
+    for p in (0.0, 0.02, 0.05, 0.2):
+        for q in (0.0, 0.05, 0.15, 0.4):
+            for eps, sigma in ((1e-4, 1e-4), (0.05, 0.05), (0.01, 0.2), (0.2, 0.2)):
+                for ceiling in (2, 3, 1000, 2219549, 10 ** 6, 1143045317, 10 ** 12):
+                    for name in BOUND_NAMES:
+                        _assert_matches_reference(name, p, q, eps, sigma, ceiling)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every bound's formula wrapped so that each evaluation of value(n) is
+    counted by bound name."""
+    counts = dict.fromkeys(BOUND_NAMES, 0)
+
+    def wrap(name, formula):
+        def counted_formula(*args):
+            value, details = formula(*args)
+
+            def counted(n):
+                counts[name] += 1
+                return value(n)
+            return counted, details
+        return counted_formula
+
+    monkeypatch.setattr(planner, "_BOUNDS", {
+        name: (wrap(name, formula), least) for name, (formula, least)
+        in planner._BOUNDS.items()})
+    return counts
+
+
+def test_min_positive_n_evaluation_count(evaluations):
+    # the planning grid: cascades around p in {0.01, 0.02, 0.05}, q in
+    # {0.1, 0.15, 0.25}, moved by -10 %, 0 and +10 %; the doubling search
+    # took up to 70 evaluations there (hr_concat)
+    worst = dict.fromkeys(BOUND_NAMES, 0)
+    for p in (0.01, 0.02, 0.05):
+        for q in (0.1, 0.15, 0.25):
+            for dp in (0.9, 1.0, 1.1):
+                prof = entropy_profile(bsc_chain(p * dp, q * (2.0 - dp)))
+                for eps, sigma in ((0.05, 0.05), (0.01, 0.1)):
+                    for name in BOUND_NAMES:
+                        before = evaluations[name]
+                        assert min_positive_n(name, eps, sigma, prof, 2, 2) is not None
+                        worst[name] = max(worst[name], evaluations[name] - before)
+    assert max(worst.values()) <= 20, worst
+
+
+def test_bound_sweep_matches_bound_report():
+    # one formula for the whole sweep gives the reports of one formula per n,
+    # details included, and refuses what bound_report refuses
+    ns = range(2, 300001, 1999)
+    for name in BOUND_NAMES:
+        assert bound_sweep(name, ns, EPS, SIGMA, PROF, 2, 2) == \
+            [bound_report(name, n, EPS, SIGMA, PROF, 2, 2) for n in ns]
+    with pytest.raises(ValueError, match="n must be at least 2, got 1"):
+        bound_sweep("theorem_main", [5, 1, 7], EPS, SIGMA, PROF, 2, 2)
+    with pytest.raises(ValueError, match="1/4"):
+        bound_sweep("hr_linear", ns, 0.3, SIGMA, PROF, 2, 2)
+    with pytest.raises(ValueError, match="unknown bound"):
+        bound_sweep("nothing", ns, EPS, SIGMA, PROF, 2, 2)
+
+
+def test_reports_share_no_details():
+    # changing one report's details leaves every other report as it was
+    for name in ("hr_linear", "hr_concat"):
+        first, second = bound_sweep(name, (1000, 2000), EPS, SIGMA, PROF, 2, 2)
+        fresh = bound_report(name, 1000, EPS, SIGMA, PROF, 2, 2).details
+        first.details["penalty_sqrt_n"] = -1.0
+        assert second.details["penalty_sqrt_n"] == fresh["penalty_sqrt_n"] > 0.0
+        assert bound_sweep(name, (1000,), EPS, SIGMA, PROF, 2, 2)[0].details == fresh
 
 
 def test_comm_cost_frozen():

@@ -293,9 +293,13 @@ def test_guess_set_validates_y():
     # y must be a vector of receiver symbols on both source kinds, as bob_decode requires
     for src in (_ternary_source(), CHAIN):
         plan = _hand_plan(3, 7.0, 0, 0)
-        for bad in ([0, 1, -1], [0, 1, 5], [0, 1, 2], [[0, 1, 0]], 0):
+        for bad in ([0, 1, -1], [0, 1, 5], [0, 1, 2], [[0, 1, 0]], 0,
+                    [0, 1, np.iinfo(np.int64).min]):
             with pytest.raises(ValueError, match="symbols below 2"):
                 guess_set(np.array(bad), plan, src)
+        # a strided view of valid symbols is a valid y
+        strided = np.array([0, 9, 1, 9, 1])[::2]
+        assert np.array_equal(guess_set(strided, plan, src), guess_set([0, 1, 1], plan, src))
     with pytest.raises(ValueError, match="symbols below 2"):
         guess_set(np.array([0, -1, 0, 0]), _hand_plan(4, 7.0, 0, 0), CHAIN)
     # an in-range symbol the source never emits has no column to list from
@@ -415,8 +419,9 @@ def test_budget_environment(monkeypatch):
     monkeypatch.setenv("OMSKA_BUDGET", "2.5e3")
     assert search_budget() == 2500
     monkeypatch.setenv("OMSKA_BUDGET", "abc")
-    with pytest.raises(ValueError, match="OMSKA_BUDGET"):
-        search_budget()
+    for _ in range(2):  # a bad value raises on every read, not only the first
+        with pytest.raises(ValueError, match="OMSKA_BUDGET"):
+            search_budget()
     monkeypatch.setenv("OMSKA_BUDGET", "0")
     with pytest.raises(ValueError, match="positive"):
         search_budget()
@@ -428,6 +433,11 @@ def test_budget_environment(monkeypatch):
             search_budget()
         assert cli.main(["run", "--bsc", "0.02,0.15", "--n", "8", "--mode", "desk_exact",
                          "--trials", "1"]) == 2
+    # a value read before takes effect again when the variable returns to it
+    monkeypatch.setenv("OMSKA_BUDGET", "2.5e3")
+    assert search_budget() == 2500
+    monkeypatch.delenv("OMSKA_BUDGET")
+    assert search_budget() == DEFAULT_SEARCH_BUDGET
 
 
 def test_budget_caps_all_search_paths(monkeypatch):
