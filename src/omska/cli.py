@@ -36,7 +36,7 @@ from .planner import (BOUND_NAMES, PLAN_MODES, bound_sweep, min_positive_n,
 from .protocol import BudgetExceededError
 from .source import JointSource, bsc_chain, entropy_profile, load_joint_pmf, \
     ow_capacity_less_noisy
-from .verifier import run_batch, secrecy_sd_exact, summarize_outcomes
+from .verifier import run_children, secrecy_sd_exact, summarize_outcomes
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -207,18 +207,20 @@ def cmd_run(args) -> int:
     plan = _desk_plan(args, src)
     if args.trials < 1:
         raise UsageError("--trials must be positive")
-    seqs = np.random.SeedSequence(args.seed).spawn(args.trials)
+    # trial i runs on the i-th child of SeedSequence(seed), made on demand
+    entropy = np.random.SeedSequence(args.seed).entropy
     jobs = max(1, min(args.jobs, args.trials, os.cpu_count() or 1))
     if jobs == 1:
-        counts = run_batch(src, plan, seqs)
+        counts = run_children(src, plan, entropy, range(args.trials))
     else:
-        chunks = [seqs[i::jobs] for i in range(jobs)]
+        chunks = [range(i, args.trials, jobs) for i in range(jobs)]
         counts = Counter()
         # imported here: multiprocessing adds about 2 MB to every process that
         # imports the CLI, and only a parallel run needs it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(run_batch, [src] * jobs, [plan] * jobs, chunks):
+            for part in pool.map(run_children, [src] * jobs, [plan] * jobs,
+                                 [entropy] * jobs, chunks):
                 counts.update(part)
     est = summarize_outcomes(counts, plan.eps)
     payload = asdict(est)

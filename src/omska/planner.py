@@ -10,6 +10,7 @@ negative key lengths clamp to zero with a feasibility flag rather than raising.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -142,16 +143,33 @@ def _report(name: str, n: int, value: float, eps: float, sigma: float,
     return BoundReport(name, n, value, value / n, echo, details or {})
 
 
+# largest block length the formulas take: floats hold every integer up to 2^53
+MAX_N = 1 << 53
+
+# smallest target the formulas take: below the smallest normal float,
+# 1/target and log2 of it overflow or lose their precision
+_LEAST_TARGET = sys.float_info.min
+
+
 def _check_n(n: int, least: int = MIN_PLAN_N) -> None:
-    if n < least:
-        raise ValueError(f"n must be at least {least}, got {n}")
+    if not (least <= n <= MAX_N):
+        raise ValueError(f"n must be at least {least}, got {n}" if n < least else
+                         f"n must be at most 2^53, the last integer a float holds "
+                         f"exactly, got {n}")
+
+
+def _target_error(what: str, name: str, target: float) -> ValueError:
+    if 0.0 < target < 1.0:
+        return ValueError(f"{what} target {name} must be at least {_LEAST_TARGET!r}, "
+                          f"the smallest normal float, got {target!r}")
+    return ValueError(f"{what} target {name} must be in (0, 1), got {target!r}")
 
 
 def _check_targets(eps: float, sigma: float) -> None:
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"reliability target eps must be in (0, 1), got {eps!r}")
-    if not (0.0 < sigma < 1.0):
-        raise ValueError(f"secrecy target sigma must be in (0, 1), got {sigma!r}")
+    if not (_LEAST_TARGET <= eps < 1.0):
+        raise _target_error("reliability", "eps", eps)
+    if not (_LEAST_TARGET <= sigma < 1.0):
+        raise _target_error("secrecy", "sigma", sigma)
 
 
 def _entropy_slack(n: int, log_alpha: float, budget: float) -> float:
@@ -269,7 +287,8 @@ def _normal_formula(eps: float, sigma: float, profile: EntropyProfile, alphabet_
 
 
 def _hr_check(eps: float, sigma: float) -> None:
-    if not (0.0 < eps < 0.25 and 0.0 < sigma < 0.25):
+    _check_targets(eps, sigma)
+    if not (eps < 0.25 and sigma < 0.25):
         raise ValueError(f"comparison bounds require eps, sigma < 1/4, got {eps!r}, {sigma!r}")
 
 

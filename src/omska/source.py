@@ -48,6 +48,9 @@ class JointSource:
     rank_symbols : (|Y|, |X|) int64, read-only; row y maps a rank in
         cost_columns[y] to its x symbol (slots past the column's length are 0);
         derived
+    column_ids : (|Y|,) int64, read-only; entry y is the first y' with
+        cost_columns[y'] == cost_columns[y], so y symbols with equal columns
+        share an id; derived
     """
 
     alphabet_sizes: tuple[int, int, int]
@@ -76,6 +79,9 @@ class JointSource:
         columns, rank_symbols = _ranked_columns(self.p_xy())
         object.__setattr__(self, "cost_columns", columns)
         object.__setattr__(self, "rank_symbols", rank_symbols)
+        ids = np.array([columns.index(c) for c in columns], dtype=np.int64)
+        ids.setflags(write=False)
+        object.__setattr__(self, "column_ids", ids)
 
     # convenience marginals, all tiny
     def p_xy(self) -> np.ndarray:

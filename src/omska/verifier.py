@@ -97,15 +97,24 @@ def run_batch(src: JointSource, plan: Plan, seed_seqs) -> Counter:
     return counts
 
 
+def run_children(src: JointSource, plan: Plan, entropy: int | list[int],
+                 indices: range) -> Counter:
+    """run_batch over the children `indices` of SeedSequence(entropy), each
+    made as its session starts: child i is SeedSequence(entropy, spawn_key=(i,)),
+    the i-th that SeedSequence(entropy).spawn makes.  Memory stays flat
+    however many trials, and a process pool ships a range, not the seeds."""
+    return run_batch(src, plan, (np.random.SeedSequence(entropy, spawn_key=(i,))
+                                 for i in indices))
+
+
 def estimate_reliability(src: JointSource, plan: Plan, trials: int,
                          rng_seed=0) -> ReliabilityEstimate:
-    """Monte Carlo reliability check: `trials` independent sessions, seeds
-    spawned from one sequence so results are reproducible."""
+    """Monte Carlo reliability check: `trials` independent sessions, seeded
+    by the children of one sequence so results are reproducible."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    seq = np.random.SeedSequence(rng_seed)
-    counts = run_batch(src, plan, seq.spawn(trials))
-    return summarize_outcomes(counts, plan.eps)
+    entropy = np.random.SeedSequence(rng_seed).entropy
+    return summarize_outcomes(run_children(src, plan, entropy, range(trials)), plan.eps)
 
 
 def summarize_outcomes(counts: Counter, eps_target: float) -> ReliabilityEstimate:

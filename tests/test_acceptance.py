@@ -15,7 +15,7 @@ import numpy as np
 from omska.planner import (Plan, bound_berry_esseen, bound_hr_concatenated,
                            bound_hr_random_linear, bound_remark, bound_theorem_main,
                            min_positive_n, plan_desk_exact)
-from omska.protocol import _ball_inputs, _level_inputs, _list_decode
+from omska.protocol import bob_decode
 from omska.source import bsc_chain, entropy_profile, ow_capacity_less_noisy
 from omska.uhash import BitString, GFContext, field_for_source, fresh_seed
 from omska.uhash import hash as uhf_hash
@@ -151,19 +151,16 @@ def test_06_decoder_equivalence():
                     matches = ball[table[ball] == int(table[x_int])]
                     want = ("ok", matches[0]) if matches.shape[0] == 1 \
                         else ("abort", None)
-                    args = (y_arr, check, seed_bs, plan, ctx, CHAIN)
-                    got_b = _list_decode(_ball_inputs, *args)
-                    got_s = _list_decode(_level_inputs, *args)
+                    got = bob_decode(y_arr, check, seed_bs, plan, ctx, CHAIN)
                     cases += 1
-                    same = got_b[0] == got_s[0] == want[0]
+                    same = got[0] == want[0]
                     if same and want[0] == "ok":
-                        same = (np.array_equal(got_b[1], bits[want[1]])
-                                and np.array_equal(got_s[1], bits[want[1]]))
+                        same = np.array_equal(got[1], bits[want[1]])
                     if not same:
                         disagreements += 1
     dt = time.perf_counter() - t0
     ok = disagreements == 0 and cases >= 10 ** 5 and dt < 60.0
-    _line(ok, 6, f"fast, generic, and exhaustive decoders agree on {cases} "
+    _line(ok, 6, f"list and exhaustive decoders agree on {cases} "
                  f"(x, y, seed) cases ({disagreements} disagreements), {dt:.1f} s")
     assert ok
 

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import omska
@@ -93,6 +94,11 @@ def test_run_jobs_do_not_change_counts(capsys):
     a, b = json.loads(out1), json.loads(out2)
     assert a["outcome_counts"] == b["outcome_counts"]
     assert a["failure_rate"] == b["failure_rate"]
+    # trial i runs on the i-th child that SeedSequence(seed).spawn makes
+    src = omska.bsc_chain(0.02, 0.15)
+    plan = omska.plan_desk_exact(src, 16, 0.05, 0.05)
+    spawned = verifier.run_batch(src, plan, np.random.SeedSequence(9).spawn(120))
+    assert a["outcome_counts"] == dict(spawned)
 
 
 class _InlineExecutor:
@@ -271,6 +277,17 @@ def test_usage_errors_exit_2(capsys):
         ["plan", *BSC, "--n", "100", "--mode", "berry_esseen"],  # a bound, not a plan
         ["run", *BSC, "--n", "16", "--mode", "theorem_main"],  # run takes desk plans
         ["run", *BSC, "--n", "100", "--mode", "remark"],
+        # past 2^53 floats skip integers; below the smallest normal float a
+        # target's reciprocal overflows
+        ["plan", *BSC, "--n", str(10 ** 400)],
+        ["bounds", *BSC, "--n", str(10 ** 400)],
+        ["plan", *BSC, "--n", str(2 ** 53 + 1)],
+        ["bounds", *BSC, "--n-range", f"{2 ** 53 - 1}:{2 ** 53 + 2}:1"],
+        ["plan", *BSC, "--n", "100", "--eps", "1e-320"],
+        ["bounds", *BSC, "--n", "100", "--eps", "1e-320"],
+        ["plan", *BSC, "--n", "100", "--mode", "remark", "--sigma", "1e-320"],
+        ["threshold", *BSC, "--sigma", "1e-320"],
+        ["run", *BSC, "--n", "8", "--mode", "desk_exact", "--eps", "1e-320"],
     ]
     for argv in bad_calls:
         code = cli.main(argv)

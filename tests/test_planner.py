@@ -392,6 +392,32 @@ def test_bound_sweep_matches_bound_report():
         bound_sweep("nothing", ns, EPS, SIGMA, PROF, 2, 2)
 
 
+def test_extreme_inputs_name_the_input():
+    # past 2^53 floats skip integers, and below the smallest normal float a
+    # target's reciprocal overflows: both are refused by name, before any
+    # arithmetic, by every plan mode, bound and search
+    huge, tiny = 10 ** 400, 1e-320
+    for n in (huge, 2 ** 53 + 1):
+        with pytest.raises(ValueError, match=r"n must be at most 2\^53.*got"):
+            plan_theorem_main(n, EPS, SIGMA, PROF, 2)
+        for name in BOUND_NAMES:
+            with pytest.raises(ValueError, match=r"n must be at most 2\^53"):
+                bound_report(name, n, EPS, SIGMA, PROF, 2, 2)
+    assert plan_remark(2 ** 53, EPS, SIGMA, PROF, 2).n == 2 ** 53
+    for eps, sigma, name, got in ((tiny, SIGMA, "eps", tiny), (EPS, tiny, "sigma", tiny),
+                                  (5e-324, SIGMA, "eps", 5e-324)):
+        want = f"target {name} must be at least 2.2250738585072014e-308.*got {got!r}"
+        with pytest.raises(ValueError, match=want):
+            plan_theorem_main(100, eps, sigma, PROF, 2)
+        with pytest.raises(ValueError, match=want):
+            plan_desk_exact(CHAIN, 8, eps, sigma)
+        for bound in BOUND_NAMES:
+            with pytest.raises(ValueError, match=want):
+                bound_report(bound, 100, eps, sigma, PROF, 2, 2)
+            with pytest.raises(ValueError, match=want):
+                min_positive_n(bound, eps, sigma, PROF, 2, 2)
+
+
 def test_reports_share_no_details():
     # changing one report's details leaves every other report as it was
     for name in ("hr_linear", "hr_concat"):

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from omska import cli
 from omska.planner import Plan, plan_desk_exact
 from omska.protocol import (_RANK_CACHE_BYTES, DEFAULT_SEARCH_BUDGET, BudgetExceededError,
-                            Transcript, _ball_inputs, _expand, _level_inputs, _level_list,
-                            _list_decode, _pattern_table, _rank_list, bob_decode, guess_set,
-                            run_session, search_budget)
+                            Transcript, _build_rank_list, _expand, _level_list, _rank_list,
+                            bob_decode, guess_set, run_session, search_budget)
 from omska.source import JointSource, bsc_chain, hamming_ball_size
 from omska.uhash import BitString, encode_symbols, field_for_source, symbol_width
 from omska.uhash import hash as uhf_hash
@@ -115,12 +114,32 @@ def _field_hashes(rows, seed, t, ctx, size_x):
     return acc >> np.uint64(m - t) if t else np.zeros_like(acc)
 
 
+def _literal_list(y, plan, src):
+    """Oracle list, in no particular order.  Up to 2^20 blocks, all |X|^n of
+    them are enumerated at once and kept when their cost, summed left to
+    right from math.log2 of the conditionals, is within the threshold (plus
+    1e-9); larger spaces take the depth-first search."""
+    size_x, n = src.alphabet_sizes[0], len(y)
+    if size_x ** n > 1 << 20:
+        return _dfs_guess_list(y, plan, src, DEFAULT_SEARCH_BUDGET)[0]
+    p_xy = src.p_xy()
+    p_y = p_xy.sum(axis=0)
+    cost = np.array([[-math.log2(p_xy[a, v] / p_y[v]) if p_xy[a, v] > 0.0 else math.inf
+                      for v in range(p_xy.shape[1])] for a in range(size_x)])
+    index = np.arange(size_x ** n)
+    total = np.zeros(index.shape[0])
+    for i in range(n):
+        total = total + cost[index // size_x ** (n - 1 - i) % size_x, y[i]]
+    kept = index[total <= plan.list_log_threshold + 1e-9]
+    return kept[:, None] // size_x ** np.arange(n - 1, -1, -1) % size_x
+
+
 def _literal_decode(y, check_value, recon_seed, plan, ctx, src):
-    """Oracle: hash every block of the depth-first list through a field
-    multiply written out here (uhash.hash itself above 64 bits, one block at
-    a time); ('ok', block) on exactly one match."""
+    """Oracle: hash every block of the literal list through a field multiply
+    written out here (uhash.hash itself above 64 bits, one block at a time);
+    ('ok', block) on exactly one match."""
     size_x = src.alphabet_sizes[0]
-    rows, _ = _dfs_guess_list(y, plan, src, DEFAULT_SEARCH_BUDGET)
+    rows = _literal_list(y, plan, src)
     if ctx.bits > 64:
         hits = [row for row in rows
                 if uhf_hash(encode_symbols(row, size_x), recon_seed, plan.recon_bits,
@@ -141,6 +160,15 @@ def _deviations(rows):
 
 def _general_list(y, plan, src, budget):
     return _expand(*_level_list(y, plan, src, budget))
+
+
+def _same_decode(got, want):
+    """A decode result equals the oracle's: the status, and the block if any."""
+    assert got[0] == want[0]
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        assert got[1].dtype == np.int64 and np.array_equal(got[1], want[1])
 
 
 def _random_source(data):
@@ -228,21 +256,16 @@ def test_session_fields_on_agreement():
 
 
 def test_ball_and_scan_decoders_agree():
-    # each session decodes by the ball; the scan decoder must reproduce it
+    # each session decodes the cascade's list, its Hamming ball; the literal
+    # oracle must reproduce the outcome and the block
     for n, sessions in ((16, 100), (32, 15)):
         plan = plan_desk_exact(CHAIN, n, 0.05, 0.05)
         ctx = field_for_source(n, 2)
         for seed in range(sessions):
             res = run_session(CHAIN, plan, rng_seed=seed)
             tr = res.transcript
-            args = (res.y, tr.check_value, tr.recon_seed, plan, ctx, CHAIN)
-            ball, scan = _list_decode(_ball_inputs, *args), _list_decode(_level_inputs, *args)
-            assert ball[0] == scan[0] == ("abort" if res.outcome == "aborted" else "ok"), seed
-            if res.decoded is None:
-                assert ball[1] is None and scan[1] is None
-            else:
-                assert np.array_equal(ball[1], res.decoded)
-                assert np.array_equal(scan[1], res.decoded)
+            want = _literal_decode(res.y, tr.check_value, tr.recon_seed, plan, ctx, CHAIN)
+            _same_decode(("abort" if res.outcome == "aborted" else "ok", res.decoded), want)
 
 
 def test_guess_set_chain_matches_bruteforce():
@@ -258,13 +281,12 @@ def test_guess_set_chain_matches_bruteforce():
               if sum(keep if c == yv else flip for c, yv in zip(cand, y)) <= lam}
     assert {tuple(r) for r in rows} == expect
 
-    # weight-ascending, lexicographic flip positions within a weight
-    assert np.array_equal(rows[0], y)
-    for k in range(8):
-        diff = np.nonzero(rows[1 + k] != y)[0]
-        assert list(diff) == [k]
-    assert list(np.nonzero(rows[9] != y)[0]) == [0, 1]
-    assert list(np.nonzero(rows[-1] != y)[0]) == [6, 7]
+    # depth-first order, lexicographic in rank (rank 1 is the flip): y, then
+    # the last position flipped, and the flips of position 0 last
+    assert np.array_equal(rows, _dfs_guess_list(y, plan, CHAIN, DEFAULT_SEARCH_BUDGET)[0])
+    flips = [list(np.flatnonzero(row != y)) for row in rows]
+    assert flips[:4] == [[], [7], [6], [6, 7]]
+    assert flips[-3:] == [[0, 3], [0, 2], [0, 1]]
 
 
 def test_guess_set_general_matches_bruteforce():
@@ -287,6 +309,21 @@ def test_guess_set_general_matches_bruteforce():
 
     tight = guess_set(y, _hand_plan(5, 3.79, 0, 0), src)
     assert tight.shape[0] == 1  # only the pointwise-MAP block fits
+
+
+def test_guess_set_with_one_symbol_columns():
+    # y = 1 admits x = 1 alone, so every other slot's column has one entry:
+    # those levels keep each row at rank 0, between levels that branch
+    pmf = np.array([[0.25, 0.0], [0.15, 0.5], [0.1, 0.0]])[:, :, None]
+    src = JointSource((3, 2, 1), pmf)
+    assert src.cost_columns[1] == (0.0,)
+    y = np.array([0, 1, 0, 1, 0, 1])
+    for lam in (3.5, 1e3):
+        plan = _hand_plan(6, lam, 0, 0)
+        rows = guess_set(y, plan, src)
+        assert np.array_equal(rows, _dfs_guess_list(y, plan, src, DEFAULT_SEARCH_BUDGET)[0])
+        assert np.all(rows[:, 1::2] == 1)
+    assert rows.shape == (27, 6)
 
 
 def test_guess_set_validates_y():
@@ -314,7 +351,7 @@ def test_rank_list_built_once_for_a_symmetric_source():
     n = 10
     plan = _hand_plan(n, 12.0, 0, 0)
     rng = np.random.default_rng(50)
-    _rank_list.tables.clear()
+    _rank_list.clear()
     hits, misses = _rank_list.hits, _rank_list.misses
     for _ in range(50):
         y = rng.integers(0, 3, n)
@@ -337,6 +374,17 @@ def test_rank_list_built_once_for_a_symmetric_source():
                               _dfs_guess_list(y, plan, unlike, DEFAULT_SEARCH_BUDGET)[0])
     assert _rank_list.misses - misses == 2 * _rank_list.maxsize
     assert len(_rank_list.tables) == _rank_list.maxsize
+
+
+def test_rank_list_width_ignores_rows_pruned_on_the_way():
+    # 0.1 + (0.3 + 0.2) == 0.6 < (0.1 + 0.2) + 0.3: the rank-1 row of slot 0
+    # passes its level's check and has no child at the next, as in the
+    # depth-first oracle, so the one listed block has no deviation and the
+    # table no column
+    lam = 0.6 - 1e-9
+    assert lam + 1e-9 == 0.6
+    table = _build_rank_list(((0.0, 0.1), (0.2,), (0.3,)), lam, DEFAULT_SEARCH_BUDGET, 2)
+    assert table.shape == (1, 0)
 
 
 def test_rank_list_cached_and_capped_by_budget(monkeypatch):
@@ -363,7 +411,7 @@ def test_rank_list_cached_and_capped_by_budget(monkeypatch):
 
 
 def test_rank_list_over_the_byte_cap_is_not_pinned(monkeypatch):
-    assert _rank_list.max_bytes == _RANK_CACHE_BYTES
+    assert _rank_list.max_bytes == _RANK_CACHE_BYTES == 64 << 20
     src = _symmetric_ternary_source()
     y = np.array([1, 0, 2, 2, 1])
     plan = _hand_plan(5, 8.5, 0, 0)
@@ -371,15 +419,57 @@ def test_rank_list_over_the_byte_cap_is_not_pinned(monkeypatch):
     # one int64 entry a deviation, as wide as the row with the most
     nbytes = 8 * want.shape[0] * _deviations(want).max()
     monkeypatch.setattr(_rank_list, "max_bytes", nbytes - 1)
-    _rank_list.tables.clear()
+    _rank_list.clear()
     misses = _rank_list.misses
     for _ in range(3):
         rows = guess_set(y, plan, src)
         assert np.array_equal(rows, want) and rows.flags.writeable
     assert _rank_list.misses == misses + 3 and not _rank_list.tables
+    assert _rank_list.nbytes == 0
     monkeypatch.setattr(_rank_list, "max_bytes", nbytes)
     guess_set(y, plan, src)
-    assert len(_rank_list.tables) == 1
+    assert len(_rank_list.tables) == 1 and _rank_list.nbytes == nbytes
+    _rank_list.clear()
+
+
+def test_rank_cache_evicts_least_recent_within_its_bytes(monkeypatch):
+    # the byte cap is a total: pinning a table evicts the least recently used
+    # ones until every pinned table fits
+    src = _symmetric_ternary_source()
+    plan = _hand_plan(5, 8.5, 0, 0)
+    ys = [np.array(y) for y in ([1, 0, 2, 2, 1], [0, 0, 0, 0, 0, 0], [2, 1, 0, 1], [1, 1])]
+    _rank_list.clear()
+    sizes = []
+    for y in ys:
+        guess_set(y, plan, src)
+        sizes.append(_rank_list.nbytes - sum(sizes))
+    assert min(sizes) > 0 and _rank_list.nbytes == sum(sizes)
+    keys = list(_rank_list.tables)
+    _rank_list.clear()
+    for y in ys[:3] + ys[:1]:  # the first table becomes the most recent
+        guess_set(y, plan, src)
+    assert list(_rank_list.tables) == [keys[1], keys[2], keys[0]]
+    monkeypatch.setattr(_rank_list, "max_bytes", sizes[0] + sizes[2] + sizes[3])
+    guess_set(ys[3], plan, src)  # evicts the second table only
+    assert list(_rank_list.tables) == [keys[2], keys[0], keys[3]]
+    assert _rank_list.nbytes == sizes[0] + sizes[2] + sizes[3]
+    _rank_list.clear()
+
+
+def test_long_desk_table_stays_pinned():
+    # the n = 64 desk plan's table (679,121 rows, 4 deviations, about 21 MiB)
+    # fits the byte cap: it is built on the first session only, and shared by
+    # every y, since a cascade's two cost columns are equal
+    plan = plan_desk_exact(CHAIN, 64, 0.05, 0.05)
+    res = run_session(CHAIN, plan, rng_seed=5)
+    misses = _rank_list.misses
+    for seed in (6, 7):
+        again = run_session(CHAIN, plan, rng_seed=seed)
+        assert again.outcome == "agreed" and np.array_equal(again.decoded, again.x)
+    assert _rank_list.misses == misses and res.outcome in ("agreed", "aborted")
+    table, _ = _level_list(np.ones(64, dtype=np.int64), plan, CHAIN, DEFAULT_SEARCH_BUDGET)
+    assert table.shape == (plan.list_size, 4) == (679121, 4)
+    assert _rank_list.misses == misses
 
 
 def test_radius_edge_cases():
@@ -444,21 +534,24 @@ def test_budget_caps_all_search_paths(monkeypatch):
     monkeypatch.setenv("OMSKA_BUDGET", "10")
     plan = plan_desk_exact(CHAIN, 8, 0.005, 0.05)  # 37 candidates > 10
     y = np.array([1, 0, 0, 1, 1, 1, 0, 1])
+    # a cascade overrun reports the running node total, as any source does
+    _, per_depth = _dfs_guess_list(y, plan, CHAIN, DEFAULT_SEARCH_BUDGET)
+    depth, crossed = next((i, total) for i, total in enumerate(itertools.accumulate(per_depth))
+                          if total > 10)
     with pytest.raises(BudgetExceededError) as listed:
         guess_set(y, plan, CHAIN)
     with pytest.raises(BudgetExceededError) as decoded:
-        _list_decode(_ball_inputs, y, BitString(0, plan.recon_bits), BitString(1, 8),
-                     plan, _ctx8(), CHAIN)
+        bob_decode(y, BitString(0, plan.recon_bits), BitString(1, 8), plan, _ctx8(), CHAIN)
     for exc in (listed.value, decoded.value):
-        assert (exc.count, exc.budget) == (37, 10)
-        assert str(exc) == "guess list holds 37 blocks, budget is 10"
+        assert (exc.count, exc.budget) == (crossed, 10)
+        assert str(exc) == f"list search exceeded budget 10 at depth {depth}"
     with pytest.raises(BudgetExceededError) as searched:
         guess_set(np.array([0, 1, 0, 0, 1]), _hand_plan(5, 7.0, 0, 0),
                   _ternary_source())
     assert searched.value.budget == 10 and searched.value.count > 10
     # the numbers survive the trip back from a worker process
     back = pickle.loads(pickle.dumps(listed.value))
-    assert (str(back), back.count, back.budget) == (str(listed.value), 37, 10)
+    assert (str(back), back.count, back.budget) == (str(listed.value), crossed, 10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -514,16 +607,8 @@ def test_scan_decode_matches_literal_hash_oracle(data):
         check = uhf_hash(encode_symbols(x, src.alphabet_sizes[0]), seed, plan.recon_bits, ctx)
     else:
         check = BitString(data.draw(st.integers(0, (1 << t) - 1), label="check"), t)
-    want = _literal_decode(y, check, seed, plan, ctx, src)
-    # the level-wise table on every source, and the ball's on a cascade too
-    tables = (_level_inputs,) if src.cascade is None else (_level_inputs, _ball_inputs)
-    for inputs in tables:
-        got = _list_decode(inputs, y, check, seed, plan, ctx, src)
-        assert got[0] == want[0]
-        if want[1] is None:
-            assert got[1] is None
-        else:
-            assert got[1].dtype == np.int64 and np.array_equal(got[1], want[1])
+    _same_decode(bob_decode(y, check, seed, plan, ctx, src),
+                 _literal_decode(y, check, seed, plan, ctx, src))
 
 
 def test_scan_decode_above_64_bits():
@@ -547,7 +632,8 @@ def test_scan_decode_above_64_bits():
 
 
 def test_ball_decode_above_64_bits():
-    # the ball serves cascades past 64 bits: the symbol table holds Python ints
+    # the cascade's list, its Hamming ball, past 64 bits: the symbol table
+    # holds Python ints
     rng = np.random.default_rng(65)
     for n in (65, 80):
         ctx = field_for_source(n, 2)
@@ -562,14 +648,8 @@ def test_ball_decode_above_64_bits():
                 check = BitString(int(rng.integers(0, 1 << 30)), 30)
             else:
                 check = uhf_hash(encode_symbols(rows[k], 2), seed, plan.recon_bits, ctx)
-            got = _list_decode(_ball_inputs, y, check, seed, plan, ctx, CHAIN)
-            scan = _list_decode(_level_inputs, y, check, seed, plan, ctx, CHAIN)
-            want = _literal_decode(y, check, seed, plan, ctx, CHAIN)
-            assert got[0] == scan[0] == want[0]
-            if want[1] is None:
-                assert got[1] is None and scan[1] is None
-            else:
-                assert np.array_equal(got[1], want[1]) and np.array_equal(scan[1], want[1])
+            got = bob_decode(y, check, seed, plan, ctx, CHAIN)
+            _same_decode(got, _literal_decode(y, check, seed, plan, ctx, CHAIN))
             if k is not None:
                 assert got[0] == "ok" and np.array_equal(got[1], rows[k])
 
@@ -577,11 +657,9 @@ def test_ball_decode_above_64_bits():
 def test_one_block_and_empty_lists_match_literal_oracle():
     # a one-block list is a zero-width deviation table, the center alone; an
     # empty list has no rows.  Both in an 80-bit ternary field (Python ints)
-    # and in a 65-bit cascade, where the ball and the level-wise table meet.
+    # and in a 65-bit cascade.
     rng = np.random.default_rng(81)
-    cases = [(_ternary_source(), 40, (_level_inputs,)),
-             (CHAIN, 65, (_ball_inputs, _level_inputs))]
-    for src, n, tables in cases:
+    for src, n in ((_ternary_source(), 40), (CHAIN, 65)):
         ctx = field_for_source(n, src.alphabet_sizes[0])
         assert ctx.bits in (80, 65)
         y = rng.integers(0, 2, n)
@@ -591,9 +669,7 @@ def test_one_block_and_empty_lists_match_literal_oracle():
             plan = _hand_plan(n, cheapest + slack, 20, 0)
             rows = guess_set(y, plan, src)
             assert rows.shape == (count, n)
-            for inputs in tables:
-                table = inputs(y, BitString(1, ctx.bits), plan, ctx, src)[0]
-                assert table.shape == (count, 0)
+            assert _level_list(y, plan, src, DEFAULT_SEARCH_BUDGET)[0].shape == (count, 0)
             for k in range(3):
                 seed = BitString(int.from_bytes(rng.bytes(10), "big") >> (80 - ctx.bits),
                                  ctx.bits)
@@ -605,13 +681,7 @@ def test_one_block_and_empty_lists_match_literal_oracle():
                 want = _literal_decode(y, check, seed, plan, ctx, src)
                 if count and k < 2:
                     assert want[0] == "ok"
-                for inputs in tables:
-                    got = _list_decode(inputs, y, check, seed, plan, ctx, src)
-                    assert got[0] == want[0]
-                    if want[1] is None:
-                        assert got[1] is None
-                    else:
-                        assert got[1].dtype == np.int64 and np.array_equal(got[1], want[1])
+                _same_decode(bob_decode(y, check, seed, plan, ctx, src), want)
 
 
 def test_general_budget_stops_before_the_crossing_level(monkeypatch):
@@ -638,50 +708,56 @@ def _ctx8():
     return field_for_source(8, 2)
 
 
-def test_pattern_table_cached_and_capped_by_budget(monkeypatch):
+def test_cascade_table_cached_and_capped_by_budget(monkeypatch):
     monkeypatch.delenv("OMSKA_BUDGET", raising=False)
     plan = plan_desk_exact(CHAIN, 8, 0.005, 0.05)  # radius 2, 37 candidates
     y = np.array([1, 0, 0, 1, 1, 1, 0, 1])
     check = uhf_hash(encode_symbols(y, 2), BitString(1, 8), plan.recon_bits, _ctx8())
 
-    def decode():
-        return _list_decode(_ball_inputs, y, check, BitString(1, 8), plan, _ctx8(), CHAIN)
+    def decode(block):
+        return bob_decode(block, check, BitString(1, 8), plan, _ctx8(), CHAIN)
 
-    assert guess_set(y, plan, CHAIN).shape == (37, 8)  # builds or reuses (8, 2)
-    built = _pattern_table.cache_info()
-    status, block = decode()
+    assert guess_set(y, plan, CHAIN).shape == (37, 8)  # builds or reuses the table
+    hits, misses = _rank_list.hits, _rank_list.misses
+    status, block = decode(y)
     assert status == "ok" and np.array_equal(block, y)
-    reused = _pattern_table.cache_info()
-    assert reused.misses == built.misses and reused.hits == built.hits + 1
-    # a cached table is no way round the budget: the check runs before the lookup
+    # both cost columns of a cascade are equal, so any y shares the table
+    assert decode(1 - y)[0] in ("ok", "abort")
+    assert (_rank_list.hits, _rank_list.misses) == (hits + 2, misses)
+    # a cached table is no way round the budget: it is part of the key, and
+    # the search stops at the level that crosses it
     monkeypatch.setenv("OMSKA_BUDGET", "10")
-    for call in (lambda: guess_set(y, plan, CHAIN), decode):
+    pinned = list(_rank_list.tables)
+    for call in (lambda: guess_set(y, plan, CHAIN), lambda: decode(y)):
         with pytest.raises(BudgetExceededError) as exc:
             call()
-        assert (exc.value.count, exc.value.budget) == (37, 10)
-    assert _pattern_table.cache_info() == reused
+        assert exc.value.budget == 10 and exc.value.count > 10
+    assert list(_rank_list.tables) == pinned
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_pattern_table_invariants(data):
-    n = data.draw(st.integers(1, 12), label="n")
-    radius = data.draw(st.integers(0, n), label="radius")
-    table = _pattern_table(n, radius)
-    assert table.shape == (hamming_ball_size(n, radius), radius)
-    assert not table.flags.writeable
-    rows = [tuple(int(v) for v in row if v < n) for row in table]
-    for positions, row in zip(rows, table):
-        # strictly increasing positions, then padding to the end of the row
-        assert list(positions) == sorted(set(positions))
-        assert list(row[len(positions):]) == [n] * (radius - len(positions))
-    assert len(set(rows)) == len(rows)
-    assert rows == sorted(rows, key=lambda r: (len(r), r))  # weight, then lexicographic
+def test_cascade_table_matches_desk_plan():
+    # the planner counts the cascade's list by a binomial scan, the builder
+    # lists it: for every desk plan up to n = 64 the table has list_size rows,
+    # none with more than ball_radius deviations (flips), and y = 0 and y = 1
+    # share it
+    for n in range(1, 65):
+        plan = plan_desk_exact(CHAIN, n, 0.05, 0.05)
+        table, ranked = _level_list(np.zeros(n, dtype=np.int64), plan, CHAIN,
+                                    DEFAULT_SEARCH_BUDGET)
+        assert table.shape[0] == plan.list_size, n
+        assert table.shape[1] == plan.ball_radius, n
+        assert (table < n).sum(axis=1).max() == plan.ball_radius, n
+        assert ranked.tolist() == [[0, 1]] * n
+        flipped, _ = _level_list(np.ones(n, dtype=np.int64), plan, CHAIN, DEFAULT_SEARCH_BUDGET)
+        assert flipped is table, n
+    assert _rank_list.nbytes <= _rank_list.max_bytes
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_ball_decode_matches_scan_property(data):
+    # a cascade's Hamming ball through the one decoder, against the literal
+    # oracle
     n = data.draw(st.integers(1, 10), label="n")
     src = bsc_chain(data.draw(st.floats(0.0, 0.5), label="p"),
                     data.draw(st.floats(0.0, 0.5), label="q"))
@@ -697,14 +773,8 @@ def test_ball_decode_matches_scan_property(data):
         check = uhf_hash(encode_symbols(x, 2), seed, plan.recon_bits, ctx)
     else:
         check = BitString(data.draw(st.integers(0, (1 << t) - 1), label="check"), t)
-    ball = _list_decode(_ball_inputs, y, check, seed, plan, ctx, src)
-    scan = _list_decode(_level_inputs, y, check, seed, plan, ctx, src)
-    want = _literal_decode(y, check, seed, plan, ctx, src)
-    assert ball[0] == scan[0] == want[0]
-    if want[1] is None:
-        assert ball[1] is None and scan[1] is None
-    else:
-        assert np.array_equal(ball[1], scan[1]) and np.array_equal(scan[1], want[1])
+    _same_decode(bob_decode(y, check, seed, plan, ctx, src),
+                 _literal_decode(y, check, seed, plan, ctx, src))
 
 
 def test_tampered_check_value_rejects_truth():
@@ -759,8 +829,8 @@ def test_decode_guards():
         bob_decode(y, BitString(0, plan.recon_bits + 1), seed, plan, ctx, CHAIN)
     src3 = _ternary_source()
     ctx3 = field_for_source(5, 3)
-    # the guards run before either decoder: a cascade takes the ball, a
-    # binary non-cascade source the scan
+    # the guards run before the decoder, on a cascade and on a binary
+    # non-cascade source alike
     lopsided = CHAIN.pmf.copy()
     lopsided[0, 0, 0] += 0.01
     lopsided[1, 1, 1] -= 0.01
@@ -780,7 +850,7 @@ def test_decode_guards():
 
 
 def test_decode_validates_y_once(monkeypatch):
-    # bob_decode validates y once, whichever table it decodes through
+    # bob_decode validates y once, on a cascade and on any other source
     from omska import protocol
     calls = []
     received = protocol._received

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omska import verifier
 from omska.planner import Plan, plan_desk_exact
 from omska.source import JointSource, bsc_chain, crossover_convolve, detect_bsc_chain
 from omska.uhash import BitString, GFContext, encode_symbols, field_for_source
@@ -20,7 +22,7 @@ from omska.uhash import hash as uhf_hash
 from omska.verifier import (_CHUNK_CELLS, _cascade_pair_distances, _field_masks,
                             _pair_distances, _seed_pair_blocks, _subset_xors,
                             _walsh_hadamard, avg_min_entropy_product, estimate_reliability,
-                            run_batch, secrecy_sd_exact, summarize_outcomes,
+                            run_batch, run_children, secrecy_sd_exact, summarize_outcomes,
                             uhf_collision_census, wilson_interval)
 
 CHAIN = bsc_chain(0.02, 0.15)
@@ -86,6 +88,53 @@ def test_run_batch_stride_chunks_compose():
         parts += run_batch(CHAIN, plan, seqs[k::3])
     assert whole == parts
     assert sum(whole.values()) == 60
+
+
+def test_reliability_seeds_are_the_spawned_children():
+    # each trial's seed is made on demand, yet it is the child spawn() makes
+    plan = plan_desk_exact(CHAIN, 16, 0.05, 0.05)
+    for rng_seed in (1, 12345, [3, 4]):
+        spawned = run_batch(CHAIN, plan, np.random.SeedSequence(rng_seed).spawn(150))
+        est = estimate_reliability(CHAIN, plan, trials=150, rng_seed=rng_seed)
+        assert est.outcome_counts == dict(spawned) and est.trials == 150
+        entropy = np.random.SeedSequence(rng_seed).entropy
+        assert run_children(CHAIN, plan, entropy, range(1, 150, 2)) \
+            == run_batch(CHAIN, plan, np.random.SeedSequence(rng_seed).spawn(150)[1::2])
+
+
+def test_reliability_memory_stays_flat(monkeypatch):
+    # 10^6 trials with the session stubbed out: seeds are made one at a time,
+    # so the batch grows the process by well under a few MiB, where the
+    # spawned list of 10^6 seed sequences held about 370 MB
+    try:
+        with open("/proc/self/statm") as f:
+            f.read()
+    except OSError:
+        pytest.skip("needs /proc/self/statm to read the resident set")
+    page = os.sysconf("SC_PAGE_SIZE")
+
+    def resident():
+        with open("/proc/self/statm") as f:
+            return int(f.read().split()[1]) * page
+
+    class Agreed:
+        outcome = "agreed"
+
+    peak, calls = [0], [0]
+
+    def stub(src, plan, seq):
+        calls[0] += 1
+        if calls[0] % 50_000 == 0:
+            peak[0] = max(peak[0], resident())
+        return Agreed
+
+    monkeypatch.setattr(verifier, "run_session", stub)
+    plan = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
+    estimate_reliability(CHAIN, plan, trials=10, rng_seed=3)  # first-use allocations
+    before = resident()
+    est = estimate_reliability(CHAIN, plan, trials=10 ** 6, rng_seed=3)
+    assert est.outcome_counts == {"agreed": 10 ** 6} and calls[0] == 10 ** 6 + 10
+    assert peak[0] - before < 4 << 20
 
 
 def test_summarize_outcomes():
