@@ -158,18 +158,18 @@ def _check_n(n: int, least: int = MIN_PLAN_N) -> None:
                          f"exactly, got {n}")
 
 
-def _target_error(what: str, name: str, target: float) -> ValueError:
+def _check_target(what: str, name: str, target: float) -> None:
+    if _LEAST_TARGET <= target < 1.0:
+        return
     if 0.0 < target < 1.0:
-        return ValueError(f"{what} target {name} must be at least {_LEAST_TARGET!r}, "
-                          f"the smallest normal float, got {target!r}")
-    return ValueError(f"{what} target {name} must be in (0, 1), got {target!r}")
+        raise ValueError(f"{what} target {name} must be at least {_LEAST_TARGET!r}, "
+                         f"the smallest normal float, got {target!r}")
+    raise ValueError(f"{what} target {name} must be in (0, 1), got {target!r}")
 
 
 def _check_targets(eps: float, sigma: float) -> None:
-    if not (_LEAST_TARGET <= eps < 1.0):
-        raise _target_error("reliability", "eps", eps)
-    if not (_LEAST_TARGET <= sigma < 1.0):
-        raise _target_error("secrecy", "sigma", sigma)
+    _check_target("reliability", "eps", eps)
+    _check_target("secrecy", "sigma", sigma)
 
 
 def _entropy_slack(n: int, log_alpha: float, budget: float) -> float:
@@ -193,7 +193,8 @@ def _key_length_real(n: int, profile: EntropyProfile, log_alpha: float,
     gap = n * (profile.h_x_given_z - profile.h_x_given_y)
     penalty = math.sqrt(2.0 * n) * log_alpha * (
         math.sqrt(math.log2(1.0 / eps_smooth)) + math.sqrt(math.log2(1.0 / eps_miss)))
-    return gap + 2.0 + math.log2(eps_collide * margin * margin) - penalty
+    # summed as logs: eps_collide * margin^2 underflows to 0 for tiny targets
+    return gap + 2.0 + math.log2(eps_collide) + 2.0 * math.log2(margin) - penalty
 
 
 def _main_split(n: int, eps: float, sigma: float) -> tuple[float, float, float]:
@@ -419,10 +420,8 @@ def comm_cost(n: int, eps: float, profile: EntropyProfile, alphabet_x: int,
     the general independent-experiments form replaces the dispersion term with
     sqrt(2)*log2(|X|+3)*sqrt(log2(1/eps)).  O(1) set to 0.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"reliability target eps must be in (0, 1), got {eps!r}")
+    _check_n(n, 1)
+    _check_target("reliability", "eps", eps)
     base = n * profile.h_x_given_y + 0.5 * math.log2(n)
     if iid:
         if profile.var_x_given_y < 0.0:

@@ -164,8 +164,8 @@ def detect_bsc_chain(src: JointSource) -> BscChainParams | None:
     """Return the cascade parameters if `src` is entrywise a bsc_chain source
     (within PMF_TOL), else None.
 
-    Computed once per source, as `JointSource.cascade`; the decoder, the desk
-    planner and the secrecy audit read that attribute.
+    Computed once per source, as `JointSource.cascade`; the desk planner
+    reads that attribute.
     """
     if src.alphabet_sizes != (2, 2, 2):
         return None

@@ -4,26 +4,28 @@ Reliability is checked by Monte Carlo over full sessions with a Wilson score
 interval on the failure rate.  Secrecy is checked exactly at desk scale: the
 statistical distance between (key, transcript, eavesdropper block) and an
 ideal uniform key is computed per seed pair, over every seed pair for small
-fields.  On the binary cascade each pair's distance comes in closed form from
-the Walsh spectrum of L e, the (check, key) map applied to the end-to-end
-flip pattern, read from a table of seed masks that is built once per field;
-any other binary pmf enumerates every source block and eavesdropper block of
-the dense law, which also serves as the cascade's oracle in the tests.  Both
-walk the same seed pairs in the same order: a grid of reconciliation seeds,
-each against every key seed, or the drawn pairs themselves.  The cascade
-computes each chunk of at most 2^16 (check, key) cells in buffers that its
-thread keeps from chunk to chunk and audit to audit, and each chunk writes
-its terms straight into the audit's array, so a steady run of audits maps
-in no fresh pages.  Cells shared between seed pairs are computed once: with
-no check value (t = 0) a term depends on the key seed alone, so one term per
-key seed serves every reconciliation seed; a grid block gathers the spectrum
-slice that does not involve the reconciliation seed once per key seed; and a
-1-bit key transforms only the check rows.  No concentration inequality
-stands between the reported number and the definition; the only
-approximation ever introduced is seed-pair sampling, and then the report
-says so and carries a standard error.  The report's leftover-hash bound
-takes the average min-entropy in closed form from the product law
-(source.avg_min_entropy_product); its dense enumeration is a test oracle.
+fields.  Given the eavesdropper block z, the source block has a product law,
+so each pair's distance comes in closed form from the Walsh spectrum of L x,
+the (check, key) map applied to the block, read from a table of seed masks
+built once per field.  The spectrum depends on z only through the biases of
+X given Z = 0 and Z = 1: where they agree, as on the binary cascade, one
+class stands for every z, and otherwise each z is a class of its own,
+weighted by P(z).  The dense block law is the tests' oracle.  The audit
+walks a grid of reconciliation seeds, each against every key seed, or the
+drawn pairs themselves, in chunks of at most 2^16 (seed pair, class, check,
+key) cells, in buffers that its thread keeps from chunk to chunk and audit
+to audit; each chunk writes its terms straight into the audit's array, so a
+steady run of cascade audits maps in no fresh pages.  Cells shared between
+seed pairs are computed once: with no check value (t = 0) a term depends on
+the key seed alone, so one term per key seed serves every reconciliation
+seed; a grid block gathers the spectrum slice that does not involve the
+reconciliation seed once per key seed; and a 1-bit key transforms only the
+check rows.  No concentration inequality stands between the reported number
+and the definition; the only approximation ever introduced is seed-pair
+sampling, and then the report says so and carries a standard error.  The
+report's leftover-hash bound takes the average min-entropy in closed form
+from the product law (source.avg_min_entropy_product); its dense enumeration
+is a test oracle.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ import math
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .planner import Plan
 from .protocol import run_session
-from .source import JointSource, avg_min_entropy_product, crossover_convolve
+from .source import PMF_TOL, JointSource, avg_min_entropy_product
 from .uhash import BitString, GFContext, SeedHasher, field_for_source
 
 # two-sided 95% normal quantile, fixed so intervals are reproducible
@@ -182,44 +184,6 @@ def _seed_pair_blocks(m: int, draws: np.ndarray | None, chunk: int):
             yield recon[lo:lo + rows, None], keys[:, k:k + width]
 
 
-def _pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
-    """Per seed pair, the distance of the ell-bit key from uniform given the
-    t-bit check value and the eavesdropper block, by scattering the dense
-    block law into (check, key) buckets; any binary pmf, blocks of m bits.
-
-    Returns distances(seeds, key_seeds, out), which writes one term per pair
-    of the two index arrays broadcast together, in C order, into out and
-    returns it."""
-    m = ctx.bits
-    # joint block distribution over (x-block, z-block), big-endian kron order
-    M = reduce(np.kron, (pair,) * m)
-    # bucket = check value then key; t = 0 shifts every product out to 0
-    to_check, to_key = np.uint64(m - t), np.uint64(m - ell)
-    n_buckets = 1 << (t + ell)
-    z_cols = M.shape[1]
-    cols = np.arange(z_cols, dtype=np.int64)
-    flat_weights = np.ascontiguousarray(M).ravel()
-    inv_keys = 1.0 / (1 << ell)
-
-    def distances(seeds: np.ndarray, key_seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
-        seeds, key_seeds = (a.ravel() for a in np.broadcast_arrays(seeds, key_seeds))
-        # products of every x-block, once per distinct seed
-        table = {s: SeedHasher(BitString(s, m), ctx).product_table()
-                 for s in set(seeds.tolist()) | set(key_seeds.tolist())}
-        for j, (s, s2) in enumerate(zip(seeds.tolist(), key_seeds.tolist())):
-            bucket = ((table[s] >> to_check) << np.uint64(ell)
-                      | table[s2] >> to_key).astype(np.int64)
-            flat = bucket[:, None] * z_cols + cols[None, :]
-            joint = np.bincount(flat.ravel(), weights=flat_weights,
-                                minlength=n_buckets * z_cols).reshape(n_buckets, z_cols)
-            by_check = joint.reshape(1 << t, 1 << ell, z_cols)
-            ideal = by_check.sum(axis=1, keepdims=True) * inv_keys
-            out[j] = 0.5 * np.abs(by_check - ideal).sum()
-        return out
-
-    return distances
-
-
 def _subset_xors(rows: np.ndarray) -> np.ndarray:
     """out[a, c] = XOR of rows[j, c] over the set bits j of a, by subset
     doubling: the a with top bit j take the XORs below 2^j XOR row j."""
@@ -291,39 +255,64 @@ def _chunk_buffers(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(b[:cells] for b in buffers)
 
 
-def _cascade_pair_distances(delta: float, ctx: GFContext, t: int, ell: int):
-    """Per seed pair, the _pair_distances term for the binary cascade, where
-    X is uniform and Z = X xor e with e i.i.d. Bernoulli(delta), from the
-    Walsh spectrum of L e.
+# biases this close make one class: a pmf within PMF_TOL of a cascade in each
+# (x, y, z) cell, as detect_bsc_chain accepts, moves each by about 16 PMF_TOL
+_BIAS_TOL = 64 * PMF_TOL
 
-    L x = (check, key) is linear, so given Z = z the pair is L z xor L e, a
-    shift of the law Q of L e, and the distance is 1/2 sum_{c,k} |Q(c,k) -
-    Q(c)/2^ell| for every z.  Q has the Walsh coefficients (1 - 2 delta)^wt(L^T
-    w); the ideal-key law has the same ones where the key part b of w = (a, b)
-    is 0 and none elsewhere, so the difference is one inverse transform of the
-    spectrum with b = 0 cleared.  L^T (a, b) = v_a(s) xor v_b(s2), where v_a(s)
-    is the mask of the functional x -> a . top_t(x (.) s), read from the
-    field's cached mask table.  A grid block tabulates v_a for its
-    reconciliation seeds and v_b for its key seeds, not for each pair.  Each
-    block's cells are computed in the calling thread's chunk workspace.
 
-    Two slices of the spectrum cost less than a gather per pair.  At a = 0
-    the cell is coeff[v_b(s2)], whatever the reconciliation seed, so a block
-    gathers it once per key seed and copies it to the block's other seeds.
-    The b = 0 slice is cleared, which at ell = 1 leaves one key column: the
-    key-axis butterfly turns its (0, x) into (x, -x), so only the b = 1 cells
-    are gathered and transformed, over the t check bits, and each |row| is
-    then added twice, in the order of the full (a, b) transform.
+def _z_classes(pair: np.ndarray, popcount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, coeff) of the binary pair law P(x, z) on m-bit blocks, where
+    popcount[v] = wt(v) for every v < 2^m.  With the biases r_v = |1 - 2 P(X
+    != v | Z = v)| equal within _BIAS_TOL, or a Z symbol of no mass, the one
+    class is z = 0 and coeff[v] = r^wt(v).  Otherwise the classes are the
+    blocks z with P(z) > 0, and coeff[wt(z), k0, k1] = P(z) r0^k0 r1^k1, flat."""
+    (p00, p01), (p10, p11) = pair.tolist()
+    mass = (p00 + p10, p01 + p11)
+    r0, r1 = (abs(1.0 - 2.0 * p / s) if s > 0.0 else None for p, s in zip((p10, p01), mass))
+    if r0 is None or r1 is None or abs(r0 - r1) <= _BIAS_TOL:
+        return np.zeros(1, dtype=np.int64), (r1 if r0 is None else r0) ** popcount
+    m = len(popcount).bit_length() - 1
+    w = np.arange(m + 1)
+    mass_z = mass[0] ** (m - w) * mass[1] ** w
+    return (np.flatnonzero(mass_z[popcount] > 0.0),
+            (mass_z[:, None, None] * np.outer(r0 ** w, r1 ** w)).ravel())
 
-    Returns distances(seeds, key_seeds, out), which writes one term per pair
-    of the two index arrays broadcast together, in C order, into out and
-    returns it.  A pair's |diff| column is summed row by row wherever it
-    falls, alone in its block or not, so its term never depends on its
-    neighbours."""
+
+def _walsh_pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
+    """Per seed pair, the distance of the ell-bit key from uniform given the
+    t-bit check value and the eavesdropper block, from the Walsh spectrum of
+    the block law; any binary pair law P(x, z), blocks of m bits.
+
+    L x = (check, key) is linear.  Given Z = z, X has a product law whose
+    Walsh coefficient at the mask v is P(z) r0^wt(v & ~z) r1^wt(v & z) up to
+    a sign character, which only shifts (check, key) and leaves the distance
+    as it is (r_v as in _z_classes).  L x has the coefficient at L^T w for
+    each w = (a, b), the ideal-key law the same ones where the key part b is
+    0 and none elsewhere, so a pair's term sums 1/2 2^-(t+ell) |inverse
+    transform of the spectrum with b = 0 cleared| over the classes z.  With
+    r0 = r1 one class, z = 0, stands for all: the binary cascade's case, X
+    uniform and Z = X xor e with e i.i.d. Bernoulli(delta), r0 = 1 - 2 delta.
+
+    L^T (a, b) = v_a(s) xor v_b(s2), where v_a(s) is the mask of the
+    functional x -> a . top_t(x (.) s), read from the field's cached mask
+    table; a grid block tabulates v_a for its reconciliation seeds and v_b
+    for its key seeds.  The classes are further columns of the transform, in
+    blocks sized by their number and (t, ell) alone, and each block is
+    computed in the calling thread's chunk workspace.  The a = 0 cells do not
+    depend on the reconciliation seed, so a block gathers them once per key
+    seed.  The b = 0 slice is cleared, which at ell = 1 leaves one key
+    column: the key-axis butterfly turns its (0, x) into (x, -x), so only
+    the b = 1 cells are transformed, over the t check bits, and each |row|
+    is added twice, in the order of the full (a, b) transform.
+
+    Returns (distances, chunk): distances(seeds, key_seeds, out) writes one
+    term per pair of the two index arrays broadcast together, in C order,
+    into out and returns it; a call on at most chunk pairs holds at most
+    _CHUNK_CELLS cells.  A pair's term never depends on its neighbours."""
     m = ctx.bits
     masks, popcount = _field_masks(ctx)
-    # Walsh coefficient of L e at the mask v: (1 - 2 delta)^wt(v)
-    coeff = (1.0 - 2.0 * delta) ** popcount
+    classes, coeff = _z_classes(pair, popcount)
+    block = min(len(classes), max(1, _CHUNK_CELLS >> (t + ell)))
     check_rows, key_rows = masks[m - t:], masks[m - ell:]
     scale = 0.5 / (1 << (t + ell))
 
@@ -331,46 +320,64 @@ def _cascade_pair_distances(delta: float, ctx: GFContext, t: int, ell: int):
         # [a, *index.shape]: v_a of every seed in index
         return _subset_xors(rows.take(index.ravel(), axis=1)).reshape(-1, *index.shape)
 
+    def coefficients(v: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
+        # out[..., c, pairs...]: class z[c]'s coefficient at v[..., 0, pairs...].
+        # "clip" lets take write straight into out ("raise" buffers it); no
+        # index is out of range, so nothing is clipped
+        if len(classes) > 1:
+            # the flat index of coeff[wt(z), wt(v) - k1, k1], k1 = wt(v & z)
+            index = popcount.take(v & z)
+            index *= -m
+            index += (m + 1) * ((m + 1) * popcount.take(z) + popcount.take(v))
+            v = index
+        coeff.take(v, mode="clip", out=out)
+
     def distances(seeds: np.ndarray, key_seeds: np.ndarray, out: np.ndarray) -> np.ndarray:
         pairs = np.broadcast_shapes(seeds.shape, key_seeds.shape)
-        index, spectrum, scratch = _chunk_buffers(math.prod(pairs) << (t + ell))
-        # the key functionals gathered: b = 1 alone at ell = 1, else every b
-        keys = functionals(key_rows, key_seeds)[int(ell == 1):]
-        # [a, b, pairs...]: the coefficient at v_a(s) xor v_b(s2)
-        shape = (1 << t, len(keys), *pairs)
-        cells = spectrum[:math.prod(shape)].reshape(shape)
-        # "clip" lets take write straight into out ("raise" buffers it); every
-        # index is a mask below 2^m, so nothing is clipped.  a = 0 is gathered
-        # once per key seed, into the scratch that the transform uses later
-        top = scratch[:keys.size].reshape(keys.shape)
-        np.take(coeff, keys, mode="clip", out=top)
-        np.copyto(cells[0], top)
-        below = index[:cells[1:].size].reshape(cells[1:].shape)
-        np.bitwise_xor(functionals(check_rows, seeds)[1:, None], keys[None], out=below)
-        np.take(coeff, below, mode="clip", out=cells[1:])
-        rows = 1 << t
-        if ell != 1:
-            cells[:, 0] = 0.0
-            rows <<= ell
-        diff = _walsh_hadamard(cells.reshape(rows, -1),
-                               scratch=scratch[:cells.size].reshape(rows, -1))
-        if ell == 1:
-            # |x|, |-x| of each check row, written into the dead XOR index
-            total = index.view(np.float64).reshape(rows, 2, -1)
-            np.abs(diff[:, None], out=total)
-            diff = total.reshape(2 * rows, -1)
-        else:
-            np.abs(diff, out=diff)
-        if diff.shape[1] == 1:
-            # numpy sums a lone column pairwise; accumulate adds it row by
-            # row, as the sum over a wider block does
-            out[0] = np.add.accumulate(diff[:, 0])[-1]
-        else:
-            np.sum(diff, axis=0, out=out)
+        size = math.prod(pairs)
+        # the key functionals gathered (b = 1 alone at ell = 1, else every b)
+        # and the check ones with a >= 1, each with a unit class axis
+        keys = functionals(key_rows, key_seeds)[int(ell == 1):, None]
+        checks = functionals(check_rows, seeds)[1:, None, None]
+        for lo in range(0, len(classes), block):
+            z = classes[lo:lo + block].reshape(-1, *(1,) * len(pairs))
+            index, spectrum, scratch = _chunk_buffers((size * len(z)) << (t + ell))
+            # [a, b, class, pairs...]: the class's coefficient at v_a(s) xor v_b(s2)
+            shape = (1 << t, len(keys), len(z), *pairs)
+            cells = spectrum[:math.prod(shape)].reshape(shape)
+            # a = 0 is gathered into the scratch that the transform uses later
+            top = scratch[:keys.size * len(z)].reshape(len(keys), len(z), *keys.shape[2:])
+            coefficients(keys, z, top)
+            np.copyto(cells[0], top)
+            below = index[:cells[1:].size // len(z)].reshape(-1, len(keys), 1, *pairs)
+            np.bitwise_xor(checks, keys[None], out=below)
+            coefficients(below, z, cells[1:])
+            rows = 1 << t
+            if ell != 1:
+                cells[:, 0] = 0.0
+                rows <<= ell
+            diff = _walsh_hadamard(cells.reshape(rows, -1),
+                                   scratch=scratch[:cells.size].reshape(rows, -1))
+            if ell == 1:
+                # |x|, |-x| of each check row, written into the dead XOR index
+                total = index.view(np.float64).reshape(rows, 2, -1)
+                np.abs(diff[:, None], out=total)
+                diff = total.reshape(2 * rows, -1)
+            else:
+                np.abs(diff, out=diff)
+            # each pair's column, rows x classes, is added row by row: numpy
+            # would sum a lone column pairwise, so that one is accumulated
+            sums = diff.reshape(-1, size)
+            if size == 1:
+                sums = np.add.accumulate(sums, axis=0)[-1:]
+            if lo == 0:
+                np.add.reduce(sums, axis=0, out=out)
+            else:
+                out += sums.sum(axis=0)
         out *= scale
         return out
 
-    return distances
+    return distances, max(1, (_CHUNK_CELLS >> (t + ell)) // block)
 
 
 def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None,
@@ -378,9 +385,8 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
     """Statistical distance of the extracted key from uniform, given the full
     transcript and the eavesdropper's block, computed exactly per seed pair.
 
-    Binary source and eavesdropper alphabets only, n <= 12.  The binary
-    cascade takes each pair's term from the Walsh spectrum of L e; any other
-    binary pmf enumerates the dense block law.  With seed_pairs and
+    Binary source and eavesdropper alphabets only, n <= 12; each pair's term
+    comes from _walsh_pair_distances.  With seed_pairs and
     recon_seeds both None every (reconciliation seed, key seed) pair is
     enumerated while the field has at most 8 bits; wider fields fall back to
     sampling 256 reconciliation seeds.  seed_pairs samples that many seed
@@ -395,10 +401,10 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
     seed_pairs walks its drawn pairs.  At t = 0 there is no check value and a
     term depends on the key seed alone, so each distinct key seed (every one
     of the 2^m in the grid modes, the drawn ones for seed_pairs) is computed
-    once and copied to every pair that holds it.  On the cascade the field's
-    mask table is built once and cached, so a call pays for at most its
-    cells, seed pairs x 2^(t+ell) (reported as cells), and holds at most one
-    chunk of them at a time, in its thread's reused chunk workspace.  More
+    once and copied to every pair that holds it.  The field's mask table is
+    built once and cached, so a call pays for at most its cells, seed pairs x
+    2^(t+ell) (reported as cells), times the classes (one on the cascade), and
+    holds one chunk of them at a time, in its thread's chunk workspace.  More
     than 2^24 seed pairs are refused before anything is drawn.
     """
     if src.alphabet_sizes[0] != 2 or src.alphabet_sizes[2] != 2:
@@ -443,13 +449,7 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
         terms = None
         sd = 0.0
     else:
-        chain = src.cascade
-        if chain is None:
-            distances = _pair_distances(src.p_xz(), ctx, t, ell)
-        else:
-            distances = _cascade_pair_distances(crossover_convolve(chain.p, chain.q),
-                                                ctx, t, ell)
-        chunk = max(1, _CHUNK_CELLS >> (t + ell))
+        distances, chunk = _walsh_pair_distances(src.p_xz(), ctx, t, ell)
 
         def walk(pairs, out: np.ndarray) -> np.ndarray:
             # each block writes its terms in place: a fresh array per block

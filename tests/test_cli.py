@@ -295,6 +295,23 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2, argv
 
 
+def test_tiny_targets_plan_cleanly(capsys):
+    # eps = sigma = 1e-200 are normal floats, but eps_collide * margin^2
+    # underflows to 0: the key length sums the logs instead of taking the log
+    # of the product
+    tiny = ["--eps", "1e-200", "--sigma", "1e-200"]
+    for mode in ("theorem_main", "remark"):
+        code, out = _run(capsys, ["plan", *BSC, "--n", "100", "--mode", mode, *tiny])
+        plan = json.loads(out)
+        # infeasible, so exit 1, not a usage error
+        assert code == 1 and plan["key_bits"] == 0 and plan["key_real"] < -1000.0, mode
+    code, out = _run(capsys, ["bounds", *BSC, "--n", "100", *tiny])
+    assert code == 0 and out
+    for mode, n_star in (("theorem_main", 121630), ("remark", 121592)):
+        code, out = _run(capsys, ["threshold", *BSC, "--mode", mode, *tiny])
+        assert code == 0 and json.loads(out) == {mode: n_star}
+
+
 def test_inline_source_json(capsys):
     desc = json.dumps({"generator": "bsc_chain", "p": 0.02, "q": 0.15})
     code, out = _run(capsys, ["plan", "--source", desc, "--n", "1000"])

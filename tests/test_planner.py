@@ -445,6 +445,13 @@ def test_comm_cost_guards():
         comm_cost(0, EPS, PROF, 2)
     with pytest.raises(ValueError):
         comm_cost(100, 0.0, PROF, 2)
+    # the planners' checks: past 2^53 (an int too large for a float) and
+    # below the smallest normal float, in either form
+    with pytest.raises(ValueError, match="2\\^53"):
+        comm_cost(10 ** 400, EPS, PROF, 2)
+    for iid in (True, False):
+        with pytest.raises(ValueError, match="smallest normal float"):
+            comm_cost(100, 1e-320, PROF, 2, iid=iid)
 
 
 def test_desk_plan_frozen_reference():

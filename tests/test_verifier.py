@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from omska import verifier
 from omska.planner import Plan, plan_desk_exact
-from omska.source import JointSource, bsc_chain, crossover_convolve, detect_bsc_chain
-from omska.uhash import BitString, GFContext, encode_symbols, field_for_source
+from omska.source import (PMF_TOL, JointSource, bsc_chain, crossover_convolve,
+                          detect_bsc_chain)
+from omska.uhash import (BitString, GFContext, SeedHasher, encode_symbols,
+                         field_for_source)
 from omska.uhash import hash as uhf_hash
-from omska.verifier import (_CHUNK_CELLS, _cascade_pair_distances, _field_masks,
-                            _pair_distances, _seed_pair_blocks, _subset_xors,
-                            _walsh_hadamard, avg_min_entropy_product, estimate_reliability,
+from omska.verifier import (_CHUNK_CELLS, _field_masks, _seed_pair_blocks, _subset_xors,
+                            _walsh_hadamard, _walsh_pair_distances, _z_classes,
+                            avg_min_entropy_product, estimate_reliability,
                             run_batch, run_children, secrecy_sd_exact, summarize_outcomes,
                             uhf_collision_census, wilson_interval)
 
@@ -260,8 +262,8 @@ def test_secrecy_matches_bruteforce_definition():
 
 
 def test_secrecy_accumulators_agree():
-    # a binary pmf that is not a cascade takes the dense accumulator, which
-    # must match the raw definition
+    # a binary pmf that is not a cascade audits one class per eavesdropper
+    # block, which must match the raw definition
     assert detect_bsc_chain(LOPSIDED) is None
     for t, ell in [(2, 1), (1, 2)]:
         rep = secrecy_sd_exact(LOPSIDED, _hand_plan(3, 3.0, t, ell))
@@ -277,31 +279,74 @@ def _terms(distances, seeds, key_seeds):
     return distances(seeds, key_seeds, np.empty(np.broadcast(seeds, key_seeds).size))
 
 
+def _kernel(pair, ctx, t, ell):
+    """The Walsh kernel's distances on the pair law `pair`, without its chunk."""
+    return _walsh_pair_distances(pair, ctx, t, ell)[0]
+
+
+def _pair_distances(pair, ctx, t, ell):
+    """Oracle: per seed pair, the distance of the ell-bit key from uniform
+    given the t-bit check value and the eavesdropper block, by scattering the
+    dense block law into (check, key) buckets; any binary pmf, blocks of m
+    bits, 4^m cells a pair.
+
+    Returns distances(seeds, key_seeds, out), which writes one term per pair
+    of the two index arrays broadcast together, in C order, into out and
+    returns it."""
+    m = ctx.bits
+    # joint block distribution over (x-block, z-block), big-endian kron order
+    M = reduce(np.kron, (pair,) * m)
+    # bucket = check value then key; t = 0 shifts every product out to 0
+    to_check, to_key = np.uint64(m - t), np.uint64(m - ell)
+    n_buckets = 1 << (t + ell)
+    z_cols = M.shape[1]
+    cols = np.arange(z_cols, dtype=np.int64)
+    flat_weights = np.ascontiguousarray(M).ravel()
+    inv_keys = 1.0 / (1 << ell)
+
+    def distances(seeds, key_seeds, out):
+        seeds, key_seeds = (a.ravel() for a in np.broadcast_arrays(seeds, key_seeds))
+        # products of every x-block, once per distinct seed
+        table = {s: SeedHasher(BitString(s, m), ctx).product_table()
+                 for s in set(seeds.tolist()) | set(key_seeds.tolist())}
+        for j, (s, s2) in enumerate(zip(seeds.tolist(), key_seeds.tolist())):
+            bucket = ((table[s] >> to_check) << np.uint64(ell)
+                      | table[s2] >> to_key).astype(np.int64)
+            flat = bucket[:, None] * z_cols + cols[None, :]
+            joint = np.bincount(flat.ravel(), weights=flat_weights,
+                                minlength=n_buckets * z_cols).reshape(n_buckets, z_cols)
+            by_check = joint.reshape(1 << t, 1 << ell, z_cols)
+            ideal = by_check.sum(axis=1, keepdims=True) * inv_keys
+            out[j] = 0.5 * np.abs(by_check - ideal).sum()
+        return out
+
+    return distances
+
+
 def test_secrecy_accumulators_agree_medium():
-    # n=6 exercises ragged buckets (zero seeds): the dense accumulator's
-    # per-pair terms against the definition, pair by pair
+    # n=6 exercises ragged buckets (zero seeds): the dense oracle's and the
+    # Walsh kernel's per-pair terms against the definition, pair by pair
     ctx = field_for_source(6, 2)
     seeds = np.array([0, 0, 37, 1, 63, 20])
     key_seeds = np.array([0, 45, 0, 1, 2, 63])
     for t, ell in [(3, 3), (4, 2), (6, 0), (0, 6)]:
-        terms = _terms(_pair_distances(LOPSIDED.p_xz(), ctx, t, ell), seeds, key_seeds)
         want = [_sd_bruteforce_pair(LOPSIDED, 6, t, ell, int(s), int(s2))
                 for s, s2 in zip(seeds, key_seeds)]
-        assert terms == pytest.approx(want, abs=1e-13), (t, ell)
+        for kernel in (_pair_distances, _kernel):
+            terms = _terms(kernel(LOPSIDED.p_xz(), ctx, t, ell), seeds, key_seeds)
+            assert terms == pytest.approx(want, abs=1e-13), (kernel, t, ell)
 
 
 def _all_pairs(m):
     return next(_seed_pair_blocks(m, None, 1 << 2 * m))
 
 
-def _assert_cascade_matches_dense(src, n, points, seeds, key_seeds):
-    chain = detect_bsc_chain(src)
-    delta = crossover_convolve(chain.p, chain.q)
+def _assert_walsh_matches_dense(pair, n, points, seeds, key_seeds, tol=1e-13):
     ctx = field_for_source(n, 2)
     for t, ell in points:
-        spectral = _terms(_cascade_pair_distances(delta, ctx, t, ell), seeds, key_seeds)
-        dense = _terms(_pair_distances(src.p_xz(), ctx, t, ell), seeds, key_seeds)
-        assert np.max(np.abs(spectral - dense)) <= 1e-13, (n, t, ell)
+        spectral = _terms(_kernel(pair, ctx, t, ell), seeds, key_seeds)
+        dense = _terms(_pair_distances(pair, ctx, t, ell), seeds, key_seeds)
+        assert np.max(np.abs(spectral - dense)) <= tol, (n, t, ell)
 
 
 def test_secrecy_cascade_matches_dense(monkeypatch):
@@ -310,24 +355,28 @@ def test_secrecy_cascade_matches_dense(monkeypatch):
     # n = 8, l = 1 (check rows only) at every t among them
     for n in (3, 5, 6):
         points = [(t, ell) for t in range(n + 1) for ell in range(n + 1 - t)]
-        _assert_cascade_matches_dense(CHAIN, n, points, *_all_pairs(n))
+        _assert_walsh_matches_dense(CHAIN.p_xz(), n, points, *_all_pairs(n))
     draws = np.random.default_rng(8).integers(0, 256, size=(512, 2))
-    _assert_cascade_matches_dense(CHAIN, 8, [(0, 8), (4, 4)] + [(t, 1) for t in range(8)],
-                                  draws[:, 0], draws[:, 1])
+    _assert_walsh_matches_dense(CHAIN.p_xz(), 8,
+                                [(0, 8), (4, 4)] + [(t, 1) for t in range(8)],
+                                draws[:, 0], draws[:, 1])
     # edge cascades: noiseless receiver, a useless eavesdropper block (delta
     # = 1/2, every nonzero coefficient 0) and a noiseless eavesdropper link
     for edge in (bsc_chain(0.0, 0.15), bsc_chain(0.5, 0.5), bsc_chain(0.1, 0.0)):
         points = [(t, ell) for t in range(6) for ell in range(1, 6 - t)]
-        _assert_cascade_matches_dense(edge, 5, points, *_all_pairs(5))
-    # the audit itself takes the spectral route on a cascade
-    from omska import verifier
+        _assert_walsh_matches_dense(edge.p_xz(), 5, points, *_all_pairs(5))
+    # a cascade audit builds one class
+    built = []
 
-    def refuse(*args):
-        raise AssertionError("dense scatter used on a cascade")
+    def recording(*args):
+        classes = _z_classes(*args)
+        built.append(len(classes[0]))
+        return classes
 
-    monkeypatch.setattr(verifier, "_pair_distances", refuse)
+    monkeypatch.setattr(verifier, "_z_classes", recording)
     assert secrecy_sd_exact(CHAIN, _hand_plan(3, 3.0, 2, 1)).sd == \
         pytest.approx(_sd_bruteforce(CHAIN, 3, 2, 1), abs=1e-12)
+    assert built == [1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -335,7 +384,90 @@ def test_secrecy_cascade_matches_dense(monkeypatch):
        ell=st.integers(1, 5))
 def test_secrecy_cascade_matches_dense_property(p, q, t, ell):
     ell = min(ell, 5 - t)
-    _assert_cascade_matches_dense(bsc_chain(p, q), 5, [(t, ell)], *_all_pairs(5))
+    _assert_walsh_matches_dense(bsc_chain(p, q).p_xz(), 5, [(t, ell)], *_all_pairs(5))
+
+
+def _binary_pair(kind, a, b, c):
+    """A 2 x 2 pair law P(x, z) of the named kind from three numbers in [0, 1]:
+    any law, one with a Z symbol of mass 0, X independent of Z, or X = Z xor E
+    with E ~ Bernoulli(c) independent of a non-uniform Z."""
+    if kind == "any":
+        pair = np.array([[a, b], [c, 1.0]])
+    elif kind == "z-mass-0":
+        pair = np.array([[a, 0.0], [b + c, 0.0]])
+    elif kind == "independent":
+        pair = np.outer([a, 1.0 - a], [b, 1.0 - b])
+    else:
+        pz = np.array([0.1 + 0.8 * a, 0.9 - 0.8 * a])
+        pair = np.array([[1.0 - c, c], [c, 1.0 - c]]) * pz
+    total = pair.sum()
+    return pair / total if total > 0.0 else np.array([[1.0, 0.0], [0.0, 0.0]])
+
+
+# hundredths, 0 and 1 among them: a subnormal column mass would leave too few
+# digits for the biases to agree within _BIAS_TOL
+_HUNDREDTHS = st.integers(0, 100).map(lambda k: k / 100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["any", "z-mass-0", "independent", "xor"]),
+       a=_HUNDREDTHS, b=_HUNDREDTHS, c=_HUNDREDTHS,
+       n=st.sampled_from([3, 4]), t=st.integers(0, 4), ell=st.integers(1, 4))
+def test_secrecy_binary_pmf_matches_dense_property(kind, a, b, c, n, t, ell):
+    # random binary pair laws, each kind's class count, and every pair's term
+    # against the dense scatter
+    t, ell = min(t, n - 1), min(ell, n - min(t, n - 1))
+    pair = _binary_pair(kind, a, b, c)
+    classes = _z_classes(pair, _field_masks(field_for_source(n, 2))[1])[0]
+    if kind != "any":
+        # a mass-0 Z symbol, X independent of Z (r0 = r1, with biases of the
+        # same sign) and X = Z xor E (r0 = r1) each collapse to one class
+        assert len(classes) == 1, kind
+    if kind == "xor" and a != 0.5:
+        # yet with Y = X it is no cascade, whose Z is uniform
+        pmf = np.zeros((2, 2, 2))
+        pmf[0, 0], pmf[1, 1] = pair
+        assert detect_bsc_chain(JointSource((2, 2, 2), pmf)) is None
+    _assert_walsh_matches_dense(pair, n, [(t, ell)], *_all_pairs(n))
+
+
+def test_cascade_biases_collapse_to_one_class():
+    # on every cascade of the grid p, q in {0, 0.01, ..., 0.5} the biases
+    # |1 - 2 P(X != v | Z = v)| are equal bit for bit and build one class; at
+    # (0.02, 0.15) the base is 1 - 2 delta bit for bit
+    popcount = _field_masks(field_for_source(4, 2))[1]
+    grid = np.arange(51) / 100
+    for p in grid:
+        for q in grid:
+            pair = bsc_chain(p, q).p_xz()
+            mass = pair.sum(axis=0)
+            assert abs(1 - 2 * pair[1, 0] / mass[0]) == abs(1 - 2 * pair[0, 1] / mass[1]), (p, q)
+            assert len(_z_classes(pair, popcount)[0]) == 1, (p, q)
+    coeff = _z_classes(CHAIN.p_xz(), popcount)[1]
+    assert coeff[1] == _cascade_base(CHAIN) == 1.0 - 2.0 * crossover_convolve(0.02, 0.15)
+
+
+def test_secrecy_perturbed_cascade_collapses():
+    # a bsc_chain pmf moved within PMF_TOL, in the directions that pull the
+    # two biases apart, is still detected as a cascade and still audits one
+    # class, within 1e-9 of the dense oracle
+    pmf = bsc_chain(0.1, 0.2).pmf.copy()
+    step = 0.9 * PMF_TOL
+    pmf[1, :, 0] += step
+    pmf[0, :, 1] -= step
+    src = JointSource((2, 2, 2), pmf)
+    assert detect_bsc_chain(src) is not None
+    popcount = _field_masks(field_for_source(4, 2))[1]
+    classes, coeff = _z_classes(src.p_xz(), popcount)
+    assert np.array_equal(classes, [0]) and coeff[0] == 1.0
+    draws = np.random.default_rng(4).integers(0, 16, size=(64, 2))
+    ctx = field_for_source(4, 2)
+    for t, ell in ((0, 2), (1, 1), (2, 2)):
+        rep = secrecy_sd_exact(src, _hand_plan(4, 4.0, t, ell))
+        dense = _terms(_pair_distances(src.p_xz(), ctx, t, ell), *_all_pairs(4)).mean()
+        assert abs(rep.sd - dense) <= 1e-9, (t, ell)
+        _assert_walsh_matches_dense(src.p_xz(), 4, [(t, ell)], draws[:, 0], draws[:, 1],
+                                    tol=1e-9)
 
 
 def _pairs_in_audit_order(m, draws):
@@ -351,40 +483,54 @@ def test_secrecy_grid_matches_per_pair_terms():
     # grid blocks (a run of reconciliation seeds against every key seed)
     # give the same terms, bit for bit, as explicit pairs in the same order,
     # also where a block is a lone pair: chunk 1, and 49 drawn pairs in
-    # chunks of 16, which leave one pair in the last block
+    # chunks of 16, which leave one pair in the last block; on a cascade
+    # (one class) and on LOPSIDED (a class per eavesdropper block)
     rng = np.random.default_rng(9)
-    for n in (3, 5, 6):
-        ctx = field_for_source(n, 2)
-        modes = (None, rng.integers(0, 1 << n, size=7), rng.integers(0, 1 << n, size=(49, 2)))
-        for t in range(n + 1):
-            for ell in range(n + 1 - t):
-                distances = _cascade_pair_distances(0.17, ctx, t, ell)
-                for draws in modes:
-                    seeds, key_seeds = _pairs_in_audit_order(n, draws)
-                    chunks = (max(1, _CHUNK_CELLS >> (t + ell)), 16, 1)
-                    if draws is None and n == 6:
-                        # 4,096 lone blocks a point; n = 3 and 5 cover the case
-                        chunks = chunks[:2]
-                    for chunk in chunks:
-                        blocks = list(_seed_pair_blocks(n, draws, chunk))
-                        assert all(np.broadcast(*b).size <= chunk for b in blocks)
-                        pairs = [np.broadcast_arrays(*b) for b in blocks]
-                        assert np.array_equal(np.concatenate([a.ravel() for a, _ in pairs]), seeds)
-                        assert np.array_equal(np.concatenate([b.ravel() for _, b in pairs]),
-                                              key_seeds)
-                        grid = np.concatenate([_terms(distances, *b) for b in blocks])
-                        assert np.array_equal(grid, _terms(distances, seeds, key_seeds)), \
-                            (n, t, ell, chunk)
+    # a full grid in lone blocks is 4^n kernel calls a point, so it runs up
+    # to n = 5 on the cascade and n = 3 on LOPSIDED
+    for src, sizes, lone_max in ((bsc_chain(0.17, 0.0), (3, 5, 6), 5), (LOPSIDED, (3, 5), 3)):
+        for n in sizes:
+            _assert_grid_matches_per_pair_terms(src.p_xz(), n, rng, n <= lone_max)
 
 
-def _full_spectrum_terms(delta, ctx, t, ell, seeds, key_seeds):
-    """Per seed pair (flat arrays), the term of the full-spectrum kernel:
-    gather every (a, b) cell, clear b = 0, transform all t + l bits and add
-    |.| row by row.  Columns never interact, so pairs are taken 512 at a
-    time."""
+def _assert_grid_matches_per_pair_terms(pair, n, rng, lone_grid):
+    ctx = field_for_source(n, 2)
+    modes = (None, rng.integers(0, 1 << n, size=7), rng.integers(0, 1 << n, size=(49, 2)))
+    for t in range(n + 1):
+        for ell in range(n + 1 - t):
+            distances, audit_chunk = _walsh_pair_distances(pair, ctx, t, ell)
+            for draws in modes:
+                seeds, key_seeds = _pairs_in_audit_order(n, draws)
+                chunks = (audit_chunk, 16, 1)
+                if draws is None and not lone_grid:
+                    chunks = chunks[:2]
+                for chunk in chunks:
+                    blocks = list(_seed_pair_blocks(n, draws, chunk))
+                    assert all(np.broadcast(*b).size <= chunk for b in blocks)
+                    pairs = [np.broadcast_arrays(*b) for b in blocks]
+                    assert np.array_equal(np.concatenate([a.ravel() for a, _ in pairs]), seeds)
+                    assert np.array_equal(np.concatenate([b.ravel() for _, b in pairs]),
+                                          key_seeds)
+                    grid = np.concatenate([_terms(distances, *b) for b in blocks])
+                    assert np.array_equal(grid, _terms(distances, seeds, key_seeds)), \
+                        (n, t, ell, chunk)
+
+
+def _cascade_base(src):
+    """The bias 1 - 2 P(X = 1 | Z = 0) of a cascade, read from its p_xz as
+    the Walsh kernel reads it: its Walsh coefficient at v is base^wt(v)."""
+    pair = src.p_xz()
+    return abs(1.0 - 2.0 * pair[1, 0] / pair.sum(axis=0)[0])
+
+
+def _full_spectrum_terms(base, ctx, t, ell, seeds, key_seeds):
+    """Per seed pair (flat arrays), the term of the full-spectrum kernel of a
+    cascade with the bias `base`: gather every (a, b) cell, clear b = 0,
+    transform all t + l bits and add |.| row by row.  Columns never interact,
+    so pairs are taken 512 at a time."""
     m = ctx.bits
     masks, popcount = _field_masks(ctx)
-    coeff = (1.0 - 2.0 * delta) ** popcount
+    coeff = base ** popcount
     out = []
     for lo in range(0, len(seeds), 512):
         va = _subset_xors(masks[m - t:, seeds[lo:lo + 512]])
@@ -400,12 +546,12 @@ def _full_spectrum_terms(delta, ctx, t, ell, seeds, key_seeds):
     return np.concatenate(out)
 
 
-def _reference_report(delta, n, t, ell, draws):
+def _reference_report(base, n, t, ell, draws):
     """(sd, std_error) of the audit of `draws` (as _seed_pair_blocks takes
     them), from the full-spectrum terms of every pair in audit order."""
     ctx = field_for_source(n, 2)
     seeds, key_seeds = (a.astype(np.int64) for a in _pairs_in_audit_order(n, draws))
-    terms = _full_spectrum_terms(delta, ctx, t, ell, seeds, key_seeds)
+    terms = _full_spectrum_terms(base, ctx, t, ell, seeds, key_seeds)
     if draws is None or len(draws) == 1:
         return float(terms.mean()), None
     samples = terms if draws.ndim == 2 else terms.reshape(len(draws), -1).mean(axis=1)
@@ -416,7 +562,7 @@ def test_secrecy_shared_slices_match_full_spectrum():
     # t = 0 audits (one row of key seeds) in every mode and every l, and
     # l = 1 audits (check rows only) at every t, against the full spectrum
     # of every pair: sd and std_error bit for bit
-    delta = crossover_convolve(0.02, 0.15)
+    base = _cascade_base(CHAIN)
     rng = np.random.default_rng
     for n in (3, 5, 8):
         # each mode's keywords and the seeds secrecy_sd_exact draws with them
@@ -430,7 +576,7 @@ def test_secrecy_shared_slices_match_full_spectrum():
             plan = _hand_plan(n, float(n), t, ell)
             for kw, draws in modes:
                 rep = secrecy_sd_exact(CHAIN, plan, **kw)
-                assert (rep.sd, rep.std_error) == _reference_report(delta, n, t, ell, draws), \
+                assert (rep.sd, rep.std_error) == _reference_report(base, n, t, ell, draws), \
                     (n, t, ell, kw)
 
 
@@ -438,17 +584,18 @@ def test_secrecy_grid_blocks_match_full_spectrum():
     # the kernel's terms on grid blocks of several reconciliation seeds
     # (the a = 0 slice gathered once per key seed) and on drawn pairs,
     # bit for bit against the full spectrum of every pair
-    delta = 0.23
+    src = bsc_chain(0.23, 0.0)
+    base = _cascade_base(src)
     for n in (3, 5, 6):
         ctx = field_for_source(n, 2)
         draws = np.random.default_rng(n).integers(0, 1 << n, size=(40, 2))
         for t in range(n):
             for ell in range(1, n + 1 - t):
-                distances = _cascade_pair_distances(delta, ctx, t, ell)
+                distances = _kernel(src.p_xz(), ctx, t, ell)
                 for pairs, chunk in ((None, 4 << n), (draws, 16)):
                     for block in _seed_pair_blocks(n, pairs, chunk):
                         s, s2 = (a.ravel() for a in np.broadcast_arrays(*block))
-                        want = _full_spectrum_terms(delta, ctx, t, ell, s, s2)
+                        want = _full_spectrum_terms(base, ctx, t, ell, s, s2)
                         assert np.array_equal(_terms(distances, *block), want), (n, t, ell)
     # a grid block of 4 reconciliation seeds at n = 8, l = 1
     ctx = field_for_source(8, 2)
@@ -456,28 +603,27 @@ def test_secrecy_grid_blocks_match_full_spectrum():
     assert block[0].shape == (4, 1) and block[1].shape == (1, 256)
     s, s2 = (a.ravel() for a in np.broadcast_arrays(*block))
     for t in range(8):
-        got = _terms(_cascade_pair_distances(delta, ctx, t, 1), *block)
-        assert np.array_equal(got, _full_spectrum_terms(delta, ctx, t, 1, s, s2)), t
+        got = _terms(_kernel(src.p_xz(), ctx, t, 1), *block)
+        assert np.array_equal(got, _full_spectrum_terms(base, ctx, t, 1, s, s2)), t
 
 
 def test_secrecy_t0_audit_computes_one_row(monkeypatch):
     # with no check value a term depends on the key seed alone: a full
     # n = 8 audit runs the kernel on one row of 256 pairs, not 65,536, and
     # drawn pairs on each distinct key seed once
-    from omska import verifier
-    kernel = verifier._cascade_pair_distances
+    kernel = verifier._walsh_pair_distances
     counted = []
 
     def counting(*args):
-        distances = kernel(*args)
+        distances, chunk = kernel(*args)
 
         def wrapped(seeds, key_seeds, out):
             counted.append(np.broadcast(seeds, key_seeds).size)
             return distances(seeds, key_seeds, out)
 
-        return wrapped
+        return wrapped, chunk
 
-    monkeypatch.setattr(verifier, "_cascade_pair_distances", counting)
+    monkeypatch.setattr(verifier, "_walsh_pair_distances", counting)
     for ell in (1, 3, 8):
         counted.clear()
         rep = secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 0, ell))
@@ -498,8 +644,8 @@ def test_secrecy_lone_pair_term_matches_its_block():
     assert _CHUNK_CELLS >> 8 == 256
     rep = secrecy_sd_exact(CHAIN, plan, seed_pairs=257, rng_seed=257)
     draws = np.random.default_rng(257).integers(0, 256, size=(257, 2), dtype=np.uint64)
-    distances = _cascade_pair_distances(crossover_convolve(0.02, 0.15),
-                                        field_for_source(8, 2), 4, 4)
+    distances, chunk = _walsh_pair_distances(CHAIN.p_xz(), field_for_source(8, 2), 4, 4)
+    assert chunk == 256
     terms = _terms(distances, draws[:, 0].astype(np.int64), draws[:, 1].astype(np.int64))
     assert rep.sd == float(terms.mean())
     assert rep.std_error == float(terms.std(ddof=1) / np.sqrt(257))
@@ -600,6 +746,22 @@ def test_secrecy_audit_memory_stays_within_a_chunk():
         assert rep.seed_pairs == 2048 and 0.0 < rep.sd <= 1.0
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_secrecy_non_cascade_audit_memory_stays_within_a_chunk(n):
+    # a class per eavesdropper block, 2^n of them, in class blocks of at most
+    # one chunk: the dense law alone would take 4^n cells, 128 MiB at n = 12
+    plan = _hand_plan(n, 8.0, 1, 1)
+    secrecy_sd_exact(LOPSIDED, plan, seed_pairs=2)  # warm caches
+    tracemalloc.start()
+    try:
+        rep = secrecy_sd_exact(LOPSIDED, plan, recon_seeds=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rep.seed_pairs + 4 * 2 ** 20, peak
+    assert rep.seed_pairs == 1 << n and 0.0 < rep.sd <= 1.0
+
+
 def test_secrecy_workspace_reused_across_audits():
     # the chunk buffers of a first audit serve the second: at n = 8, (4, 4)
     # a chunk is 256 pairs x 256 cells, and one of its buffers alone takes
@@ -671,7 +833,7 @@ def test_secrecy_workspace_per_thread():
 
 
 def test_secrecy_cells_count():
-    # cells = seed pairs x 2^(t + l) in every mode, on both routes; 0 for a
+    # cells = seed pairs x 2^(t + l) in every mode, on a cascade and not; 0 for a
     # 0-bit key, whose audit computes none
     assert secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 1, 2)).cells == 65536 * 8
     assert secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 4, 4), seed_pairs=9).cells == 9 * 256
