@@ -7,9 +7,8 @@ with explicit constants, a runnable protocol, and verifiers that check the
 reliability and secrecy claims empirically and, at desk scale, exactly.
 """
 
-from .source import (BscChainParams, EntropyProfile, JointSource, binary_entropy,
-                     bsc_chain, crossover_convolve, detect_bsc_chain, entropy_profile,
-                     load_joint_pmf, ow_capacity_less_noisy, sample)
+from .source import (BscChainParams, EntropyProfile, JointSource, bsc_chain,
+                     entropy_profile, load_joint_pmf, ow_capacity_less_noisy, sample)
 from .uhash import (BitString, GFContext, HashSeed, SeedHasher, encode_symbols,
                     field_for_source, fresh_seed, gf_mul, hash, is_irreducible,
                     symbol_width)
@@ -27,9 +26,8 @@ from .verifier import (ReliabilityEstimate, SecrecyReport, avg_min_entropy_produ
 __version__ = "0.1.0"
 
 __all__ = [
-    "BscChainParams", "EntropyProfile", "JointSource", "binary_entropy",
-    "bsc_chain", "crossover_convolve", "detect_bsc_chain", "entropy_profile",
-    "load_joint_pmf", "ow_capacity_less_noisy", "sample",
+    "BscChainParams", "EntropyProfile", "JointSource", "bsc_chain",
+    "entropy_profile", "load_joint_pmf", "ow_capacity_less_noisy", "sample",
     "BitString", "GFContext", "HashSeed", "SeedHasher", "encode_symbols",
     "field_for_source", "fresh_seed", "gf_mul", "hash", "is_irreducible",
     "symbol_width",

@@ -14,8 +14,8 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 
-from .source import (EntropyProfile, JointSource, avg_min_entropy_product,
-                     hamming_ball_size)
+from .source import EntropyProfile, JointSource, avg_min_entropy_product
+from .uhash import symbol_width
 
 # the modes a planner emits: plan_theorem_main, plan_remark, plan_desk_exact
 PLAN_MODES = ("theorem_main", "remark", "desk_exact")
@@ -492,23 +492,46 @@ def min_positive_n(bound_name: str, eps: float, sigma: float, profile: EntropyPr
 
 
 def plan_desk_exact(src: JointSource, n: int, eps: float, sigma: float) -> Plan:
-    """Exactly analyzable desk-scale plan for the binary cascade source.
+    """Exactly analyzable desk-scale plan for a source whose receiver side is
+    one cost column of at most two costs.
 
-    The guess list is the Hamming ball whose binomial tail mass is at most
-    eps/2; the hash length covers the list's collision mass with another
-    eps/2; the key length is the largest ell with
-    (1/2)*sqrt(2^(recon_bits + ell - Hmin)) <= sigma, where Hmin is the exact
-    average conditional min-entropy of X^n given Z^n (product form, exact for
-    IID sources).  recon_bits is capped at the encoding width n.  The zero
-    seed, which fresh_seed draws too, maps every block to 0, so even at the
-    cap the collision mass is 2^-n * P(e in ball), not zero.
+    Every y with P(y) > 0 must share one cost column (`column_ids`) whose
+    costs -log2 P(x|y) take at most two values: mu0 symbols at the cheaper
+    cost and mu1 at the dearer one.  A binary cascade is (1, 1), a symmetric
+    channel over q symbols (1, q - 1), and a receiver that learns nothing
+    (|X|, 0).  The slots of X^n that hold a dearer symbol then number
+    Binomial(n, p), p the mass of the dearer symbols, and the guess list at
+    radius r holds the blocks with at most r of them, the sum over d <= r of
+    C(n, d) mu0^(n-d) mu1^d, under the threshold
+    (n - r) (-log2((1 - p) / mu0)) + r (-log2(p / mu1)).  The radius is the
+    least whose binomial tail mass is at most eps/2; the hash length covers
+    the list's collision mass with another eps/2; the key length is the
+    largest ell with (1/2)*sqrt(2^(recon_bits + ell - Hmin)) <= sigma, where
+    Hmin is the exact average conditional min-entropy of X^n given Z^n
+    (product form, exact for IID sources).  recon_bits is capped at the field
+    width n*w, w the symbol width of X.  The zero seed, which fresh_seed
+    draws too, maps every block to 0, so even at the cap the collision mass
+    is 2^-(n*w) * P(X^n listed), not zero.
     """
-    if src.cascade is None:
-        raise ValueError("desk-exact planning needs a binary cascade source")
     if not (1 <= n <= 64):
         raise ValueError(f"desk-exact planning supports 1 <= n <= 64, got {n}")
     _check_targets(eps, sigma)
-    p = src.cascade.p
+    columns = src.cost_columns
+    observed = {i for i, costs in zip(src.column_ids.tolist(), columns) if costs}
+    column = columns[min(observed)]
+    if len(observed) > 1 or len(set(column)) > 2:
+        raise ValueError("desk-exact planning needs every observed y to share one "
+                         "cost column of at most two distinct costs")
+    mu0 = column.count(column[0])  # costs ascend, so the cheaper ones lead
+    mu1 = len(column) - mu0
+    # the dearer symbols' mass, summed in (y, rank) order: on a cascade
+    # p_xy[1, 0] + p_xy[0, 1]
+    p_xy, dearer = src.p_xy().tolist(), src.rank_symbols[:, mu0:len(column)].tolist()
+    p = 0.0
+    for y, costs in enumerate(columns):
+        if costs:
+            for x in dearer[y]:
+                p += p_xy[x][y]
 
     # exact binomial survival scan: smallest d with P(Bin(n, p) > d) <= eps/2
     pmf = [math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)]
@@ -520,14 +543,16 @@ def plan_desk_exact(src: JointSource, n: int, eps: float, sigma: float) -> Plan:
             break
     assert ball_radius is not None  # tail at d = n is exactly 0
 
-    list_size = hamming_ball_size(n, ball_radius)
-    recon_bits = min(n, math.ceil(math.log2(list_size) + math.log2(2.0 / eps)))
+    list_size = sum(math.comb(n, d) * mu0 ** (n - d) * mu1 ** d
+                    for d in range(ball_radius + 1))
+    recon_bits = min(n * symbol_width(src.alphabet_sizes[0]),
+                     math.ceil(math.log2(list_size) + math.log2(2.0 / eps)))
 
-    # -log2 probability of a flip pattern of exactly ball_radius errors;
+    # -log2 probability of a block with exactly ball_radius dearer symbols;
     # p = 0 forces ball_radius = 0 so the p-term never evaluates log2(0)
-    threshold = (n - ball_radius) * -math.log2(1.0 - p)
+    threshold = (n - ball_radius) * -math.log2((1.0 - p) / mu0)
     if ball_radius > 0:
-        threshold += ball_radius * -math.log2(p)
+        threshold += ball_radius * -math.log2(p / mu1)
 
     key_real = avg_min_entropy_product(src, n) - recon_bits + 2.0 + 2.0 * math.log2(sigma)
     key_bits = max(0, math.floor(key_real))

@@ -8,15 +8,14 @@ and aborts unless exactly one survives.  run_session plays the sender: it
 encodes x once and hashes it to the check value and to Alice's key.
 bob_decode and bob_extract are the receiver's two steps.
 
-One builder lists every source.  On a binary cascade (`JointSource.cascade`)
-the list is the Hamming ball around y, but that needs no code of its own: it
-is the same set under the same definition.  The threshold carries a
-tolerance of _LIST_TOL bits.  Enumeration is deterministic: positions in
-natural order and per-position symbols by ascending cost given y (ties by
-symbol), in depth-first order, that is lexicographic in rank.  On a cascade
-rank 1 is the flip, so that is not by ascending flip weight: y comes first,
-then y with its last position flipped, and the blocks that flip position 0
-come last.
+One builder lists every source.  On a binary cascade the list is the
+Hamming ball around y, but that needs no code of its own: it is the same set
+under the same definition.  The threshold carries a tolerance of _LIST_TOL
+bits.  Enumeration is deterministic: positions in natural order and
+per-position symbols by ascending cost given y (ties by symbol), in
+depth-first order, that is lexicographic in rank.  On a cascade rank 1 is the
+flip, so that is not by ascending flip weight: y comes first, then y with its
+last position flipped, and the blocks that flip position 0 come last.
 
 The list is stored as a read-only, column-major deviation table around a
 center block, the cheapest block: each slot's rank-0 symbol given y.  One row

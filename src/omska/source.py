@@ -41,8 +41,6 @@ class JointSource:
     alphabet_sizes : (|X|, |Y|, |Z|)
     pmf : ndarray of shape alphabet_sizes, entries >= 0 summing to 1 (+-1e-12)
     labels : optional symbol labels per axis, purely cosmetic
-    cascade : BscChainParams when the pmf is entrywise a bsc_chain source, else
-        None; derived from pmf at construction, not an argument
     cost_columns : per y symbol, the costs -log2 P(x|y) of its admissible x in
         ascending order, ties by symbol (empty for an unobserved y); derived
     rank_symbols : (|Y|, |X|) int64, read-only; row y maps a rank in
@@ -64,6 +62,8 @@ class JointSource:
         arr = np.asarray(self.pmf, dtype=float)
         if arr.shape != sizes:
             raise ValueError(f"pmf shape {arr.shape} does not match alphabet_sizes {sizes}")
+        if not np.isfinite(arr).all():
+            raise ValueError("pmf has non-finite entries")
         if np.any(arr < 0):
             raise ValueError("pmf has negative entries")
         total = float(arr.sum())
@@ -75,7 +75,6 @@ class JointSource:
         object.__setattr__(self, "pmf", arr)
         cdf = arr.ravel().cumsum()  # sample()'s, normalised as Generator.choice does
         object.__setattr__(self, "_cdf", cdf / cdf[-1])
-        object.__setattr__(self, "cascade", detect_bsc_chain(self))
         columns, rank_symbols = _ranked_columns(self.p_xy())
         object.__setattr__(self, "cost_columns", columns)
         object.__setattr__(self, "rank_symbols", rank_symbols)
@@ -119,23 +118,6 @@ class EntropyProfile:
     rho_x_given_y: float
 
 
-def binary_entropy(p: float) -> float:
-    """h2(p) in bits; 0 at the endpoints."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"probability out of range: {p!r}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def crossover_convolve(p: float, q: float) -> float:
-    """Effective crossover of two cascaded symmetric flippers: p(1-q) + (1-p)q."""
-    for v in (p, q):
-        if not (0.0 <= v <= 1.0):
-            raise ValueError(f"probability out of range: {v!r}")
-    return p * (1.0 - q) + (1.0 - p) * q
-
-
 def bsc_chain(params: BscChainParams | float, q: float | None = None) -> JointSource:
     """Build the binary cascade source: X uniform, Y = flip_p(X), Z = flip_q(Y).
 
@@ -150,33 +132,9 @@ def bsc_chain(params: BscChainParams | float, q: float | None = None) -> JointSo
         if q is None:
             raise ValueError("missing second crossover probability")
         pp = BscChainParams(float(params), float(q))
-    return JointSource((2, 2, 2), _cascade_pmf(pp.p, pp.q))
-
-
-def _cascade_pmf(p: float, q: float) -> np.ndarray:
-    """The cascade's (2, 2, 2) pmf array, unvalidated: 0.5 * leg1[x, y] * leg2[y, z]."""
-    leg1 = np.array([[1.0 - p, p], [p, 1.0 - p]])
-    leg2 = np.array([[1.0 - q, q], [q, 1.0 - q]])
-    return 0.5 * leg1[:, :, None] * leg2[None, :, :]
-
-
-def detect_bsc_chain(src: JointSource) -> BscChainParams | None:
-    """Return the cascade parameters if `src` is entrywise a bsc_chain source
-    (within PMF_TOL), else None.
-
-    Computed once per source, as `JointSource.cascade`; the desk planner
-    reads that attribute.
-    """
-    if src.alphabet_sizes != (2, 2, 2):
-        return None
-    p_xy, p_yz = src.p_xy(), src.pmf.sum(axis=0)
-    p_fit = float(p_xy[0, 1] + p_xy[1, 0])
-    q_fit = float(p_yz[0, 1] + p_yz[1, 0])
-    if not (0.0 <= p_fit <= 0.5 and 0.0 <= q_fit <= 0.5):
-        return None
-    if np.max(np.abs(_cascade_pmf(p_fit, q_fit) - src.pmf)) <= PMF_TOL:
-        return BscChainParams(p_fit, q_fit)
-    return None
+    leg1 = np.array([[1.0 - pp.p, pp.p], [pp.p, 1.0 - pp.p]])
+    leg2 = np.array([[1.0 - pp.q, pp.q], [pp.q, 1.0 - pp.q]])
+    return JointSource((2, 2, 2), 0.5 * leg1[:, :, None] * leg2[None, :, :])
 
 
 def _ranked_columns(p_xy: np.ndarray) -> tuple[tuple[tuple[float, ...], ...], np.ndarray]:
@@ -198,11 +156,6 @@ def _ranked_columns(p_xy: np.ndarray) -> tuple[tuple[tuple[float, ...], ...], np
     return tuple(columns), rank_symbols
 
 
-def hamming_ball_size(n: int, radius: int) -> int:
-    """Length-n binary blocks within Hamming distance `radius` of a fixed one."""
-    return sum(math.comb(n, w) for w in range(radius + 1))
-
-
 def load_joint_pmf(desc: str | dict) -> JointSource:
     """Parse a serialized source description.
 
@@ -216,7 +169,8 @@ def load_joint_pmf(desc: str | dict) -> JointSource:
         {"generator": "bsc_chain", "p": 0.02, "q": 0.15}
 
     Accepts the JSON text or an already-parsed dict.  Parse failures,
-    negative entries, and mass-sum violations raise distinct ValueErrors.
+    non-finite or negative entries, and mass-sum violations raise distinct
+    ValueErrors.
     """
     if isinstance(desc, str):
         try:

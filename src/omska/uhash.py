@@ -296,11 +296,17 @@ class SeedHasher:
         return np.bitwise_xor.reduce(np.where(bits, basis, basis.dtype.type(0)), axis=2)
 
     def product_table(self) -> np.ndarray:
-        """x (.) seed for every x < 2^m (m <= 20) by subset doubling: the x with
-        top bit i take the products below 2^i XOR R[i]."""
+        """x (.) seed for every x < 2^m (m <= 20): the subset XORs of R."""
         if self.ctx.bits > 20:
             raise ValueError("product table limited to 20-bit fields")
-        table = np.zeros(1 << self.ctx.bits, dtype=np.uint64)
-        for i, r in enumerate(self.table):
-            table[1 << i:2 << i] = table[:1 << i] ^ np.uint64(r)
-        return table
+        return subset_xors(np.array(self.table, dtype=np.uint64))
+
+
+def subset_xors(rows: np.ndarray) -> np.ndarray:
+    """out[a] = XOR of rows[j] over the set bits j of a, for every a < 2^len(rows),
+    by subset doubling: the a with top bit j take the XORs below 2^j XOR
+    rows[j].  Any trailing axes and integer dtype; out has rows' dtype."""
+    out = np.zeros((1 << len(rows), *rows.shape[1:]), dtype=rows.dtype)
+    for j, row in enumerate(rows):
+        out[1 << j:2 << j] = out[:1 << j] ^ row
+    return out

@@ -41,7 +41,7 @@ import numpy as np
 from .planner import Plan
 from .protocol import run_session
 from .source import PMF_TOL, JointSource, avg_min_entropy_product
-from .uhash import BitString, GFContext, SeedHasher, field_for_source
+from .uhash import BitString, GFContext, SeedHasher, field_for_source, subset_xors
 
 # two-sided 95% normal quantile, fixed so intervals are reproducible
 _WILSON_Z = 1.959963984540054
@@ -184,16 +184,6 @@ def _seed_pair_blocks(m: int, draws: np.ndarray | None, chunk: int):
             yield recon[lo:lo + rows, None], keys[:, k:k + width]
 
 
-def _subset_xors(rows: np.ndarray) -> np.ndarray:
-    """out[a, c] = XOR of rows[j, c] over the set bits j of a, by subset
-    doubling: the a with top bit j take the XORs below 2^j XOR row j."""
-    width, count = rows.shape
-    out = np.zeros((1 << width, count), dtype=np.int64)
-    for j in range(width):
-        out[1 << j:2 << j] = out[:1 << j] ^ rows[j]
-    return out
-
-
 def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform along axis 0 (length 2^k) of a
     2-D array, by butterflies over whole rows.  Any memory layout; a
@@ -256,7 +246,7 @@ def _chunk_buffers(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # biases this close make one class: a pmf within PMF_TOL of a cascade in each
-# (x, y, z) cell, as detect_bsc_chain accepts, moves each by about 16 PMF_TOL
+# (x, y, z) cell moves each by about 16 PMF_TOL
 _BIAS_TOL = 64 * PMF_TOL
 
 
@@ -318,7 +308,7 @@ def _walsh_pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
 
     def functionals(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
         # [a, *index.shape]: v_a of every seed in index
-        return _subset_xors(rows.take(index.ravel(), axis=1)).reshape(-1, *index.shape)
+        return subset_xors(rows.take(index.ravel(), axis=1)).reshape(-1, *index.shape)
 
     def coefficients(v: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
         # out[..., c, pairs...]: class z[c]'s coefficient at v[..., 0, pairs...].

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import omska
-from omska import cli, protocol, verifier
+from omska import cli, protocol, source, verifier
 from omska.planner import PLAN_MODES
 
 BSC = ["--bsc", "0.02,0.15"]
+NAN_PMF = '{"alphabet_sizes": [2, 2, 2], "pmf": [NaN, 0, 0, 0, 0, 0, 0, 1]}'
 
 
 def _run(capsys, argv):
@@ -84,6 +85,24 @@ def test_run_reports_and_exit_matches_meets(capsys):
     assert est["plan"]["n"] == 16
     assert code == (0 if est["meets_target"] else 1)
     assert est["wilson_lower"] <= est["failure_rate"] <= est["wilson_upper"]
+
+
+def test_run_plans_a_ternary_symmetric_source(capsys):
+    # X uniform on three symbols, Y and Z ternary symmetric channels of X:
+    # every y holds one cost column of two costs, so run plans it at desk
+    # scale; the secrecy audit still takes binary X and Z only
+    def channel(err):
+        return np.full((3, 3), err / 2) + np.eye(3) * (1 - 1.5 * err)
+    pmf = np.einsum("x,xy,xz->xyz", np.full(3, 1 / 3), channel(0.03), channel(0.3))
+    ternary = ["--source", json.dumps({"alphabet_sizes": [3, 3, 3],
+                                       "pmf": pmf.ravel().tolist()})]
+    code, out = _run(capsys, ["run", *ternary, "--n", "16", "--trials", "300", "--seed", "3"])
+    est = json.loads(out)
+    assert code == (0 if est["meets_target"] else 1)
+    assert est["plan"]["list_size"] == 513 and est["plan"]["recon_bits"] == 15
+    code, (out, err) = _run_err(capsys, ["verify", *ternary, "--n", "8"])
+    assert code == 2 and out == ""
+    assert err == "error: exact secrecy enumeration supports binary X and Z only\n"
 
 
 def test_run_jobs_do_not_change_counts(capsys):
@@ -288,6 +307,9 @@ def test_usage_errors_exit_2(capsys):
         ["plan", *BSC, "--n", "100", "--mode", "remark", "--sigma", "1e-320"],
         ["threshold", *BSC, "--sigma", "1e-320"],
         ["run", *BSC, "--n", "8", "--mode", "desk_exact", "--eps", "1e-320"],
+        # a NaN entry passes the sign and sum checks, as NaN compares false
+        ["plan", "--source", NAN_PMF, "--n", "10"],
+        ["run", "--source", NAN_PMF, "--n", "10", "--trials", "1"],
     ]
     for argv in bad_calls:
         code = cli.main(argv)
@@ -402,7 +424,10 @@ def test_config_errors(capsys, tmp_path):
 def test_public_surface():
     for name in omska.__all__:
         assert getattr(omska, name) is not None, name
-    for module, name in ((protocol, "alice_send"), (verifier, "avg_min_entropy_exact")):
+    gone = ((protocol, "alice_send"), (verifier, "avg_min_entropy_exact"),
+            (source, "detect_bsc_chain"), (source, "hamming_ball_size"),
+            (source, "crossover_convolve"), (source, "binary_entropy"))
+    for module, name in gone:
         assert name not in omska.__all__ and not hasattr(omska, name)
         assert not hasattr(module, name)
     actions = cli.build_parser().omska_subparsers["plan"]._actions

@@ -1,20 +1,24 @@
 """Planners and bounds: closed forms, frozen values, search, desk-scale plan."""
 
 import math
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascade_oracles import detect_bsc_chain, hamming_ball_size
 from omska import planner
 from omska.planner import (BOUND_NAMES, MIN_PLAN_N, PLAN_MODES, Plan, bound_berry_esseen,
                            bound_hr_concatenated, bound_hr_random_linear, bound_remark,
                            bound_report, bound_sweep, bound_theorem_main, comm_cost,
                            min_positive_n, plan_desk_exact, plan_remark, plan_theorem_main,
                            qfunc, qfunc_inv)
-from omska.source import bsc_chain, entropy_profile
+from omska.protocol import guess_set
+from omska.source import PMF_TOL, JointSource, bsc_chain, entropy_profile
 from omska.uhash import BitString, GFContext, hash as uhf_hash
 from omska.verifier import avg_min_entropy_product
 
@@ -526,15 +530,98 @@ def test_desk_min_entropy_matches_product_form():
 
 
 def test_desk_plan_guards():
-    with pytest.raises(ValueError, match="cascade"):
-        ternary = bsc_chain(0.02, 0.15).pmf
-        from omska.source import JointSource
-        bad = JointSource((2, 2, 2), ternary * 0.5 + 0.0625)
-        plan_desk_exact(bad, 8, 0.05, 0.05)
+    # half the cascade plus 1/16 is no cascade, but its X-Y pair is a BSC(0.26):
+    # one cost column of two costs, so it plans, at the check's 8-bit cap
+    mixed = JointSource((2, 2, 2), CHAIN.pmf * 0.5 + 0.0625)
+    plan = plan_desk_exact(mixed, 8, 0.05, 0.05)
+    assert (plan.ball_radius, plan.list_size, plan.recon_bits) == (5, 219, 8)
+    assert plan.list_log_threshold == pytest.approx(
+        3 * -math.log2(0.74) + 5 * -math.log2(0.26), rel=1e-12)
+    # refused: a binary pmf whose two y columns differ, a column of three
+    # costs, and a cascade moved within PMF_TOL, whose columns differ by rounding
+    two_columns = np.array([[[0.20, 0.05], [0.10, 0.05]], [[0.02, 0.18], [0.25, 0.15]]])
+    near = bsc_chain(0.1, 0.2).pmf.copy()
+    near[1, :, 0] += 0.9 * PMF_TOL
+    near[0, :, 1] -= 0.9 * PMF_TOL
+    for bad in (JointSource((2, 2, 2), two_columns),
+                JointSource((3, 1, 1), np.array([0.5, 0.3, 0.2]).reshape(3, 1, 1)),
+                JointSource((2, 2, 2), near)):
+        with pytest.raises(ValueError, match="one cost column of at most two distinct costs"):
+            plan_desk_exact(bad, 8, 0.05, 0.05)
     with pytest.raises(ValueError, match="64"):
         plan_desk_exact(CHAIN, 65, 0.05, 0.05)
     with pytest.raises(ValueError):
         plan_desk_exact(CHAIN, 8, 1.5, 0.05)
+
+
+def _cascade_desk_reference(src, n, eps, sigma):
+    """The desk plan of a cascade, from the oracle's fitted p: the Hamming
+    ball whose binomial tail is at most eps/2, the check capped at n bits."""
+    p = detect_bsc_chain(src).p
+    pmf = [math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+    radius = next(d for d in range(n + 1) if sum(pmf[d + 1:]) <= eps / 2.0)
+    size = hamming_ball_size(n, radius)
+    recon_bits = min(n, math.ceil(math.log2(size) + math.log2(2.0 / eps)))
+    threshold = (n - radius) * -math.log2(1.0 - p)
+    if radius > 0:
+        threshold += radius * -math.log2(p)
+    key_real = avg_min_entropy_product(src, n) - recon_bits + 2.0 + 2.0 * math.log2(sigma)
+    key_bits = max(0, math.floor(key_real))
+    return Plan(mode="desk_exact", n=n, eps=eps, sigma=sigma, eps_miss=eps / 2.0,
+                eps_collide=eps / 2.0, eps_smooth=0.0, miss_slack=0.0, smooth_slack=0.0,
+                list_log_threshold=threshold, recon_bits=recon_bits, key_bits=key_bits,
+                key_real=key_real, feasible=key_bits >= 1, ball_radius=radius,
+                list_size=size)
+
+
+def _hex_fields(plan):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in asdict(plan).items()}
+
+
+def test_cascade_desk_plans_match_the_cascade_reference():
+    # the cost-column planner, on every cascade of the grid with p < 1/2,
+    # gives the plan that the cascade's own closed form gives, bit for bit
+    for p in (0.0, 0.001, 0.01, 0.02, 0.05, 0.1, 0.13, 0.2, 0.3, 0.37, 0.45, 0.49, 0.4999):
+        for q in (0.0, 0.05, 0.15, 0.3, 0.5):
+            src = bsc_chain(p, q)
+            for n in range(1, 65):
+                for eps, sigma in ((0.05, 0.05), (0.3, 0.4), (0.005, 0.1), (0.5, 0.5)):
+                    got = _hex_fields(plan_desk_exact(src, n, eps, sigma))
+                    assert got == _hex_fields(_cascade_desk_reference(src, n, eps, sigma)), \
+                        (p, q, n, eps, sigma)
+
+
+def _ternary_symmetric():
+    # X uniform, Y and Z ternary symmetric channels of X keeping the symbol
+    # w.p. 0.97 and 0.7: one cost column (one cheap symbol, two dear ones)
+    def channel(err):
+        return np.full((3, 3), err / 2) + np.eye(3) * (1 - 1.5 * err)
+    return JointSource((3, 3, 3), np.einsum("x,xy,xz->xyz", np.full(3, 1 / 3),
+                                            channel(0.03), channel(0.3)))
+
+
+def _bsc_lopsided_z():
+    # X uniform, Y a BSC(0.1) of X, Z a lopsided binary channel of X
+    bsc = np.array([[0.9, 0.1], [0.1, 0.9]])
+    wire = np.array([[0.8, 0.2], [0.35, 0.65]])
+    return JointSource((2, 2, 2), np.einsum("x,xy,xz->xyz", np.full(2, 0.5), bsc, wire))
+
+
+def test_desk_list_size_is_the_decoders_list():
+    # list_size counts the blocks guess_set lists, for y = 0 and a random y;
+    # at p = 1/2 every block costs n bits, so the list holds all of them
+    rng = np.random.default_rng(7)
+    for src, ns in ((bsc_chain(0.0, 0.2), (1, 5, 16)), (bsc_chain(0.5, 0.1), (1, 4, 9)),
+                    (CHAIN, (1, 8, 16)), (_ternary_symmetric(), (1, 8, 16, 21)),
+                    (_bsc_lopsided_z(), (1, 6, 12))):
+        size_y = src.alphabet_sizes[1]
+        for n in ns:
+            for eps in (0.05, 0.3):
+                plan = plan_desk_exact(src, n, eps, 0.1)
+                for y in (np.zeros(n, dtype=np.int64), rng.integers(0, size_y, n)):
+                    assert guess_set(y, plan, src).shape[0] == plan.list_size, (src, n, eps)
+    plan = plan_desk_exact(bsc_chain(0.5, 0.5), 4, 0.5, 0.5)
+    assert (plan.ball_radius, plan.list_size, plan.list_log_threshold) == (0, 16, 4.0)
 
 
 def test_plan_validation():

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascade_oracles import detect_bsc_chain, hamming_ball_size
 from omska import cli
 from omska.planner import Plan, plan_desk_exact
 from omska.protocol import (_RANK_CACHE_BYTES, DEFAULT_SEARCH_BUDGET, BudgetExceededError,
                             Transcript, _build_rank_list, _expand, _level_list, _rank_list,
                             bob_decode, guess_set, run_session, search_budget)
-from omska.source import JointSource, bsc_chain, hamming_ball_size
+from omska.source import JointSource, bsc_chain
 from omska.uhash import BitString, encode_symbols, field_for_source, symbol_width
 from omska.uhash import hash as uhf_hash
 
@@ -835,7 +836,7 @@ def test_decode_guards():
     lopsided[0, 0, 0] += 0.01
     lopsided[1, 1, 1] -= 0.01
     lopsided = JointSource((2, 2, 2), lopsided)
-    assert lopsided.cascade is None
+    assert detect_bsc_chain(lopsided) is None
     for bad in ([0, 1, 2, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0, 0, 0], [[0] * 8]):
         for source in (CHAIN, lopsided):
             with pytest.raises(ValueError, match="symbols below 2"):

@@ -8,8 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from omska.source import (BscChainParams, EntropyProfile, JointSource, binary_entropy,
-                          bsc_chain, crossover_convolve, detect_bsc_chain,
+from cascade_oracles import binary_entropy, crossover_convolve, detect_bsc_chain
+from omska.source import (BscChainParams, EntropyProfile, JointSource, bsc_chain,
                           entropy_profile, load_joint_pmf, ow_capacity_less_noisy,
                           sample)
 
@@ -109,16 +109,17 @@ def test_detect_chain_builds_no_source(monkeypatch):
 
 
 def test_source_kind_resolved_once_and_pickled():
-    # the cascade parameters are stored with the source, as detect_bsc_chain finds them
+    # the derived columns are stored with the source and survive pickling
     lopsided = CHAIN.pmf.copy()
     lopsided[0, 0, 0] += 0.01
     lopsided[1, 1, 1] -= 0.01
     ternary = np.full((3, 2, 2), 1.0 / 12)
     for src in (CHAIN, JointSource((2, 2, 2), lopsided), JointSource((3, 2, 2), ternary)):
-        assert src.cascade == detect_bsc_chain(src)
         # process pools ship sources to workers
-        assert pickle.loads(pickle.dumps(src)).cascade == src.cascade
-    assert (CHAIN.cascade.p, CHAIN.cascade.q) == pytest.approx((0.02, 0.15), abs=1e-15)
+        back = pickle.loads(pickle.dumps(src))
+        assert back.cost_columns == src.cost_columns
+        assert np.array_equal(back.column_ids, src.column_ids)
+        assert np.array_equal(back.rank_symbols, src.rank_symbols)
 
 
 def test_ranked_columns_sort_by_cost_then_symbol():
@@ -216,6 +217,10 @@ def test_load_joint_pmf_errors():
         load_joint_pmf({"alphabet_sizes": [2, 2, 2], "pmf": [1.0, 0.0]})
     with pytest.raises(ValueError):
         load_joint_pmf({"pmf": [1.0]})
+    # NaN compares false, so neither the sign nor the sum check catches it
+    for bad in ("NaN", "Infinity"):
+        with pytest.raises(ValueError, match="non-finite"):
+            load_joint_pmf(f'{{"alphabet_sizes": [2, 2, 2], "pmf": [{bad}, 0, 0, 0, 0, 0, 0, 1]}}')
 
 
 def test_joint_source_validation():

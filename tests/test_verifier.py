@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascade_oracles import crossover_convolve, detect_bsc_chain
 from omska import verifier
 from omska.planner import Plan, plan_desk_exact
-from omska.source import (PMF_TOL, JointSource, bsc_chain, crossover_convolve,
-                          detect_bsc_chain)
+from omska.source import PMF_TOL, JointSource, bsc_chain
 from omska.uhash import (BitString, GFContext, SeedHasher, encode_symbols,
-                         field_for_source)
+                         field_for_source, subset_xors)
 from omska.uhash import hash as uhf_hash
-from omska.verifier import (_CHUNK_CELLS, _field_masks, _seed_pair_blocks, _subset_xors,
+from omska.verifier import (_CHUNK_CELLS, _field_masks, _seed_pair_blocks,
                             _walsh_hadamard, _walsh_pair_distances, _z_classes,
                             avg_min_entropy_product, estimate_reliability,
                             run_batch, run_children, secrecy_sd_exact, summarize_outcomes,
@@ -533,8 +533,8 @@ def _full_spectrum_terms(base, ctx, t, ell, seeds, key_seeds):
     coeff = base ** popcount
     out = []
     for lo in range(0, len(seeds), 512):
-        va = _subset_xors(masks[m - t:, seeds[lo:lo + 512]])
-        vb = _subset_xors(masks[m - ell:, key_seeds[lo:lo + 512]])
+        va = subset_xors(masks[m - t:, seeds[lo:lo + 512]])
+        vb = subset_xors(masks[m - ell:, key_seeds[lo:lo + 512]])
         spectrum = coeff[va[:, None] ^ vb[None, :]]
         spectrum[:, 0] = 0.0
         diff = np.abs(_walsh_hadamard(spectrum.reshape(1 << (t + ell), -1)))
