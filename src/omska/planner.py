@@ -23,6 +23,11 @@ PLAN_MODES = ("theorem_main", "remark", "desk_exact")
 # least n for which the n-dependent privacy/reliability splits are defined
 MIN_PLAN_N = 2
 
+# bits of slack on the list threshold, so a block whose summed cost lands a
+# rounding error above it is still listed; the decoder lists by it and the
+# desk planner counts by it
+LIST_TOL = 1e-9
+
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -503,7 +508,9 @@ def plan_desk_exact(src: JointSource, n: int, eps: float, sigma: float) -> Plan:
     Binomial(n, p), p the mass of the dearer symbols, and the guess list at
     radius r holds the blocks with at most r of them, the sum over d <= r of
     C(n, d) mu0^(n-d) mu1^d, under the threshold
-    (n - r) (-log2((1 - p) / mu0)) + r (-log2(p / mu1)).  The radius is the
+    (n - r) (-log2((1 - p) / mu0)) + r (-log2(p / mu1)).  The decoder lists
+    every block within LIST_TOL of that threshold, so where the two costs lie
+    that close the sum runs on over each d it lists too.  The radius is the
     least whose binomial tail mass is at most eps/2; the hash length covers
     the list's collision mass with another eps/2; the key length is the
     largest ell with (1/2)*sqrt(2^(recon_bits + ell - Hmin)) <= sigma, where
@@ -543,16 +550,21 @@ def plan_desk_exact(src: JointSource, n: int, eps: float, sigma: float) -> Plan:
             break
     assert ball_radius is not None  # tail at d = n is exactly 0
 
-    list_size = sum(math.comb(n, d) * mu0 ** (n - d) * mu1 ** d
-                    for d in range(ball_radius + 1))
-    recon_bits = min(n * symbol_width(src.alphabet_sizes[0]),
-                     math.ceil(math.log2(list_size) + math.log2(2.0 / eps)))
-
     # -log2 probability of a block with exactly ball_radius dearer symbols;
     # p = 0 forces ball_radius = 0 so the p-term never evaluates log2(0)
     threshold = (n - ball_radius) * -math.log2((1.0 - p) / mu0)
     if ball_radius > 0:
         threshold += ball_radius * -math.log2(p / mu1)
+
+    # the decoder lists every block within threshold + LIST_TOL, so where the
+    # two costs lie that close it also lists blocks with more dearer symbols
+    listed = ball_radius
+    while listed < n and (n - listed - 1) * column[0] + (listed + 1) * column[-1] \
+            <= threshold + LIST_TOL:
+        listed += 1
+    list_size = sum(math.comb(n, d) * mu0 ** (n - d) * mu1 ** d for d in range(listed + 1))
+    recon_bits = min(n * symbol_width(src.alphabet_sizes[0]),
+                     math.ceil(math.log2(list_size) + math.log2(2.0 / eps)))
 
     key_real = avg_min_entropy_product(src, n) - recon_bits + 2.0 + 2.0 * math.log2(sigma)
     key_bits = max(0, math.floor(key_real))

@@ -10,7 +10,7 @@ bob_decode and bob_extract are the receiver's two steps.
 
 One builder lists every source.  On a binary cascade the list is the
 Hamming ball around y, but that needs no code of its own: it is the same set
-under the same definition.  The threshold carries a tolerance of _LIST_TOL
+under the same definition.  The threshold carries a tolerance of LIST_TOL
 bits.  Enumeration is deterministic: positions in natural order and
 per-position symbols by ascending cost given y (ties by symbol), in
 depth-first order, that is lexicographic in rank.  On a cascade rank 1 is the
@@ -51,16 +51,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .planner import Plan
+from .planner import LIST_TOL, Plan
 from .source import JointSource, sample
 from .uhash import (BitString, GFContext, SeedHasher, encode_symbols, field_for_source,
                     fresh_seed, hash as uhf_hash)
 
 DEFAULT_SEARCH_BUDGET = 10 ** 8
-
-# bits of slack on the list threshold, so a block whose summed cost lands a
-# rounding error above it is still listed
-_LIST_TOL = 1e-9
 
 # most bytes of deviation tables pinned at once; a larger table is rebuilt on
 # every call
@@ -252,7 +248,7 @@ class _PinnedCache:
 def _build_rank_list(columns: tuple[tuple[float, ...], ...], lam: float,
                      budget: int, alphabet_size: int) -> np.ndarray:
     """The deviation table of every rank pattern r with sum_i columns[i][r_i]
-    within lam (plus _LIST_TOL), built level by level: each row is repeated
+    within lam (plus LIST_TOL), built level by level: each row is repeated
     for the ranks that keep acc + cost + suffix_min[i+1] within the threshold.
     Columns are sorted, so those ranks are a prefix of each row, and the
     expansion is row-stable: rows come out in depth-first order (lexicographic
@@ -265,7 +261,7 @@ def _build_rank_list(columns: tuple[tuple[float, ...], ...], lam: float,
     the index of the zero that callers append.  Column-major, so that a
     gather through it comes out column-major too, and numpy's XOR-reduce
     along each row is then about ten times faster than on C order."""
-    lam += _LIST_TOL
+    lam += LIST_TOL
     # cheapest completion after each position, summed right to left
     suffix_min = np.append(np.cumsum([costs[0] for costs in columns[::-1]])[::-1], 0.0)
     stride = alphabet_size - 1

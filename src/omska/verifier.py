@@ -20,9 +20,14 @@ seed pairs are computed once: with no check value (t = 0) a term depends on
 the key seed alone, so one term per key seed serves every reconciliation
 seed; a grid block gathers the spectrum slice that does not involve the
 reconciliation seed once per key seed; and a 1-bit key transforms only the
-check rows.  No concentration inequality stands between the reported number
+check rows.  The Walsh-Hadamard transform runs as two BLAS matrix products,
+by the two Sylvester factors of the Hadamard matrix, written into the same
+workspace.  No concentration inequality stands between the reported number
 and the definition; the only approximation ever introduced is seed-pair
-sampling, and then the report says so and carries a standard error.  The
+sampling, and then the report says so and carries a standard error.  Its
+sums run in the order BLAS picks, which may change with the BLAS build and
+with the width of a chunk, so the last bits of a report may too; on dyadic
+sources (biases and P(z) dyadic rationals) every sum is exact.  The
 report's leftover-hash bound takes the average min-entropy in closed form
 from the product law (source.avg_min_entropy_product); its dense enumeration
 is a test oracle.
@@ -136,14 +141,15 @@ class SecrecyReport:
 
     sd averages, over hash-seed pairs, the statistical distance between
     (key, check value, eavesdropper block) and (uniform key, check value,
-    eavesdropper block).  exact=True means every seed pair was enumerated and
-    sd is the definition, bit for bit; otherwise seed pairs were sampled and
-    std_error estimates the Monte Carlo error.  cells counts the (check, key)
-    cells the audit covers, seed_pairs x 2^(recon_bits + key_bits), or 0 for
-    a 0-bit key, whose distance is 0 by definition; cells that several seed
-    pairs share are computed once, so an audit may compute fewer.  lhl_bound
-    is the two-hash leftover-hash guarantee (1/2)*sqrt(2^(recon_bits +
-    key_bits - Hmin)).
+    eavesdropper block).  exact=True means no sampling: every seed pair was
+    enumerated and sd is the definition, up to the rounding of sums in BLAS
+    order, whose last bits may differ between BLAS builds; otherwise seed
+    pairs were sampled and std_error estimates the Monte Carlo error.  cells
+    counts the (check, key) cells the audit covers, seed_pairs x
+    2^(recon_bits + key_bits), or 0 for a 0-bit key, whose distance is 0 by
+    definition; cells that several seed pairs share are computed once, so an
+    audit may compute fewer.  lhl_bound is the two-hash leftover-hash
+    guarantee (1/2)*sqrt(2^(recon_bits + key_bits - Hmin)).
     """
 
     n: int
@@ -184,25 +190,46 @@ def _seed_pair_blocks(m: int, draws: np.ndarray | None, chunk: int):
             yield recon[lo:lo + rows, None], keys[:, k:k + width]
 
 
+@lru_cache(maxsize=_EXACT_SD_MAX_N)
+def _hadamard(k: int) -> np.ndarray:
+    """The read-only Sylvester matrix H_(2^k) of +-1 entries, built on first
+    use: H[i, j] = (-1)^wt(i & j)."""
+    h = np.ones((1, 1))
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
 def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform along axis 0 (length 2^k) of a
-    2-D array, by butterflies over whole rows.  Any memory layout; a
-    C-contiguous input's buffer is reused as scratch.  The butterflies
-    ping-pong between that buffer and `scratch`, a C-contiguous array of a's
-    shape, or a fresh one when it is None; the result is one of the two."""
-    # the butterflies write through reshaped views, which only a C-ordered
+    2-D array, in any memory layout.  A C-contiguous input's buffer is reused;
+    `scratch` is a C-contiguous array of a's shape, or a fresh one when it is
+    None, and the result lands in one of the two.
+
+    From k = 2 on, the rows split into their k - k//2 low bits and k//2 high
+    bits, and the transform is the Sylvester product H_(2^k) = H_(2^(k//2))
+    (x) H_(2^(k - k//2)): one batched matrix product by the low-bit factor
+    writes into the scratch, one by the high-bit factor writes back into the
+    input's buffer, both in BLAS, whose summation order may differ between
+    builds and between column counts.  k = 1 is one add and one subtract."""
+    # the products write through reshaped views, which only a C-ordered
     # buffer guarantees: reshaping any other layout would copy, and the
     # writes would land in the copy
     a = np.ascontiguousarray(a)
     size, cols = a.shape
+    k = size.bit_length() - 1
+    if k == 0:
+        return a
     out = np.empty_like(a) if scratch is None else scratch
-    h = 1
-    while h < size:
-        v, w = a.reshape(-1, 2, h * cols), out.reshape(-1, 2, h * cols)
-        np.add(v[:, 0], v[:, 1], out=w[:, 0])
-        np.subtract(v[:, 0], v[:, 1], out=w[:, 1])
-        a, out = out, a
-        h *= 2
+    if k == 1:
+        np.add(a[0], a[1], out=out[0])
+        np.subtract(a[0], a[1], out=out[1])
+        return out
+    high, low = k // 2, k - k // 2
+    np.matmul(_hadamard(low), a.reshape(1 << high, 1 << low, cols),
+              out=out.reshape(1 << high, 1 << low, cols))
+    np.matmul(_hadamard(high), out.reshape(1 << high, -1), out=a.reshape(1 << high, -1))
     return a
 
 
@@ -232,7 +259,8 @@ _workspace = threading.local()
 
 def _chunk_buffers(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """This thread's chunk workspace, cut to `cells`: an int64 XOR index, a
-    float64 spectrum and a float64 butterfly scratch.
+    float64 spectrum and a float64 scratch, into which the transform's first
+    matrix product writes.
 
     The flat buffers grow to the largest chunk the thread has run and are
     then kept, so later chunks and audits reuse pages already mapped in
@@ -291,20 +319,25 @@ def _walsh_pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
     computed in the calling thread's chunk workspace.  The a = 0 cells do not
     depend on the reconciliation seed, so a block gathers them once per key
     seed.  The b = 0 slice is cleared, which at ell = 1 leaves one key
-    column: the key-axis butterfly turns its (0, x) into (x, -x), so only
+    column: the key-axis transform turns its (0, x) into (x, -x), so only
     the b = 1 cells are transformed, over the t check bits, and each |row|
-    is added twice, in the order of the full (a, b) transform.
+    is added once and counted twice.
 
     Returns (distances, chunk): distances(seeds, key_seeds, out) writes one
     term per pair of the two index arrays broadcast together, in C order,
     into out and returns it; a call on at most chunk pairs holds at most
-    _CHUNK_CELLS cells.  A pair's term never depends on its neighbours."""
+    _CHUNK_CELLS cells.  A pair's term is the same function of its own cells
+    whatever its neighbours, but BLAS picks the summation order by the width
+    of the block, so its last bits may move with them; on dyadic sources
+    every sum is exact and they do not."""
     m = ctx.bits
     masks, popcount = _field_masks(ctx)
     classes, coeff = _z_classes(pair, popcount)
     block = min(len(classes), max(1, _CHUNK_CELLS >> (t + ell)))
     check_rows, key_rows = masks[m - t:], masks[m - ell:]
-    scale = 0.5 / (1 << (t + ell))
+    # at ell = 1 each transformed check row x stands for the two rows x and
+    # -x of the full transform, so its |x| counts twice
+    scale = (1.0 if ell == 1 else 0.5) / (1 << (t + ell))
 
     def functionals(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
         # [a, *index.shape]: v_a of every seed in index
@@ -348,18 +381,8 @@ def _walsh_pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
                 rows <<= ell
             diff = _walsh_hadamard(cells.reshape(rows, -1),
                                    scratch=scratch[:cells.size].reshape(rows, -1))
-            if ell == 1:
-                # |x|, |-x| of each check row, written into the dead XOR index
-                total = index.view(np.float64).reshape(rows, 2, -1)
-                np.abs(diff[:, None], out=total)
-                diff = total.reshape(2 * rows, -1)
-            else:
-                np.abs(diff, out=diff)
-            # each pair's column, rows x classes, is added row by row: numpy
-            # would sum a lone column pairwise, so that one is accumulated
+            np.abs(diff, out=diff)
             sums = diff.reshape(-1, size)
-            if size == 1:
-                sums = np.add.accumulate(sums, axis=0)[-1:]
             if lo == 0:
                 np.add.reduce(sums, axis=0, out=out)
             else:

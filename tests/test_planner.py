@@ -609,9 +609,12 @@ def _bsc_lopsided_z():
 
 def test_desk_list_size_is_the_decoders_list():
     # list_size counts the blocks guess_set lists, for y = 0 and a random y;
-    # at p = 1/2 every block costs n bits, so the list holds all of them
+    # at p = 1/2 every block costs n bits, so the list holds all of them, and
+    # just below 1/2 the two costs lie within the decoder's tolerance, which
+    # lists every block too
     rng = np.random.default_rng(7)
     for src, ns in ((bsc_chain(0.0, 0.2), (1, 5, 16)), (bsc_chain(0.5, 0.1), (1, 4, 9)),
+                    (bsc_chain(0.5 - 1e-12, 0.1), (1, 8)),
                     (CHAIN, (1, 8, 16)), (_ternary_symmetric(), (1, 8, 16, 21)),
                     (_bsc_lopsided_z(), (1, 6, 12))):
         size_y = src.alphabet_sizes[1]

@@ -3,6 +3,8 @@
 import itertools
 import math
 import os
+import resource
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -21,7 +23,7 @@ from omska.source import PMF_TOL, JointSource, bsc_chain
 from omska.uhash import (BitString, GFContext, SeedHasher, encode_symbols,
                          field_for_source, subset_xors)
 from omska.uhash import hash as uhf_hash
-from omska.verifier import (_CHUNK_CELLS, _field_masks, _seed_pair_blocks,
+from omska.verifier import (_CHUNK_CELLS, _field_masks, _hadamard, _seed_pair_blocks,
                             _walsh_hadamard, _walsh_pair_distances, _z_classes,
                             avg_min_entropy_product, estimate_reliability,
                             run_batch, run_children, secrecy_sd_exact, summarize_outcomes,
@@ -31,6 +33,29 @@ CHAIN = bsc_chain(0.02, 0.15)
 # binary (2,2,2) pmf with a non-uniform X: not a cascade
 LOPSIDED = JointSource((2, 2, 2), np.array([[[0.20, 0.05], [0.10, 0.05]],
                                             [[0.02, 0.18], [0.25, 0.15]]]))
+# dyadic sources, on which every coefficient, product and sum of the audit is
+# exact, so its terms come out the same in any summation order: a cascade
+# with bias r = 1/2, and a pair law with biases 1/2 and 1 and P(z) = 2^-m,
+# one class per eavesdropper block
+DYADIC_CHAIN = bsc_chain(0.25, 0.0)
+DYADIC_PAIR = np.array([[0.375, 0.0], [0.125, 0.5]])
+# bound on a term's or a report's rounding in non-dyadic sums, whose order
+# BLAS picks
+SUM_ORDER_TOL = 1e-13
+
+
+def _assert_same(got, want, tol, context):
+    """got equals want bit for bit at tol = 0, else within tol; None (a
+    report's std_error after one draw) only matches None."""
+    if got is None or want is None:
+        assert got is want, context
+        return
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    if tol == 0.0:
+        assert np.array_equal(got, want), context
+    else:
+        assert got.shape == want.shape and np.max(np.abs(got - want), initial=0.0) <= tol, \
+            context
 
 
 def _hand_plan(n, lam, t, ell):
@@ -481,19 +506,26 @@ def _pairs_in_audit_order(m, draws):
 
 def test_secrecy_grid_matches_per_pair_terms():
     # grid blocks (a run of reconciliation seeds against every key seed)
-    # give the same terms, bit for bit, as explicit pairs in the same order,
-    # also where a block is a lone pair: chunk 1, and 49 drawn pairs in
-    # chunks of 16, which leave one pair in the last block; on a cascade
-    # (one class) and on LOPSIDED (a class per eavesdropper block)
+    # give the same terms as explicit pairs in the same order, also where a
+    # block is a lone pair: chunk 1, and 49 drawn pairs in chunks of 16, which
+    # leave one pair in the last block; on cascades (one class) and on pair
+    # laws with a class per eavesdropper block.  BLAS picks the summation
+    # order by block width, so the terms agree bit for bit on dyadic sources
+    # and within SUM_ORDER_TOL on the others
     rng = np.random.default_rng(9)
     # a full grid in lone blocks is 4^n kernel calls a point, so it runs up
-    # to n = 5 on the cascade and n = 3 on LOPSIDED
-    for src, sizes, lone_max in ((bsc_chain(0.17, 0.0), (3, 5, 6), 5), (LOPSIDED, (3, 5), 3)):
+    # to n = 5 on the first cascade and n = 3 on the other sources; drawn
+    # pairs run in lone blocks at every n
+    for pair, sizes, lone_max, tol in (
+            (bsc_chain(0.17, 0.0).p_xz(), (3, 5, 6), 5, SUM_ORDER_TOL),
+            (LOPSIDED.p_xz(), (3, 5), 3, SUM_ORDER_TOL),
+            (DYADIC_CHAIN.p_xz(), (3, 5, 6), 3, 0.0),
+            (DYADIC_PAIR, (3, 5), 3, 0.0)):
         for n in sizes:
-            _assert_grid_matches_per_pair_terms(src.p_xz(), n, rng, n <= lone_max)
+            _assert_grid_matches_per_pair_terms(pair, n, rng, n <= lone_max, tol)
 
 
-def _assert_grid_matches_per_pair_terms(pair, n, rng, lone_grid):
+def _assert_grid_matches_per_pair_terms(pair, n, rng, lone_grid, tol):
     ctx = field_for_source(n, 2)
     modes = (None, rng.integers(0, 1 << n, size=7), rng.integers(0, 1 << n, size=(49, 2)))
     for t in range(n + 1):
@@ -512,8 +544,8 @@ def _assert_grid_matches_per_pair_terms(pair, n, rng, lone_grid):
                     assert np.array_equal(np.concatenate([b.ravel() for _, b in pairs]),
                                           key_seeds)
                     grid = np.concatenate([_terms(distances, *b) for b in blocks])
-                    assert np.array_equal(grid, _terms(distances, seeds, key_seeds)), \
-                        (n, t, ell, chunk)
+                    _assert_same(grid, _terms(distances, seeds, key_seeds), tol,
+                                 (n, t, ell, chunk))
 
 
 def _cascade_base(src):
@@ -561,50 +593,54 @@ def _reference_report(base, n, t, ell, draws):
 def test_secrecy_shared_slices_match_full_spectrum():
     # t = 0 audits (one row of key seeds) in every mode and every l, and
     # l = 1 audits (check rows only) at every t, against the full spectrum
-    # of every pair: sd and std_error bit for bit
-    base = _cascade_base(CHAIN)
+    # of every pair: sd and std_error bit for bit on a dyadic cascade, within
+    # SUM_ORDER_TOL on another
     rng = np.random.default_rng
-    for n in (3, 5, 8):
-        # each mode's keywords and the seeds secrecy_sd_exact draws with them
-        modes = (({}, None),
-                 ({"recon_seeds": 5, "rng_seed": n},
-                  rng(n).integers(0, 1 << n, size=5, dtype=np.uint64)),
-                 ({"seed_pairs": 300, "rng_seed": n},
-                  rng(n).integers(0, 1 << n, size=(300, 2), dtype=np.uint64)))
-        points = [(0, ell) for ell in range(1, n + 1)] + [(t, 1) for t in range(1, n)]
-        for t, ell in points:
-            plan = _hand_plan(n, float(n), t, ell)
-            for kw, draws in modes:
-                rep = secrecy_sd_exact(CHAIN, plan, **kw)
-                assert (rep.sd, rep.std_error) == _reference_report(base, n, t, ell, draws), \
-                    (n, t, ell, kw)
+    for src, tol in ((CHAIN, SUM_ORDER_TOL), (DYADIC_CHAIN, 0.0)):
+        base = _cascade_base(src)
+        for n in (3, 5, 8):
+            # each mode's keywords and the seeds secrecy_sd_exact draws with them
+            modes = (({}, None),
+                     ({"recon_seeds": 5, "rng_seed": n},
+                      rng(n).integers(0, 1 << n, size=5, dtype=np.uint64)),
+                     ({"seed_pairs": 300, "rng_seed": n},
+                      rng(n).integers(0, 1 << n, size=(300, 2), dtype=np.uint64)))
+            points = [(0, ell) for ell in range(1, n + 1)] + [(t, 1) for t in range(1, n)]
+            for t, ell in points:
+                plan = _hand_plan(n, float(n), t, ell)
+                for kw, draws in modes:
+                    rep = secrecy_sd_exact(src, plan, **kw)
+                    want = _reference_report(base, n, t, ell, draws)
+                    for got, ref in zip((rep.sd, rep.std_error), want):
+                        _assert_same(got, ref, tol, (src, n, t, ell, kw))
 
 
 def test_secrecy_grid_blocks_match_full_spectrum():
     # the kernel's terms on grid blocks of several reconciliation seeds
     # (the a = 0 slice gathered once per key seed) and on drawn pairs,
-    # bit for bit against the full spectrum of every pair
-    src = bsc_chain(0.23, 0.0)
-    base = _cascade_base(src)
-    for n in (3, 5, 6):
-        ctx = field_for_source(n, 2)
-        draws = np.random.default_rng(n).integers(0, 1 << n, size=(40, 2))
-        for t in range(n):
-            for ell in range(1, n + 1 - t):
-                distances = _kernel(src.p_xz(), ctx, t, ell)
-                for pairs, chunk in ((None, 4 << n), (draws, 16)):
-                    for block in _seed_pair_blocks(n, pairs, chunk):
-                        s, s2 = (a.ravel() for a in np.broadcast_arrays(*block))
-                        want = _full_spectrum_terms(base, ctx, t, ell, s, s2)
-                        assert np.array_equal(_terms(distances, *block), want), (n, t, ell)
-    # a grid block of 4 reconciliation seeds at n = 8, l = 1
-    ctx = field_for_source(8, 2)
-    block = next(_seed_pair_blocks(8, np.array([0, 3, 200, 255]), 4 << 8))
-    assert block[0].shape == (4, 1) and block[1].shape == (1, 256)
-    s, s2 = (a.ravel() for a in np.broadcast_arrays(*block))
-    for t in range(8):
-        got = _terms(_kernel(src.p_xz(), ctx, t, 1), *block)
-        assert np.array_equal(got, _full_spectrum_terms(base, ctx, t, 1, s, s2)), t
+    # against the full spectrum of every pair: bit for bit on a dyadic
+    # cascade, within SUM_ORDER_TOL on another
+    for src, tol in ((bsc_chain(0.23, 0.0), SUM_ORDER_TOL), (DYADIC_CHAIN, 0.0)):
+        base = _cascade_base(src)
+        for n in (3, 5, 6):
+            ctx = field_for_source(n, 2)
+            draws = np.random.default_rng(n).integers(0, 1 << n, size=(40, 2))
+            for t in range(n):
+                for ell in range(1, n + 1 - t):
+                    distances = _kernel(src.p_xz(), ctx, t, ell)
+                    for pairs, chunk in ((None, 4 << n), (draws, 16)):
+                        for block in _seed_pair_blocks(n, pairs, chunk):
+                            s, s2 = (a.ravel() for a in np.broadcast_arrays(*block))
+                            want = _full_spectrum_terms(base, ctx, t, ell, s, s2)
+                            _assert_same(_terms(distances, *block), want, tol, (n, t, ell))
+        # a grid block of 4 reconciliation seeds at n = 8, l = 1
+        ctx = field_for_source(8, 2)
+        block = next(_seed_pair_blocks(8, np.array([0, 3, 200, 255]), 4 << 8))
+        assert block[0].shape == (4, 1) and block[1].shape == (1, 256)
+        s, s2 = (a.ravel() for a in np.broadcast_arrays(*block))
+        for t in range(8):
+            got = _terms(_kernel(src.p_xz(), ctx, t, 1), *block)
+            _assert_same(got, _full_spectrum_terms(base, ctx, t, 1, s, s2), tol, t)
 
 
 def test_secrecy_t0_audit_computes_one_row(monkeypatch):
@@ -639,17 +675,20 @@ def test_secrecy_t0_audit_computes_one_row(monkeypatch):
 def test_secrecy_lone_pair_term_matches_its_block():
     # 257 drawn pairs at n = 8, (4, 4) leave pair 257 alone in the audit's
     # second chunk of 256; its term, and so sd and std_error, must be the
-    # ones the same pairs give in a single block
+    # ones the same pairs give in a single block: bit for bit on a dyadic
+    # cascade, within SUM_ORDER_TOL on another, as BLAS transforms a lone
+    # column as a matrix-vector product, summed in another order
     plan = _hand_plan(8, 8.0, 4, 4)
     assert _CHUNK_CELLS >> 8 == 256
-    rep = secrecy_sd_exact(CHAIN, plan, seed_pairs=257, rng_seed=257)
     draws = np.random.default_rng(257).integers(0, 256, size=(257, 2), dtype=np.uint64)
-    distances, chunk = _walsh_pair_distances(CHAIN.p_xz(), field_for_source(8, 2), 4, 4)
-    assert chunk == 256
-    terms = _terms(distances, draws[:, 0].astype(np.int64), draws[:, 1].astype(np.int64))
-    assert rep.sd == float(terms.mean())
-    assert rep.std_error == float(terms.std(ddof=1) / np.sqrt(257))
-    assert rep.seed_pairs == 257 and rep.cells == 257 * 256
+    for src, tol in ((CHAIN, SUM_ORDER_TOL), (DYADIC_CHAIN, 0.0)):
+        rep = secrecy_sd_exact(src, plan, seed_pairs=257, rng_seed=257)
+        distances, chunk = _walsh_pair_distances(src.p_xz(), field_for_source(8, 2), 4, 4)
+        assert chunk == 256
+        terms = _terms(distances, draws[:, 0].astype(np.int64), draws[:, 1].astype(np.int64))
+        _assert_same(rep.sd, float(terms.mean()), tol, src)
+        _assert_same(rep.std_error, float(terms.std(ddof=1) / np.sqrt(257)), tol, src)
+        assert rep.seed_pairs == 257 and rep.cells == 257 * 256
 
 
 def test_field_masks_built_once_and_read_only(monkeypatch):
@@ -669,28 +708,72 @@ def test_field_masks_built_once_and_read_only(monkeypatch):
     assert info.misses == 1 and info.hits == 4  # three audits and the lookup above
 
 
-def _sylvester(k):
-    h = np.ones((1, 1))
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
-    return h
+def _hadamard_entries(k):
+    """H_(2^k) from its entries, (-1)^wt(i & j)."""
+    i = np.arange(1 << k)
+    parity = np.zeros((1 << k, 1 << k), dtype=np.int64)
+    for bit in range(k):
+        parity ^= (i[:, None] >> bit) & (i[None, :] >> bit) & 1
+    return 1.0 - 2.0 * parity
+
+
+def _walsh_by_bits(a):
+    """The transform along axis 0 as one 2 x 2 butterfly per row bit, on a
+    (2, ..., 2, cols) view; exact on integer entries."""
+    k = a.shape[0].bit_length() - 1
+    x = a.reshape((2,) * k + (-1,))
+    for axis in range(k):
+        x = np.moveaxis(np.tensordot([[1.0, 1.0], [1.0, -1.0]], x, axes=([1], [axis])), 0, axis)
+    return x.reshape(a.shape)
 
 
 def test_walsh_hadamard_any_layout():
-    # integer entries keep every sum exact, so the butterflies must match the
-    # dense Hadamard product exactly in every memory layout
+    # integer entries keep every sum exact in any order, so the transform
+    # must match one butterfly per row bit exactly at every k, on both paths
+    # (k = 1 adds and subtracts, k >= 2 multiplies by the two Sylvester
+    # factors, split evenly or not), in every memory layout
     rng = np.random.default_rng(3)
-    for k, cols in ((0, 3), (1, 1), (3, 5), (5, 4)):
+    for k in range(13):
+        cols = 1 + k % 4
         base = rng.integers(-9, 10, size=(1 << k, cols)).astype(np.float64)
-        want = _sylvester(k) @ base
-        for a in (base.copy(), np.asfortranarray(base), base.T.copy().T,
-                  np.repeat(base, 2, axis=1)[:, ::2]):
-            assert np.array_equal(_walsh_hadamard(a), want), (k, cols)
-        # with a scratch buffer the result lands in the input or the scratch
+        want = _walsh_by_bits(base)
+        # each layout of a fresh copy: a C-contiguous input is overwritten
+        for layout in (np.copy, np.asfortranarray, lambda b: b[::-1].copy()[::-1],
+                       lambda b: np.repeat(b, 2, axis=1)[:, ::2],
+                       lambda b: b[:, ::-1].copy()[:, ::-1]):
+            got = _walsh_hadamard(layout(base.copy()))
+            assert np.array_equal(got, want), (k, cols)
+            assert got.flags.c_contiguous
+        # the result lands in the C-contiguous input's own buffer or in the
+        # scratch, never in a third array: the scratch at k = 1, the input
+        # elsewhere; and with a scratch the transform allocates no array (one
+        # of a's shape takes 4 KiB or more at k = 7 and from k = 9 on)
         a, scratch = base.copy(), np.empty_like(base)
-        got = _walsh_hadamard(a, scratch=scratch)
-        assert got is a or got is scratch
+        tracemalloc.start()
+        try:
+            got = _walsh_hadamard(a, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is (scratch if k == 1 else a), k
         assert np.array_equal(got, want), (k, cols)
+        assert peak < 4096, (k, peak)
+
+
+def test_hadamard_factors_cached_read_only():
+    # the Sylvester factors are built on first use, once per k, read-only;
+    # importing the verifier builds none
+    code = "import omska.verifier as v; print(v._hadamard.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"
+    for k in range(7):
+        h = _hadamard(k)
+        assert h is _hadamard(k) and not h.flags.writeable
+        assert np.array_equal(h, _hadamard_entries(k)), k
+    with pytest.raises(ValueError):
+        _hadamard(3)[0, 0] = 2.0
 
 
 def test_secrecy_zero_key_skips_enumeration(monkeypatch):
@@ -799,6 +882,24 @@ def test_secrecy_workspace_reused_by_shared_slice_audits(n, t, ell, kw, rest):
         tracemalloc.stop()
     assert second == first
     assert peak < 8 * first.seed_pairs + rest, peak
+
+
+def test_secrecy_audits_fault_in_no_fresh_pages():
+    # after one warm-up, repeated audits at the benchmark's four n = 8 points
+    # and at n = 12, (6, 6) on 256 drawn pairs write into pages already
+    # mapped in: the chunk workspace, the transform's two products included,
+    # and the terms array, which the allocator hands out again
+    audits = [(_hand_plan(8, 8.0, 0, 1), {}), (_hand_plan(8, 8.0, 1, 1), {}),
+              (_hand_plan(8, 8.0, 1, 2), {"recon_seeds": 64, "rng_seed": 2}),
+              (_hand_plan(8, 8.0, 4, 4), {"seed_pairs": 512, "rng_seed": 3}),
+              (_hand_plan(12, 12.0, 6, 6), {"seed_pairs": 256, "rng_seed": 4})]
+    first = [secrecy_sd_exact(CHAIN, plan, **kw) for plan, kw in audits]
+    rounds = 4
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(rounds):
+        assert [secrecy_sd_exact(CHAIN, plan, **kw) for plan, kw in audits] == first
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < rounds * len(audits), faults
 
 
 def test_secrecy_workspace_per_thread():
