@@ -25,8 +25,8 @@ by the two Sylvester factors of the Hadamard matrix, written into the same
 workspace.  No concentration inequality stands between the reported number
 and the definition; the only approximation ever introduced is seed-pair
 sampling, and then the report says so and carries a standard error.  Its
-sums run in the order BLAS picks, which may change with the BLAS build and
-with the width of a chunk, so the last bits of a report may too; on dyadic
+sums run in the order BLAS picks, which may change with the BLAS build, so
+the last bits of a report may too, though not with the chunking; on dyadic
 sources (biases and P(z) dyadic rationals) every sum is exact.  The
 report's leftover-hash bound takes the average min-entropy in closed form
 from the product law (source.avg_min_entropy_product); its dense enumeration
@@ -201,6 +201,41 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
+# OpenBLAS (0.3.31, AVX-512 kernels) sums each column of a product in one
+# order wherever it sits among whole tiles of 8 columns; the last 1-4 columns
+# of a narrower tile, and the matrix-vector product numpy takes for a lone
+# column, are summed in others
+_BLAS_TILE = 8
+# the multiply-adds of one BLAS call, up to which OpenBLAS stays on the
+# calling thread: on two cores, a product past it, 16 x 16 by 16 x 4,096,
+# took 254 us on two threads, and one of half its width 28 us on one
+_BLAS_MACS = 1 << 18
+
+
+def _hadamard_product(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """dst = h @ src over the last two axes, with every column of src sent to
+    BLAS in a whole tile of _BLAS_TILE, so that its sums do not depend on its
+    neighbours, and in blocks of at most _BLAS_MACS multiply-adds a call, so
+    that none runs on BLAS's threads.  Fewer columns than a tile go through a
+    zero-padded copy; otherwise nothing is allocated."""
+    cols = src.shape[-1]
+    if cols < _BLAS_TILE:
+        pad = np.zeros((*src.shape[:-1], _BLAS_TILE))
+        pad[..., :cols] = src
+        dst[...] = np.matmul(h, pad)[..., :cols]
+        return
+    whole = cols - cols % _BLAS_TILE
+    step = max(1, _BLAS_MACS // (h.size * _BLAS_TILE)) * _BLAS_TILE
+    for lo in range(0, whole, step):
+        hi = min(lo + step, whole)
+        np.matmul(h, src[..., lo:hi], out=dst[..., lo:hi])
+    if whole < cols:
+        # the columns past the last whole tile go in one ending at the last
+        # column: the ones it shares with the tile before are summed again,
+        # in the same order
+        np.matmul(h, src[..., -_BLAS_TILE:], out=dst[..., -_BLAS_TILE:])
+
+
 def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform along axis 0 (length 2^k) of a
     2-D array, in any memory layout.  A C-contiguous input's buffer is reused;
@@ -209,10 +244,11 @@ def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndar
 
     From k = 2 on, the rows split into their k - k//2 low bits and k//2 high
     bits, and the transform is the Sylvester product H_(2^k) = H_(2^(k//2))
-    (x) H_(2^(k - k//2)): one batched matrix product by the low-bit factor
+    (x) H_(2^(k - k//2)): a batched matrix product by the low-bit factor
     writes into the scratch, one by the high-bit factor writes back into the
-    input's buffer, both in BLAS, whose summation order may differ between
-    builds and between column counts.  k = 1 is one add and one subtract."""
+    input's buffer, both in BLAS (_hadamard_product), whose summation order
+    may differ between builds but, within one, not with a column's
+    neighbours.  k = 1 is one add and one subtract."""
     # the products write through reshaped views, which only a C-ordered
     # buffer guarantees: reshaping any other layout would copy, and the
     # writes would land in the copy
@@ -227,9 +263,9 @@ def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndar
         np.subtract(a[0], a[1], out=out[1])
         return out
     high, low = k // 2, k - k // 2
-    np.matmul(_hadamard(low), a.reshape(1 << high, 1 << low, cols),
-              out=out.reshape(1 << high, 1 << low, cols))
-    np.matmul(_hadamard(high), out.reshape(1 << high, -1), out=a.reshape(1 << high, -1))
+    _hadamard_product(_hadamard(low), a.reshape(1 << high, 1 << low, cols),
+                      out.reshape(1 << high, 1 << low, cols))
+    _hadamard_product(_hadamard(high), out.reshape(1 << high, -1), a.reshape(1 << high, -1))
     return a
 
 
@@ -326,10 +362,9 @@ def _walsh_pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
     Returns (distances, chunk): distances(seeds, key_seeds, out) writes one
     term per pair of the two index arrays broadcast together, in C order,
     into out and returns it; a call on at most chunk pairs holds at most
-    _CHUNK_CELLS cells.  A pair's term is the same function of its own cells
-    whatever its neighbours, but BLAS picks the summation order by the width
-    of the block, so its last bits may move with them; on dyadic sources
-    every sum is exact and they do not."""
+    _CHUNK_CELLS cells.  A pair's term never depends on its neighbours: the
+    transform sums every column in one order, and a lone pair's column is
+    added row by row, as in a block."""
     m = ctx.bits
     masks, popcount = _field_masks(ctx)
     classes, coeff = _z_classes(pair, popcount)
@@ -382,7 +417,11 @@ def _walsh_pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
             diff = _walsh_hadamard(cells.reshape(rows, -1),
                                    scratch=scratch[:cells.size].reshape(rows, -1))
             np.abs(diff, out=diff)
+            # each pair's column, rows x classes, is added row by row: numpy
+            # would sum a lone column pairwise, so that one is accumulated
             sums = diff.reshape(-1, size)
+            if size == 1:
+                sums = np.add.accumulate(sums, axis=0)[-1:]
             if lo == 0:
                 np.add.reduce(sums, axis=0, out=out)
             else:

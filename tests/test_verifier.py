@@ -23,9 +23,9 @@ from omska.source import PMF_TOL, JointSource, bsc_chain
 from omska.uhash import (BitString, GFContext, SeedHasher, encode_symbols,
                          field_for_source, subset_xors)
 from omska.uhash import hash as uhf_hash
-from omska.verifier import (_CHUNK_CELLS, _field_masks, _hadamard, _seed_pair_blocks,
-                            _walsh_hadamard, _walsh_pair_distances, _z_classes,
-                            avg_min_entropy_product, estimate_reliability,
+from omska.verifier import (_BLAS_TILE, _CHUNK_CELLS, _field_masks, _hadamard,
+                            _seed_pair_blocks, _walsh_hadamard, _walsh_pair_distances,
+                            _z_classes, avg_min_entropy_product, estimate_reliability,
                             run_batch, run_children, secrecy_sd_exact, summarize_outcomes,
                             uhf_collision_census, wilson_interval)
 
@@ -675,20 +675,36 @@ def test_secrecy_t0_audit_computes_one_row(monkeypatch):
 def test_secrecy_lone_pair_term_matches_its_block():
     # 257 drawn pairs at n = 8, (4, 4) leave pair 257 alone in the audit's
     # second chunk of 256; its term, and so sd and std_error, must be the
-    # ones the same pairs give in a single block: bit for bit on a dyadic
-    # cascade, within SUM_ORDER_TOL on another, as BLAS transforms a lone
-    # column as a matrix-vector product, summed in another order
+    # ones the same pairs give in a single block, on a dyadic cascade and on
+    # another
     plan = _hand_plan(8, 8.0, 4, 4)
     assert _CHUNK_CELLS >> 8 == 256
     draws = np.random.default_rng(257).integers(0, 256, size=(257, 2), dtype=np.uint64)
-    for src, tol in ((CHAIN, SUM_ORDER_TOL), (DYADIC_CHAIN, 0.0)):
+    for src in (CHAIN, DYADIC_CHAIN):
         rep = secrecy_sd_exact(src, plan, seed_pairs=257, rng_seed=257)
         distances, chunk = _walsh_pair_distances(src.p_xz(), field_for_source(8, 2), 4, 4)
         assert chunk == 256
         terms = _terms(distances, draws[:, 0].astype(np.int64), draws[:, 1].astype(np.int64))
-        _assert_same(rep.sd, float(terms.mean()), tol, src)
-        _assert_same(rep.std_error, float(terms.std(ddof=1) / np.sqrt(257)), tol, src)
+        assert rep.sd == float(terms.mean())
+        assert rep.std_error == float(terms.std(ddof=1) / np.sqrt(257))
         assert rep.seed_pairs == 257 and rep.cells == 257 * 256
+
+
+@pytest.mark.parametrize("t, ell", [(1, 1), (2, 1), (3, 2), (4, 4), (6, 1), (5, 5)])
+def test_secrecy_pair_terms_do_not_depend_on_block_width(t, ell):
+    # the kernel's terms on 43 drawn pairs, in one block and cut into blocks
+    # of 1 to 9 pairs, are equal bit for bit on non-dyadic sources, with one
+    # class and with many, at k = t + ell (k = t at ell = 1) of each parity:
+    # the transform sums every column in one order, whatever its neighbours
+    ctx = field_for_source(8, 2)
+    seeds, key_seeds = np.random.default_rng(43).integers(0, 256, size=(2, 43))
+    for pair in (CHAIN.p_xz(), LOPSIDED.p_xz()):
+        distances = _kernel(pair, ctx, t, ell)
+        whole = _terms(distances, seeds, key_seeds)
+        for width in (1, 2, 5, 9):
+            parts = [_terms(distances, seeds[lo:lo + width], key_seeds[lo:lo + width])
+                     for lo in range(0, 43, width)]
+            assert np.array_equal(np.concatenate(parts), whole), (width, pair)
 
 
 def test_field_masks_built_once_and_read_only(monkeypatch):
@@ -731,33 +747,36 @@ def test_walsh_hadamard_any_layout():
     # integer entries keep every sum exact in any order, so the transform
     # must match one butterfly per row bit exactly at every k, on both paths
     # (k = 1 adds and subtracts, k >= 2 multiplies by the two Sylvester
-    # factors, split evenly or not), in every memory layout
+    # factors, split evenly or not), in every memory layout, with fewer
+    # columns than a BLAS tile and with more
     rng = np.random.default_rng(3)
     for k in range(13):
-        cols = 1 + k % 4
-        base = rng.integers(-9, 10, size=(1 << k, cols)).astype(np.float64)
-        want = _walsh_by_bits(base)
-        # each layout of a fresh copy: a C-contiguous input is overwritten
-        for layout in (np.copy, np.asfortranarray, lambda b: b[::-1].copy()[::-1],
-                       lambda b: np.repeat(b, 2, axis=1)[:, ::2],
-                       lambda b: b[:, ::-1].copy()[:, ::-1]):
-            got = _walsh_hadamard(layout(base.copy()))
+        for cols in (1 + k % 4, _BLAS_TILE + 1 + k % 4):
+            base = rng.integers(-9, 10, size=(1 << k, cols)).astype(np.float64)
+            want = _walsh_by_bits(base)
+            # each layout of a fresh copy: a C-contiguous input is overwritten
+            for layout in (np.copy, np.asfortranarray, lambda b: b[::-1].copy()[::-1],
+                           lambda b: np.repeat(b, 2, axis=1)[:, ::2],
+                           lambda b: b[:, ::-1].copy()[:, ::-1]):
+                got = _walsh_hadamard(layout(base.copy()))
+                assert np.array_equal(got, want), (k, cols)
+                assert got.flags.c_contiguous
+            # the result lands in the C-contiguous input's own buffer or in
+            # the scratch, never in a third array: the scratch at k = 1, the
+            # input elsewhere; and with a scratch and a whole BLAS tile of
+            # columns the transform allocates no array (one of a's shape
+            # takes 4 KiB or more from k = 6 on)
+            a, scratch = base.copy(), np.empty_like(base)
+            tracemalloc.start()
+            try:
+                got = _walsh_hadamard(a, scratch=scratch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got is (scratch if k == 1 else a), k
             assert np.array_equal(got, want), (k, cols)
-            assert got.flags.c_contiguous
-        # the result lands in the C-contiguous input's own buffer or in the
-        # scratch, never in a third array: the scratch at k = 1, the input
-        # elsewhere; and with a scratch the transform allocates no array (one
-        # of a's shape takes 4 KiB or more at k = 7 and from k = 9 on)
-        a, scratch = base.copy(), np.empty_like(base)
-        tracemalloc.start()
-        try:
-            got = _walsh_hadamard(a, scratch=scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got is (scratch if k == 1 else a), k
-        assert np.array_equal(got, want), (k, cols)
-        assert peak < 4096, (k, peak)
+            if cols >= _BLAS_TILE:
+                assert peak < 4096, (k, peak)
 
 
 def test_hadamard_factors_cached_read_only():
@@ -888,7 +907,10 @@ def test_secrecy_audits_fault_in_no_fresh_pages():
     # after one warm-up, repeated audits at the benchmark's four n = 8 points
     # and at n = 12, (6, 6) on 256 drawn pairs write into pages already
     # mapped in: the chunk workspace, the transform's two products included,
-    # and the terms array, which the allocator hands out again
+    # and the terms array, which the allocator hands out again.  A transform
+    # that allocated chunk-sized temporaries would fault: about 200 KB of
+    # them per stage made 129 faults here in a fresh process, while glibc's
+    # mmap threshold is still at its 128 KiB start
     audits = [(_hand_plan(8, 8.0, 0, 1), {}), (_hand_plan(8, 8.0, 1, 1), {}),
               (_hand_plan(8, 8.0, 1, 2), {"recon_seeds": 64, "rng_seed": 2}),
               (_hand_plan(8, 8.0, 4, 4), {"seed_pairs": 512, "rng_seed": 3}),
