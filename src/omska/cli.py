@@ -24,9 +24,7 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
-from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -36,7 +34,7 @@ from .planner import (BOUND_NAMES, PLAN_MODES, bound_sweep, min_positive_n,
 from .protocol import BudgetExceededError
 from .source import JointSource, bsc_chain, entropy_profile, load_joint_pmf, \
     ow_capacity_less_noisy
-from .verifier import run_children, secrecy_sd_exact, summarize_outcomes
+from .verifier import estimate_reliability, secrecy_sd_exact
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -85,11 +83,7 @@ def _load_source(args) -> JointSource:
     if getattr(args, "bsc", None) is not None and getattr(args, "source", None) is not None:
         raise UsageError("give either --bsc or --source, not both")
     if getattr(args, "bsc", None) is not None:
-        p, q = _parse_bsc(args.bsc)
-        try:
-            return bsc_chain(p, q)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return bsc_chain(*_parse_bsc(args.bsc))
     if getattr(args, "source", None) is not None:
         desc = args.source
         if not desc.lstrip().startswith("{"):
@@ -98,10 +92,7 @@ def _load_source(args) -> JointSource:
                     desc = fh.read()
             except OSError as exc:
                 raise UsageError(f"cannot read source file {args.source!r}: {exc}") from exc
-        try:
-            return load_joint_pmf(desc)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return load_joint_pmf(desc)
     raise UsageError("a source is required: --bsc p,q or --source FILE")
 
 
@@ -170,11 +161,7 @@ def _need_n(args) -> int:
 
 
 def _desk_plan(args, src: JointSource):
-    n = _need_n(args)
-    try:
-        return plan_desk_exact(src, n, args.eps, args.sigma)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return plan_desk_exact(src, _need_n(args), args.eps, args.sigma)
 
 
 def _build_plan(args, src: JointSource):
@@ -207,22 +194,7 @@ def cmd_run(args) -> int:
     plan = _desk_plan(args, src)
     if args.trials < 1:
         raise UsageError("--trials must be positive")
-    # trial i runs on the i-th child of SeedSequence(seed), made on demand
-    entropy = np.random.SeedSequence(args.seed).entropy
-    jobs = max(1, min(args.jobs, args.trials, os.cpu_count() or 1))
-    if jobs == 1:
-        counts = run_children(src, plan, entropy, range(args.trials))
-    else:
-        chunks = [range(i, args.trials, jobs) for i in range(jobs)]
-        counts = Counter()
-        # imported here: multiprocessing adds about 2 MB to every process that
-        # imports the CLI, and only a parallel run needs it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(run_children, [src] * jobs, [plan] * jobs,
-                                 [entropy] * jobs, chunks):
-                counts.update(part)
-    est = summarize_outcomes(counts, plan.eps)
+    est = estimate_reliability(src, plan, args.trials, rng_seed=args.seed, jobs=args.jobs)
     payload = asdict(est)
     payload["plan"] = asdict(plan)
     _emit_json(args, payload)
@@ -232,12 +204,8 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     src = _load_source(args)
     plan = _desk_plan(args, src)
-    try:
-        report = secrecy_sd_exact(src, plan, seed_pairs=args.seed_pairs,
-                                  rng_seed=args.seed,
-                                  recon_seeds=args.recon_seeds)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = secrecy_sd_exact(src, plan, seed_pairs=args.seed_pairs, rng_seed=args.seed,
+                              recon_seeds=args.recon_seeds)
     payload = asdict(report)
     payload["plan"] = asdict(plan)
     _emit_json(args, payload)
@@ -333,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     """Fold the values of the JSON config file at path into parser and its
-    subcommands as defaults."""
+    subcommands as defaults, each as its text, str(value): argparse converts
+    a string default through the flag's type, so a value is read as if typed
+    on the command line, and a bad one exits 2 with argparse's own message.
+    A null leaves the built-in default."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -341,7 +312,7 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         raise UsageError(f"cannot load config {path!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")
-    defaults = {k.replace("-", "_"): v for k, v in config.items()}
+    defaults = {k.replace("-", "_"): str(v) for k, v in config.items() if v is not None}
     parser.set_defaults(**defaults)
     for sub in parser.omska_subparsers.values():
         sub.set_defaults(**defaults)

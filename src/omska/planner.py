@@ -28,59 +28,21 @@ MIN_PLAN_N = 2
 # desk planner counts by it
 LIST_TOL = 1e-9
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-
 
 def qfunc(x: float) -> float:
     """Gaussian upper tail Q(x) = P(N(0,1) > x)."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-# Acklam's rational approximation to the standard normal quantile,
-# refined below by Newton steps on erfc; the combination is accurate to
-# well under 1e-9 across (0, 1).
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
-
-def _normal_quantile_approx(u: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if u < p_low:
-        q = math.sqrt(-2.0 * math.log(u))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if u > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = u - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
 def qfunc_inv(p: float) -> float:
-    """Inverse Gaussian tail: the x with Q(x) = p, for p in (0, 1).
-
-    Rational initial approximation followed by Newton refinement on the exact
-    erfc-based Q; accurate to better than 1e-9.
-    """
+    """Inverse Gaussian tail: the x with Q(x) = p, for p in (0, 1), as
+    -NormalDist().inv_cdf(p) (Wichura's AS 241), within a few ulps."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"tail probability must be in (0, 1), got {p!r}")
-    x = -_normal_quantile_approx(p)
-    for _ in range(3):
-        pdf = math.exp(-0.5 * x * x) / _SQRT2PI
-        if pdf == 0.0:
-            break
-        x += (qfunc(x) - p) / pdf
-    return x
+    # imported on first use: statistics loads decimal and fractions, 3-7 ms
+    # that every `import omska` would otherwise pay
+    from statistics import NormalDist
+    return -NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)

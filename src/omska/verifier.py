@@ -36,6 +36,8 @@ is a test oracle.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -93,35 +95,42 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def run_batch(src: JointSource, plan: Plan, seed_seqs) -> Counter:
-    """Run one session per seed sequence and tally outcomes.
-
-    Module-level so process pools can ship it to workers.
-    """
+def run_children(src: JointSource, plan: Plan, entropy: int | list[int],
+                 indices: range) -> Counter:
+    """Run one session on each child `indices` of SeedSequence(entropy) and
+    tally outcomes.  Child i is SeedSequence(entropy, spawn_key=(i,)), the
+    i-th that SeedSequence(entropy).spawn makes, made as its session starts,
+    so memory stays flat however many trials.  Module-level, so a process
+    pool ships it a range, not the seeds."""
     counts: Counter = Counter()
-    for seq in seed_seqs:
+    for i in indices:
+        seq = np.random.SeedSequence(entropy, spawn_key=(i,))
         counts[run_session(src, plan, seq).outcome] += 1
     return counts
 
 
-def run_children(src: JointSource, plan: Plan, entropy: int | list[int],
-                 indices: range) -> Counter:
-    """run_batch over the children `indices` of SeedSequence(entropy), each
-    made as its session starts: child i is SeedSequence(entropy, spawn_key=(i,)),
-    the i-th that SeedSequence(entropy).spawn makes.  Memory stays flat
-    however many trials, and a process pool ships a range, not the seeds."""
-    return run_batch(src, plan, (np.random.SeedSequence(entropy, spawn_key=(i,))
-                                 for i in indices))
-
-
 def estimate_reliability(src: JointSource, plan: Plan, trials: int,
-                         rng_seed=0) -> ReliabilityEstimate:
-    """Monte Carlo reliability check: `trials` independent sessions, seeded
-    by the children of one sequence so results are reproducible."""
+                         rng_seed=0, jobs: int = 1) -> ReliabilityEstimate:
+    """Monte Carlo reliability check: `trials` independent sessions, trial i
+    on the i-th child of SeedSequence(rng_seed), so results are reproducible.
+
+    jobs is clamped to min(jobs, trials, cores); above one, worker processes
+    run the strided ranges i, i + jobs, ... of the trials, and the counts
+    equal those of one job."""
     if trials < 1:
         raise ValueError("need at least one trial")
     entropy = np.random.SeedSequence(rng_seed).entropy
-    return summarize_outcomes(run_children(src, plan, entropy, range(trials)), plan.eps)
+    jobs = max(1, min(jobs, trials, os.cpu_count() or 1))
+    if jobs == 1:
+        counts = run_children(src, plan, entropy, range(trials))
+    else:
+        # imported here: multiprocessing adds about 2 MB to every process that
+        # imports the package, and only a parallel run needs it
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            counts = sum(pool.map(run_children, [src] * jobs, [plan] * jobs, [entropy] * jobs,
+                                  [range(i, trials, jobs) for i in range(jobs)]), Counter())
+    return summarize_outcomes(counts, plan.eps)
 
 
 def summarize_outcomes(counts: Counter, eps_target: float) -> ReliabilityEstimate:
@@ -319,10 +328,15 @@ def _z_classes(pair: np.ndarray, popcount: np.ndarray) -> tuple[np.ndarray, np.n
     popcount[v] = wt(v) for every v < 2^m.  With the biases r_v = |1 - 2 P(X
     != v | Z = v)| equal within _BIAS_TOL, or a Z symbol of no mass, the one
     class is z = 0 and coeff[v] = r^wt(v).  Otherwise the classes are the
-    blocks z with P(z) > 0, and coeff[wt(z), k0, k1] = P(z) r0^k0 r1^k1, flat."""
+    blocks z with P(z) > 0, and coeff[wt(z), k0, k1] = P(z) r0^k0 r1^k1, flat.
+
+    A Z symbol of subnormal mass counts as one of no mass: its bias, divided
+    by that mass, keeps too few digits to match the other, and the blocks
+    that hold it carry at most m * 2.3e-308 of probability."""
     (p00, p01), (p10, p11) = pair.tolist()
     mass = (p00 + p10, p01 + p11)
-    r0, r1 = (abs(1.0 - 2.0 * p / s) if s > 0.0 else None for p, s in zip((p10, p01), mass))
+    r0, r1 = (abs(1.0 - 2.0 * p / s) if s >= sys.float_info.min else None
+              for p, s in zip((p10, p01), mass))
     if r0 is None or r1 is None or abs(r0 - r1) <= _BIAS_TOL:
         return np.zeros(1, dtype=np.int64), (r1 if r0 is None else r0) ** popcount
     m = len(popcount).bit_length() - 1

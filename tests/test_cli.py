@@ -1,11 +1,11 @@
 """Command-line behavior: formats, exit codes, config defaults, parallel runs."""
 
-import concurrent.futures
 import json
 import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -116,43 +116,24 @@ def test_run_jobs_do_not_change_counts(capsys):
     # trial i runs on the i-th child that SeedSequence(seed).spawn makes
     src = omska.bsc_chain(0.02, 0.15)
     plan = omska.plan_desk_exact(src, 16, 0.05, 0.05)
-    spawned = verifier.run_batch(src, plan, np.random.SeedSequence(9).spawn(120))
+    spawned = Counter(protocol.run_session(src, plan, seq).outcome
+                      for seq in np.random.SeedSequence(9).spawn(120))
     assert a["outcome_counts"] == dict(spawned)
 
 
-class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    requested = []
-
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-def test_run_jobs_clamped_to_trials_and_cores(capsys, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    _InlineExecutor.requested.clear()
+def test_run_jobs_clamped_to_trials_and_cores(capsys, monkeypatch, inline_pool):
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 64)
     argv = ["run", *BSC, "--n", "16", "--mode", "desk_exact", "--trials", "3",
             "--seed", "5"]
     _, serial = _run(capsys, argv + ["--jobs", "1"])
-    assert _InlineExecutor.requested == []
+    assert inline_pool == []
     _, wide = _run(capsys, argv + ["--jobs", "10000"])
-    assert _InlineExecutor.requested == [3]
+    assert inline_pool == [3]
     assert json.loads(wide) == json.loads(serial)
     # and never more workers than cores
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
     _, capped = _run(capsys, argv + ["--jobs", "10000"])
-    assert _InlineExecutor.requested == [3, 2]
+    assert inline_pool == [3, 2]
     assert json.loads(capped) == json.loads(serial)
 
 
@@ -421,12 +402,53 @@ def test_config_errors(capsys, tmp_path):
         assert f"not mode {mode!r}" in capsys.readouterr().err
 
 
+def test_config_values_are_typed_as_on_the_command_line(capsys, tmp_path):
+    # each value is planted as its text, so argparse converts it through the
+    # flag's type: a bad one exits 2 with argparse's message, no traceback
+    def run(config, *argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return subprocess.run([sys.executable, "-m", "omska.cli", "run", *BSC, *argv,
+                               "--config", str(cfg)], capture_output=True, text=True)
+
+    for config in ({"n": 8.5}, {"n": 8, "trials": 2.5}, {"n": [8]}):
+        proc = run(config)
+        assert proc.returncode == 2 and proc.stdout == "", config
+        assert "invalid int value" in proc.stderr and "Traceback" not in proc.stderr, config
+    # a null leaves the built-in default
+    proc = run({"eps": None}, "--n", "8", "--trials", "20")
+    assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["plan"]["eps"] == 0.05
+    # good values give the plan the flags give
+    cfg = tmp_path / "good.json"
+    cfg.write_text(json.dumps({"n": 8, "eps": 0.1}))
+    flags = ["plan", *BSC, "--mode", "desk_exact"]
+    assert _run(capsys, [*flags, "--config", str(cfg)]) == \
+        _run(capsys, [*flags, "--n", "8", "--eps", "0.1"])
+
+
+def test_library_errors_exit_2_from_main(capsys):
+    # library ValueErrors reach main unwrapped, which prints them and exits 2
+    short = '{"alphabet_sizes": [2, 2, 2], "pmf": [0.5, 0.5]}'
+    for argv, err in (
+            (["plan", "--bsc", "0.7,0.1", "--n", "8"],
+             "error: p must lie in [0, 1/2], got 0.7\n"),
+            (["plan", "--source", short, "--n", "8"],
+             "error: pmf must be a flat list of 8 entries (row-major x, y, z)\n"),
+            (["verify", *BSC, "--n", "13"],
+             "error: exact secrecy enumeration caps n at 12, got 13\n"),
+            (["run", *BSC, "--n", "65"],
+             "error: desk-exact planning supports 1 <= n <= 64, got 65\n")):
+        assert _run_err(capsys, argv) == (2, ("", err)), argv
+
+
 def test_public_surface():
     for name in omska.__all__:
         assert getattr(omska, name) is not None, name
     gone = ((protocol, "alice_send"), (verifier, "avg_min_entropy_exact"),
             (source, "detect_bsc_chain"), (source, "hamming_ball_size"),
-            (source, "crossover_convolve"), (source, "binary_entropy"))
+            (source, "crossover_convolve"), (source, "binary_entropy"),
+            (verifier, "run_batch"))
     for module, name in gone:
         assert name not in omska.__all__ and not hasattr(omska, name)
         assert not hasattr(module, name)
@@ -464,8 +486,12 @@ def test_console_script_runs():
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
-    # only a parallel run needs the process pool; importing the CLI stays lean
-    proc = subprocess.run([sys.executable, "-c",
-                           "import omska.cli, sys; print('multiprocessing' in sys.modules)"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    # only a parallel run needs the process pool, and only a normal quantile
+    # needs statistics (with decimal and fractions); importing stays lean
+    for module in ("omska", "omska.cli"):
+        proc = subprocess.run([sys.executable, "-c",
+                               f"import {module}, sys; "
+                               "print([m in sys.modules for m in "
+                               "('multiprocessing', 'statistics')])"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[False, False]", module

@@ -1,6 +1,7 @@
 """Planners and bounds: closed forms, frozen values, search, desk-scale plan."""
 
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -44,6 +45,19 @@ def test_qfunc_inv_matches_scipy():
         assert qfunc_inv(p) == pytest.approx(expect, abs=1e-9)
     assert qfunc_inv(0.05) == pytest.approx(1.6448536269514729, abs=1e-12)
     assert qfunc_inv(0.025) == pytest.approx(1.9599639845400545, abs=1e-12)
+
+
+def test_qfunc_inv_within_ulps_of_scipy():
+    # p log-spaced from 1e-307 to 1/2, and p just below 1/2, where the
+    # quantile is near 0 and only a relative error shows: within 4e-15
+    # relative of scipy's isf
+    ps = np.concatenate([np.logspace(-307, math.log10(0.5), 5000)[:-1],
+                         0.5 - np.logspace(-12, -1, 200)])
+    expect = scipy.stats.norm.isf(ps)
+    got = np.array([qfunc_inv(float(p)) for p in ps])
+    assert np.max(np.abs(got - expect) / np.abs(expect)) <= 4e-15
+    assert qfunc_inv(0.5) == 0.0
+    assert math.isfinite(qfunc_inv(sys.float_info.min))
 
 
 def test_qfunc_roundtrip():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from cascade_oracles import crossover_convolve, detect_bsc_chain
 from omska import verifier
 from omska.planner import Plan, plan_desk_exact
+from omska.protocol import run_session
 from omska.source import PMF_TOL, JointSource, bsc_chain
 from omska.uhash import (BitString, GFContext, SeedHasher, encode_symbols,
                          field_for_source, subset_xors)
@@ -26,7 +27,7 @@ from omska.uhash import hash as uhf_hash
 from omska.verifier import (_BLAS_TILE, _CHUNK_CELLS, _field_masks, _hadamard,
                             _seed_pair_blocks, _walsh_hadamard, _walsh_pair_distances,
                             _z_classes, avg_min_entropy_product, estimate_reliability,
-                            run_batch, run_children, secrecy_sd_exact, summarize_outcomes,
+                            run_children, secrecy_sd_exact, summarize_outcomes,
                             uhf_collision_census, wilson_interval)
 
 CHAIN = bsc_chain(0.02, 0.15)
@@ -106,13 +107,19 @@ def test_estimate_reliability_frozen():
     assert est.wilson_lower == lo and est.wilson_upper == hi
 
 
+def _spawned_counts(plan, seqs):
+    """Outcome tally of one session per given seed sequence: the oracle of
+    the trial loop, written without it."""
+    return Counter(run_session(CHAIN, plan, seq).outcome for seq in seqs)
+
+
 def test_run_batch_stride_chunks_compose():
     plan = plan_desk_exact(CHAIN, 32, 0.05, 0.05)
-    seqs = np.random.SeedSequence(1).spawn(60)
-    whole = run_batch(CHAIN, plan, seqs)
+    entropy = np.random.SeedSequence(1).entropy
+    whole = run_children(CHAIN, plan, entropy, range(60))
     parts = Counter()
     for k in range(3):
-        parts += run_batch(CHAIN, plan, seqs[k::3])
+        parts += run_children(CHAIN, plan, entropy, range(k, 60, 3))
     assert whole == parts
     assert sum(whole.values()) == 60
 
@@ -121,12 +128,29 @@ def test_reliability_seeds_are_the_spawned_children():
     # each trial's seed is made on demand, yet it is the child spawn() makes
     plan = plan_desk_exact(CHAIN, 16, 0.05, 0.05)
     for rng_seed in (1, 12345, [3, 4]):
-        spawned = run_batch(CHAIN, plan, np.random.SeedSequence(rng_seed).spawn(150))
+        spawned = _spawned_counts(plan, np.random.SeedSequence(rng_seed).spawn(150))
         est = estimate_reliability(CHAIN, plan, trials=150, rng_seed=rng_seed)
         assert est.outcome_counts == dict(spawned) and est.trials == 150
         entropy = np.random.SeedSequence(rng_seed).entropy
         assert run_children(CHAIN, plan, entropy, range(1, 150, 2)) \
-            == run_batch(CHAIN, plan, np.random.SeedSequence(rng_seed).spawn(150)[1::2])
+            == _spawned_counts(plan, np.random.SeedSequence(rng_seed).spawn(150)[1::2])
+
+
+@pytest.mark.parametrize("pool", ["inline", "processes"])
+def test_reliability_jobs_match_the_serial_estimate(request, monkeypatch, pool):
+    # strided ranges over worker processes give the serial counts, whether
+    # the pool maps in-process or runs two real workers
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    requested = request.getfixturevalue("inline_pool") if pool == "inline" else None
+    plan = plan_desk_exact(CHAIN, 16, 0.05, 0.05)
+    for rng_seed in (2, 777, [5, 6]):
+        serial = estimate_reliability(CHAIN, plan, trials=90, rng_seed=rng_seed)
+        for jobs in (2, 3):
+            assert estimate_reliability(CHAIN, plan, trials=90, rng_seed=rng_seed,
+                                        jobs=jobs) == serial, (rng_seed, jobs)
+    if requested is not None:
+        # jobs 3 is clamped to the two cores
+        assert requested == [2] * 6
 
 
 def test_reliability_memory_stays_flat(monkeypatch):
@@ -454,6 +478,19 @@ def test_secrecy_binary_pmf_matches_dense_property(kind, a, b, c, n, t, ell):
         pmf[0, 0], pmf[1, 1] = pair
         assert detect_bsc_chain(JointSource((2, 2, 2), pmf)) is None
     _assert_walsh_matches_dense(pair, n, [(t, ell)], *_all_pairs(n))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_secrecy_subnormal_z_mass_collapses(n):
+    # X independent of Z with P(Z = 0) = 5e-324: dividing by that mass leaves
+    # the bias of Z = 0 no digits, yet the blocks holding it carry at most
+    # n * 5e-324, so the symbol counts as one of no mass and one class
+    pair = _binary_pair("independent", 0.3, 5e-324, 0.0)
+    assert pair.sum(axis=0)[0] == 5e-324
+    classes, coeff = _z_classes(pair, _field_masks(field_for_source(n, 2))[1])
+    assert np.array_equal(classes, [0]) and coeff[1] == pytest.approx(0.4, abs=1e-15)
+    points = [(t, ell) for t in range(n) for ell in range(1, n + 1 - t)]
+    _assert_walsh_matches_dense(pair, n, points, *_all_pairs(n))
 
 
 def test_cascade_biases_collapse_to_one_class():
