@@ -300,11 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
-    """Fold the values of the JSON config file at path into parser and its
+    """Fold the values of the JSON config file at path into parser's
     subcommands as defaults, each as its text, str(value): argparse converts
     a string default through the flag's type, so a value is read as if typed
     on the command line, and a bad one exits 2 with argparse's own message.
-    A null leaves the built-in default."""
+    A null leaves the built-in default.  Each key is planted only on the
+    subcommands with a flag of that dest; a key that no flag takes (an
+    unknown name, or an internal one such as func) is refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -312,10 +314,15 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         raise UsageError(f"cannot load config {path!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")
+    owners = {sub: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+              for sub in parser.omska_subparsers.values()}
+    dests = set().union(*owners.values())
+    unknown = [k for k in config if k.replace("-", "_") not in dests]
+    if unknown:
+        raise UsageError(f"config {path!r}: no flag takes {', '.join(map(repr, unknown))}")
     defaults = {k.replace("-", "_"): str(v) for k, v in config.items() if v is not None}
-    parser.set_defaults(**defaults)
-    for sub in parser.omska_subparsers.values():
-        sub.set_defaults(**defaults)
+    for sub, own in owners.items():
+        sub.set_defaults(**{k: v for k, v in defaults.items() if k in own})
 
 
 @functools.cache

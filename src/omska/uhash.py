@@ -85,10 +85,6 @@ class BitString:
         value = int(hex_digits, 16) if hex_digits else 0
         return cls(value, length)
 
-    def bits(self) -> tuple[int, ...]:
-        """Most significant first."""
-        return tuple((self.value >> (self.length - 1 - i)) & 1 for i in range(self.length))
-
     def __xor__(self, other: "BitString") -> "BitString":
         if self.length != other.length:
             raise ValueError("length mismatch in xor")
@@ -266,7 +262,7 @@ class SeedHasher:
 
     R[i] = (x^i) (.) seed, built by an xtime chain, so the hash of any input is
     the XOR of R over its set bits.  Used by the decoders, which hash thousands
-    of candidates under a single seed, and (product_table) the exact verifiers.
+    of candidates under a single seed.
     """
 
     def __init__(self, seed: HashSeed, ctx: GFContext):
@@ -295,12 +291,6 @@ class SeedHasher:
         bits = (np.arange(alphabet_size)[:, None] >> np.arange(width)) & 1 == 1
         return np.bitwise_xor.reduce(np.where(bits, basis, basis.dtype.type(0)), axis=2)
 
-    def product_table(self) -> np.ndarray:
-        """x (.) seed for every x < 2^m (m <= 20): the subset XORs of R."""
-        if self.ctx.bits > 20:
-            raise ValueError("product table limited to 20-bit fields")
-        return subset_xors(np.array(self.table, dtype=np.uint64))
-
 
 def subset_xors(rows: np.ndarray) -> np.ndarray:
     """out[a] = XOR of rows[j] over the set bits j of a, for every a < 2^len(rows),
@@ -310,3 +300,12 @@ def subset_xors(rows: np.ndarray) -> np.ndarray:
     for j, row in enumerate(rows):
         out[1 << j:2 << j] = out[:1 << j] ^ row
     return out
+
+
+def _seed_bases(ctx: GFContext) -> np.ndarray:
+    """(2^m, m) uint64 table whose row s is SeedHasher(s).table, R[i] = (x^i)
+    (.) s, for every seed s of a small field (2^m * m words).  The product is
+    linear in the seed, so row s is the XOR of the unit seeds' chains over the
+    set bits of s: m Python chains and one subset_xors."""
+    units = [SeedHasher(BitString(1 << j, ctx.bits), ctx).table for j in range(ctx.bits)]
+    return subset_xors(np.array(units, dtype=np.uint64))

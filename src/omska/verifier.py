@@ -48,7 +48,7 @@ import numpy as np
 from .planner import Plan
 from .protocol import run_session
 from .source import PMF_TOL, JointSource, avg_min_entropy_product
-from .uhash import BitString, GFContext, SeedHasher, field_for_source, subset_xors
+from .uhash import GFContext, _seed_bases, field_for_source, subset_xors
 
 # two-sided 95% normal quantile, fixed so intervals are reproducible
 _WILSON_Z = 1.959963984540054
@@ -285,15 +285,15 @@ def _field_masks(ctx: GFContext) -> tuple[np.ndarray, np.ndarray]:
     masks[p, s]: bit p of x (.) s is the parity of masks[p, s] & x, for every
     seed s; popcount[v] is the Hamming weight of every v < 2^m."""
     m = ctx.bits
-    # row i: x^i (.) s for every seed s (the seeds' basis tables, column-wise)
-    basis = np.stack([SeedHasher(BitString(1 << i, m), ctx).product_table()
-                      for i in range(m)])
+    # row i: x^i (.) s for every seed s (the seeds' basis tables, column-wise),
+    # copied: the bit transpose below is several times slower on the strided view
+    basis = np.ascontiguousarray(_seed_bases(ctx).T)
     weights = (np.uint64(1) << np.arange(m, dtype=np.uint64))[:, None]
     masks = np.stack([(((basis >> np.uint64(p)) & np.uint64(1)) * weights).sum(axis=0)
                       for p in range(m)]).astype(np.int64)
-    popcount = np.zeros(1 << m, dtype=np.int64)
-    for i in range(m):
-        popcount[1 << i:2 << i] = popcount[:1 << i] + 1
+    # int64, not bitwise_count's uint8: _z_classes' coefficient index
+    # arithmetic on it would wrap
+    popcount = np.bitwise_count(np.arange(1 << m)).astype(np.int64)
     masks.setflags(write=False)
     popcount.setflags(write=False)
     return masks, popcount
@@ -577,8 +577,8 @@ def uhf_collision_census(ctx: GFContext, out_bits: int) -> np.ndarray:
         raise ValueError(f"out_bits must be in [1, {m}], got {out_bits}")
     size = 1 << m
     counts = np.zeros((size, size), dtype=np.int64)
-    shift = np.uint64(m - out_bits)
-    for s in range(size):
-        h = SeedHasher(BitString(s, m), ctx).product_table() >> shift
+    # row x: x (.) s for every seed s, which, the product being symmetric, is
+    # also seed x's product with every input
+    for h in subset_xors(_seed_bases(ctx).T) >> np.uint64(m - out_bits):
         counts += h[:, None] == h[None, :]
     return counts

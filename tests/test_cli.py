@@ -427,6 +427,24 @@ def test_config_values_are_typed_as_on_the_command_line(capsys, tmp_path):
         _run(capsys, [*flags, "--n", "8", "--eps", "0.1"])
 
 
+def test_config_keys_reach_only_the_flags_that_take_them(capsys, tmp_path):
+    # a key that no flag takes, an internal dest or an unknown name, exits 2
+    # naming it, before anything runs: a planted func would replace the handler
+    cfg = tmp_path / "cfg.json"
+    for config, named in (({"func": "x"}, "'func'"), ({"command": "run"}, "'command'"),
+                          ({"bogus": 1}, "'bogus'"), ({"n": 8, "no-such": None}, "'no-such'")):
+        cfg.write_text(json.dumps(config))
+        code, (out, err) = _run_err(capsys, ["plan", *BSC, "--n", "8", "--config", str(cfg)])
+        assert code == 2 and out == "", config
+        assert err == f"error: config {str(cfg)!r}: no flag takes {named}\n", config
+    # a key that some subcommand takes is planted on that one alone
+    cfg.write_text(json.dumps({"n": 8, "trials": 5, "ceiling": 100}))
+    args = cli._parse(["plan", *BSC, "--config", str(cfg)])
+    assert args.n == 8 and not hasattr(args, "trials") and not hasattr(args, "ceiling")
+    args = cli._parse(["threshold", *BSC, "--config", str(cfg)])
+    assert args.ceiling == 100 and not hasattr(args, "n") and not hasattr(args, "trials")
+
+
 def test_library_errors_exit_2_from_main(capsys):
     # library ValueErrors reach main unwrapped, which prints them and exits 2
     short = '{"alphabet_sizes": [2, 2, 2], "pmf": [0.5, 0.5]}'

@@ -21,8 +21,8 @@ from omska import verifier
 from omska.planner import Plan, plan_desk_exact
 from omska.protocol import run_session
 from omska.source import PMF_TOL, JointSource, bsc_chain
-from omska.uhash import (BitString, GFContext, SeedHasher, encode_symbols,
-                         field_for_source, subset_xors)
+from omska.uhash import (BitString, GFContext, _seed_bases, encode_symbols,
+                         field_for_source, gf_mul, subset_xors)
 from omska.uhash import hash as uhf_hash
 from omska.verifier import (_BLAS_TILE, _CHUNK_CELLS, _field_masks, _hadamard,
                             _seed_pair_blocks, _walsh_hadamard, _walsh_pair_distances,
@@ -333,6 +333,20 @@ def _kernel(pair, ctx, t, ell):
     return _walsh_pair_distances(pair, ctx, t, ell)[0]
 
 
+def _products(s, ctx):
+    """x (.) s for every x < 2^m, by a carry-less multiply and a reduction of
+    the oracle's own over numpy arrays, with no package table."""
+    m = ctx.bits
+    x = np.arange(1 << m, dtype=np.uint64)
+    prod = np.zeros_like(x)
+    for j in range(m):
+        if s >> j & 1:
+            prod ^= x << np.uint64(j)
+    for k in range(2 * m - 2, m - 1, -1):
+        prod ^= (prod >> np.uint64(k) & np.uint64(1)) * np.uint64(ctx.poly << (k - m))
+    return prod
+
+
 def _pair_distances(pair, ctx, t, ell):
     """Oracle: per seed pair, the distance of the ell-bit key from uniform
     given the t-bit check value and the eavesdropper block, by scattering the
@@ -356,8 +370,7 @@ def _pair_distances(pair, ctx, t, ell):
     def distances(seeds, key_seeds, out):
         seeds, key_seeds = (a.ravel() for a in np.broadcast_arrays(seeds, key_seeds))
         # products of every x-block, once per distinct seed
-        table = {s: SeedHasher(BitString(s, m), ctx).product_table()
-                 for s in set(seeds.tolist()) | set(key_seeds.tolist())}
+        table = {s: _products(s, ctx) for s in set(seeds.tolist()) | set(key_seeds.tolist())}
         for j, (s, s2) in enumerate(zip(seeds.tolist(), key_seeds.tolist())):
             bucket = ((table[s] >> to_check) << np.uint64(ell)
                       | table[s2] >> to_key).astype(np.int64)
@@ -745,7 +758,6 @@ def test_secrecy_pair_terms_do_not_depend_on_block_width(t, ell):
 
 
 def test_field_masks_built_once_and_read_only(monkeypatch):
-    from omska.uhash import SeedHasher
     _field_masks.cache_clear()
     plan = _hand_plan(8, 8.0, 2, 1)
     first = secrecy_sd_exact(CHAIN, plan)
@@ -753,12 +765,31 @@ def test_field_masks_built_once_and_read_only(monkeypatch):
     assert masks.shape == (8, 256) and masks.dtype == np.int64
     assert not masks.flags.writeable and not popcount.flags.writeable
     # further audits on the field, any point and mode, build no seed table
-    monkeypatch.setattr(SeedHasher, "product_table", None)
+    monkeypatch.setattr(verifier, "_seed_bases", None)
     assert secrecy_sd_exact(CHAIN, plan) == first
     secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 4, 4), seed_pairs=9)
     secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 0, 3), recon_seeds=2)
     info = _field_masks.cache_info()
     assert info.misses == 1 and info.hits == 4  # three audits and the lookup above
+
+
+def test_seed_bases_and_field_masks_match_gf_mul():
+    # row s of the seed bases is x^i (.) s for each i, bit p of x (.) s is the
+    # parity of masks[p, s] & x, and popcount is the Hamming weight: checked
+    # against gf_mul for every seed and 8 drawn inputs a seed, at each m an
+    # audit may use
+    rng = np.random.default_rng(12)
+    for m in range(1, 13):
+        ctx = GFContext.for_bits(m)
+        bases = _seed_bases(ctx)
+        want = [[gf_mul(1 << i, s, ctx) for i in range(m)] for s in range(1 << m)]
+        assert bases.dtype == np.uint64 and np.array_equal(bases, want), m
+        masks, popcount = _field_masks(ctx)
+        xs = rng.integers(0, 1 << m, size=(1 << m, 8))
+        products = np.array([[gf_mul(int(x), s, ctx) for x in row] for s, row in enumerate(xs)])
+        parity = np.bitwise_count(masks[:, :, None] & xs[None]) & 1
+        assert np.array_equal(parity, products[None] >> np.arange(m)[:, None, None] & 1), m
+        assert np.array_equal(popcount, [bin(v).count("1") for v in range(1 << m)]), m
 
 
 def _hadamard_entries(k):
@@ -835,14 +866,13 @@ def test_hadamard_factors_cached_read_only():
 def test_secrecy_zero_key_skips_enumeration(monkeypatch):
     # a 0-bit key is uniform by definition: no seed table is built, and the
     # report matches the enumerated one field for field
-    from omska.uhash import SeedHasher
-
-    def refuse(self):
+    def refuse(ctx):
         raise AssertionError("seed table built for a 0-bit key")
 
     plan = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
     assert plan.key_bits == 0
-    monkeypatch.setattr(SeedHasher, "product_table", refuse)
+    _field_masks.cache_clear()
+    monkeypatch.setattr(verifier, "_seed_bases", refuse)
     rep = secrecy_sd_exact(CHAIN, plan)
     assert rep.sd == 0.0 and rep.exact and rep.seed_pairs == 65536
     sampled = secrecy_sd_exact(CHAIN, plan, seed_pairs=50)
