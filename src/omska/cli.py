@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 a check failed or the plan is infeasible (a
 threshold search whose crossing fails its own local check included), 2 bad
-usage or malformed input, 3 search budget exceeded.
+usage or malformed input, 3 search budget (list search or secrecy audit) exceeded.
 
 The source is given either as --bsc p,q (binary cascade) or --source FILE
 (JSON, see load_joint_pmf).  --config FILE supplies defaults for any long
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the trial loop")
     p_run.set_defaults(func=cmd_run)
 
-    p_verify = subs.add_parser("verify", help="exact secrecy check (desk scale)")
+    p_verify = subs.add_parser("verify", help="exact secrecy check (desk scale, budgeted)")
     _add_common(p_verify)
     p_verify.add_argument("--n", type=int, help="block length")
     p_verify.add_argument("--seed", type=int, default=0,

@@ -23,8 +23,8 @@ reconciliation seed once per key seed; and a 1-bit key transforms only the
 check rows.  The Walsh-Hadamard transform runs as two BLAS matrix products,
 by the two Sylvester factors of the Hadamard matrix, written into the same
 workspace.  No concentration inequality stands between the reported number
-and the definition; the only approximation ever introduced is seed-pair
-sampling, and then the report says so and carries a standard error.  Its
+and the definition; seed-pair sampling, and one class for two biases that
+differ, are the only approximations, and either makes a report inexact.  Its
 sums run in the order BLAS picks, which may change with the BLAS build, so
 the last bits of a report may too, though not with the chunking; on dyadic
 sources (biases and P(z) dyadic rationals) every sum is exact.  The
@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .planner import Plan
-from .protocol import run_session
+from .protocol import BudgetExceededError, run_session, search_budget
 from .source import PMF_TOL, JointSource, avg_min_entropy_product
 from .uhash import GFContext, _seed_bases, field_for_source, subset_xors
 
@@ -55,11 +55,6 @@ _WILSON_Z = 1.959963984540054
 
 _CENSUS_MAX_BITS = 10
 _EXACT_SD_MAX_N = 12
-_ENUM_SEED_MAX_BITS = 8
-_FALLBACK_RECON_SAMPLE = 256
-# seed pairs an audit may cover: a full enumeration at the 12-bit cap, whose
-# terms array takes 128 MiB
-_MAX_SEED_PAIRS = 1 << 24
 # cells (seed pairs x (check, key) buckets) handled per vectorised chunk
 _CHUNK_CELLS = 1 << 16
 
@@ -150,15 +145,16 @@ class SecrecyReport:
 
     sd averages, over hash-seed pairs, the statistical distance between
     (key, check value, eavesdropper block) and (uniform key, check value,
-    eavesdropper block).  exact=True means no sampling: every seed pair was
-    enumerated and sd is the definition, up to the rounding of sums in BLAS
-    order, whose last bits may differ between BLAS builds; otherwise seed
-    pairs were sampled and std_error estimates the Monte Carlo error.  cells
-    counts the (check, key) cells the audit covers, seed_pairs x
-    2^(recon_bits + key_bits), or 0 for a 0-bit key, whose distance is 0 by
-    definition; cells that several seed pairs share are computed once, so an
-    audit may compute fewer.  lhl_bound is the two-hash leftover-hash
-    guarantee (1/2)*sqrt(2^(recon_bits + key_bits - Hmin)).
+    eavesdropper block).  exact=True means every seed pair was enumerated
+    and sd is the definition, up to the rounding of sums in BLAS order, whose
+    last bits may differ between BLAS builds; it is False where seed pairs
+    were sampled (std_error estimates that error) or one class merged two
+    unequal biases (_z_biases).  cells counts the (check, key) cells the
+    audit covers, seed_pairs x 2^(recon_bits + key_bits), and computed_cells
+    those it computed and was charged for (secrecy_sd_exact); both are 0 for
+    a 0-bit key, whose distance is 0 by definition.  lhl_bound is the
+    two-hash leftover-hash guarantee (1/2)*sqrt(2^(recon_bits + key_bits -
+    Hmin)).
     """
 
     n: int
@@ -168,6 +164,7 @@ class SecrecyReport:
     exact: bool
     seed_pairs: int
     cells: int
+    computed_cells: int
     std_error: float | None
     avg_min_entropy: float
     lhl_bound: float
@@ -323,25 +320,35 @@ def _chunk_buffers(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _BIAS_TOL = 64 * PMF_TOL
 
 
-def _z_classes(pair: np.ndarray, popcount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, coeff) of the binary pair law P(x, z) on m-bit blocks, where
-    popcount[v] = wt(v) for every v < 2^m.  With the biases r_v = |1 - 2 P(X
-    != v | Z = v)| equal within _BIAS_TOL, or a Z symbol of no mass, the one
-    class is z = 0 and coeff[v] = r^wt(v).  Otherwise the classes are the
-    blocks z with P(z) > 0, and coeff[wt(z), k0, k1] = P(z) r0^k0 r1^k1, flat.
-
-    A Z symbol of subnormal mass counts as one of no mass: its bias, divided
-    by that mass, keeps too few digits to match the other, and the blocks
-    that hold it carry at most m * 2.3e-308 of probability."""
+def _z_biases(pair: np.ndarray, m: int) -> tuple[float, float, np.ndarray | None]:
+    """(r0, r1, mass_z) of the binary pair law P(x, z) on m-bit blocks: the
+    biases r_v = |1 - 2 P(X != v | Z = v)| and mass_z[w] = P(z) of a block z
+    of weight w, None where one class stands for every z: biases equal within
+    _BIAS_TOL, or a Z symbol of no mass (r0 = r1, the other's bias).  A Z
+    symbol of subnormal mass counts as one of no mass: its bias, divided by
+    that mass, keeps too few digits to match the other, and the blocks that
+    hold it carry at most m * 2.3e-308 of probability."""
     (p00, p01), (p10, p11) = pair.tolist()
     mass = (p00 + p10, p01 + p11)
     r0, r1 = (abs(1.0 - 2.0 * p / s) if s >= sys.float_info.min else None
               for p, s in zip((p10, p01), mass))
-    if r0 is None or r1 is None or abs(r0 - r1) <= _BIAS_TOL:
-        return np.zeros(1, dtype=np.int64), (r1 if r0 is None else r0) ** popcount
-    m = len(popcount).bit_length() - 1
+    if r0 is None or r1 is None:
+        r0 = r1 = r1 if r0 is None else r0
+    if abs(r0 - r1) <= _BIAS_TOL:
+        return r0, r1, None
     w = np.arange(m + 1)
-    mass_z = mass[0] ** (m - w) * mass[1] ** w
+    return r0, r1, mass[0] ** (m - w) * mass[1] ** w
+
+
+def _z_classes(pair: np.ndarray, popcount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, coeff) of _z_biases, where popcount[v] = wt(v) for every
+    v < 2^m: the one class z = 0 with coeff[v] = r0^wt(v), or the blocks z
+    with P(z) > 0 and coeff[wt(z), k0, k1] = P(z) r0^k0 r1^k1, flat."""
+    m = len(popcount).bit_length() - 1
+    r0, r1, mass_z = _z_biases(pair, m)
+    if mass_z is None:
+        return np.zeros(1, dtype=np.int64), r0 ** popcount
+    w = np.arange(m + 1)
     return (np.flatnonzero(mass_z[popcount] > 0.0),
             (mass_z[:, None, None] * np.outer(r0 ** w, r1 ** w)).ravel())
 
@@ -452,11 +459,9 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
     transcript and the eavesdropper's block, computed exactly per seed pair.
 
     Binary source and eavesdropper alphabets only, n <= 12; each pair's term
-    comes from _walsh_pair_distances.  With seed_pairs and
-    recon_seeds both None every (reconciliation seed, key seed) pair is
-    enumerated while the field has at most 8 bits; wider fields fall back to
-    sampling 256 reconciliation seeds.  seed_pairs samples that many seed
-    pairs outright; recon_seeds samples reconciliation seeds while still
+    comes from _walsh_pair_distances.  By default every (reconciliation seed,
+    key seed) pair is enumerated.  seed_pairs samples that many seed pairs
+    outright; recon_seeds samples reconciliation seeds while still
     enumerating every key seed against each one, which keeps the inner
     average exact and only samples the outer one.  Either sampling mode
     reports a standard error (None after a single draw); they cannot be
@@ -467,11 +472,12 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
     seed_pairs walks its drawn pairs.  At t = 0 there is no check value and a
     term depends on the key seed alone, so each distinct key seed (every one
     of the 2^m in the grid modes, the drawn ones for seed_pairs) is computed
-    once and copied to every pair that holds it.  The field's mask table is
-    built once and cached, so a call pays for at most its cells, seed pairs x
-    2^(t+ell) (reported as cells), times the classes (one on the cascade), and
-    holds one chunk of them at a time, in its thread's chunk workspace.  More
-    than 2^24 seed pairs are refused before anything is drawn.
+    once and copied to every pair that holds it.  Before a seed is drawn or a
+    table built, the audit is charged P + T K c against search_budget(), and
+    an overrun raises BudgetExceededError: P seed pairs, one float each, and
+    T K c computed cells (computed_cells), for T terms (P, or at t = 0 at
+    most 2^m), K classes and c cells a term (2^t at ell = 1, else
+    2^(t+ell)).  A 0-bit key is charged nothing and draws nothing.
     """
     if src.alphabet_sizes[0] != 2 or src.alphabet_sizes[2] != 2:
         raise ValueError("exact secrecy enumeration supports binary X and Z only")
@@ -486,36 +492,33 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
 
     if seed_pairs is not None and recon_seeds is not None:
         raise ValueError("give seed_pairs or recon_seeds, not both")
-    if seed_pairs is None and recon_seeds is None and m > _ENUM_SEED_MAX_BITS:
-        # seed space too wide to enumerate both sides; the mean over the
-        # reconciliation seed is what the secrecy claim averages, so sample it
-        recon_seeds = _FALLBACK_RECON_SAMPLE
-    if seed_pairs is not None:
-        if seed_pairs < 1:
-            raise ValueError("seed_pairs must be positive")
-        count = seed_pairs
-    elif recon_seeds is not None:
-        if recon_seeds < 1:
-            raise ValueError("recon_seeds must be positive")
-        count = recon_seeds << m
-    else:
-        count = 1 << 2 * m
-    if count > _MAX_SEED_PAIRS:
-        # checked before anything is drawn: the draws and the terms array
-        # both grow with the count
-        raise ValueError(f"an audit of {count} seed pairs exceeds the cap of "
-                         f"{_MAX_SEED_PAIRS} (2^24)")
-    size = (seed_pairs, 2) if seed_pairs is not None else recon_seeds
-    draws = None if size is None else np.random.default_rng(rng_seed).integers(
-        0, 1 << m, size=size, dtype=np.uint64)
-    exact = draws is None
+    for name, value in (("seed_pairs", seed_pairs), ("recon_seeds", recon_seeds)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be positive")
+    # the outer draws: seed pairs, reconciliation seeds, or None when enumerated
+    drawn = seed_pairs if seed_pairs is not None else recon_seeds
+    # seed pairs: the drawn ones, or 2^m for each reconciliation seed
+    count = seed_pairs or (recon_seeds or 1 << m) << m
+    exact = drawn is None
+    # a single draw has no spread; a 0-bit key's terms are all exactly 0
+    std_error = None if drawn is None or drawn == 1 else 0.0
+    terms, sd, computed = None, 0.0, 0
 
-    if ell == 0:
-        # a 0-bit key is uniform by definition: every term is exactly zero
-        terms = None
-        sd = 0.0
-    else:
-        distances, chunk = _walsh_pair_distances(src.p_xz(), ctx, t, ell)
+    if ell > 0:
+        pair = src.p_xz()
+        r0, r1, mass_z = _z_biases(pair, m)
+        # one class for two biases that differ moves the terms off the definition
+        exact = exact and (mass_z is not None or r0 == r1)
+        classes = 1 if mass_z is None else \
+            sum(math.comb(m, w) for w in range(m + 1) if mass_z[w] > 0.0)
+        computed = (count if t else min(count, 1 << m)) * classes << (t if ell == 1 else t + ell)
+        charge, budget = count + computed, search_budget()
+        if charge > budget:
+            raise BudgetExceededError(f"secrecy audit of {count} seed pairs and {computed} cells "
+                                      f"charges {charge}, over budget {budget}", charge, budget)
+        draws = None if drawn is None else np.random.default_rng(rng_seed).integers(
+            0, 1 << m, size=recon_seeds or (seed_pairs, 2), dtype=np.uint64)
+        distances, chunk = _walsh_pair_distances(pair, ctx, t, ell)
 
         def walk(pairs, out: np.ndarray) -> np.ndarray:
             # each block writes its terms in place: a fresh array per block
@@ -534,29 +537,25 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
             # with no check value a term depends on the key seed alone: each
             # distinct key seed is computed once, against reconciliation seed
             # 0, and serves every pair (every grid row) it appears in
-            key_seeds = draws[:, 1] if draws is not None and draws.ndim == 2 else \
+            key_seeds = draws[:, 1] if seed_pairs is not None else \
                 np.arange(1 << m, dtype=np.uint64)
             keys, spread = np.unique(key_seeds, return_inverse=True)
             once = walk(np.stack([np.zeros_like(keys), keys], axis=1), np.empty(len(keys)))
             terms.reshape(-1, key_seeds.size)[:] = once[spread]
         sd = float(terms.mean())
+        if std_error is not None:
+            # a drawn reconciliation seed's inner key-seed average is exact;
+            # only the outer draw varies
+            samples = terms if seed_pairs is not None else \
+                terms.reshape(recon_seeds, 1 << m).mean(axis=1)
+            std_error = float(samples.std(ddof=1) / math.sqrt(len(samples)))
 
-    if exact or len(draws) == 1:
-        std_error = None
-    elif terms is None:
-        std_error = 0.0
-    else:
-        # a drawn reconciliation seed's inner key-seed average is exact; only
-        # the outer draw varies
-        samples = terms if draws.ndim == 2 else \
-            terms.reshape(len(draws), 1 << m).mean(axis=1)
-        std_error = float(samples.std(ddof=1) / math.sqrt(len(samples)))
     hmin = avg_min_entropy_product(src, n, given="z")
     lhl = min(1.0, 0.5 * math.sqrt(2.0 ** (t + ell - hmin)))
     return SecrecyReport(
         n=n, recon_bits=t, key_bits=ell, sd=sd, exact=exact,
         seed_pairs=count, cells=0 if terms is None else count << (t + ell),
-        std_error=std_error,
+        computed_cells=computed, std_error=std_error,
         avg_min_entropy=hmin, lhl_bound=lhl, sigma_target=plan.sigma,
         meets_lhl=sd <= lhl + 1e-12, meets_target=sd <= plan.sigma + 1e-12,
     )

@@ -21,6 +21,14 @@ class _InlineExecutor:
         return map(fn, *iterables)
 
 
+@pytest.fixture(autouse=True)
+def default_budget(monkeypatch):
+    """Every test starts at the default search budget: OMSKA_BUDGET admits
+    list searches and secrecy audits alike, so a value left in the shell
+    would move what they refuse."""
+    monkeypatch.delenv("OMSKA_BUDGET", raising=False)
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Replace ProcessPoolExecutor by an in-process map; the returned list

@@ -159,6 +159,36 @@ def test_verify_reports_cells(capsys):
     assert code == (0 if rep["meets_target"] else 1)
 
 
+def test_verify_default_enumerates_every_pair(capsys):
+    # the desk plans on the default cascade leave a 0-bit key from n = 9 to
+    # 12, whose audit is charged nothing: each reports every seed pair, exact
+    for n in range(9, 13):
+        code, out = _run(capsys, ["verify", *BSC, "--n", str(n)])
+        rep = json.loads(out)
+        assert code == 0 and rep["key_bits"] == 0, n
+        assert rep["exact"] is True and rep["seed_pairs"] == 4 ** n, n
+        assert rep["std_error"] is None and rep["computed_cells"] == 0, n
+
+
+def test_verify_over_budget_exits_3(capsys):
+    # a noiseless receiver and a useless eavesdropper link plan (2, 10) at
+    # n = 12: 2^24 seed pairs of 2^12 cells each charge 2^24 x 4097, which
+    # the default budget refuses before anything is computed; so are 10^11
+    # seed pairs, drawn or by reconciliation seed, on its (2, 6) plan at n = 8
+    keyed = ["--bsc", "0.0,0.5", "--eps", "0.5", "--sigma", "0.5"]
+    for extra, charge in ((["--n", "12"], (1 << 24) * 4097),
+                          (["--n", "8", "--seed-pairs", "100000000000"], 10 ** 11 * 257),
+                          (["--n", "8", "--recon-seeds", "100000000000"], 10 ** 11 * 256 * 257)):
+        code, (out, err) = _run_err(capsys, ["verify", *keyed, *extra])
+        assert code == 3 and out == "", extra
+        assert str(charge) in err and str(10 ** 8) in err, extra
+    # a 0-bit key is charged nothing, and its 10^11 pairs are never drawn
+    code, out = _run(capsys, ["verify", *BSC, "--n", "8", "--seed-pairs", "100000000000"])
+    rep = json.loads(out)
+    assert code == 0 and rep["key_bits"] == 0 and rep["sd"] == 0.0
+    assert rep["seed_pairs"] == 10 ** 11 and rep["exact"] is False
+
+
 def test_verify_sampled_pairs(capsys):
     code, out = _run(capsys, ["verify", *BSC, "--n", "9", "--seed-pairs", "50",
                               "--seed", "7"])
@@ -271,8 +301,8 @@ def test_usage_errors_exit_2(capsys):
         ["threshold", *BSC, "--mode", "nope"],
         ["plan", *BSC, "--n", "100", "--eps", "2.0"],  # library domain error
         ["verify", *BSC, "--n", "13"],                 # over the exact-n cap
-        ["verify", *BSC, "--n", "8", "--seed-pairs", "100000000000"],  # over 2^24
-        ["verify", *BSC, "--n", "8", "--recon-seeds", "100000000000"],  # seed pairs
+        ["verify", *BSC, "--n", "8", "--seed-pairs", "0"],  # no seed pair
+        ["verify", *BSC, "--n", "8", "--seed-pairs", "5", "--recon-seeds", "5"],
         ["bounds", "--source", "/no/such/file.json", "--n", "10"],
         ["plan", *BSC, "--n", "100", "--mode", "berry_esseen"],  # a bound, not a plan
         ["run", *BSC, "--n", "16", "--mode", "theorem_main"],  # run takes desk plans

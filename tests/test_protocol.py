@@ -389,7 +389,6 @@ def test_rank_list_width_ignores_rows_pruned_on_the_way():
 
 
 def test_rank_list_cached_and_capped_by_budget(monkeypatch):
-    monkeypatch.delenv("OMSKA_BUDGET", raising=False)
     src = _symmetric_ternary_source()
     y = np.array([0, 2, 1, 1, 0, 2])
     plan = _hand_plan(6, 9.0, 0, 0)
@@ -505,7 +504,6 @@ def test_cascade_radius_tolerance_is_in_bits():
 
 
 def test_budget_environment(monkeypatch):
-    monkeypatch.delenv("OMSKA_BUDGET", raising=False)
     assert search_budget() == DEFAULT_SEARCH_BUDGET == 10 ** 8
     monkeypatch.setenv("OMSKA_BUDGET", "2.5e3")
     assert search_budget() == 2500
@@ -710,7 +708,6 @@ def _ctx8():
 
 
 def test_cascade_table_cached_and_capped_by_budget(monkeypatch):
-    monkeypatch.delenv("OMSKA_BUDGET", raising=False)
     plan = plan_desk_exact(CHAIN, 8, 0.005, 0.05)  # radius 2, 37 candidates
     y = np.array([1, 0, 0, 1, 1, 1, 0, 1])
     check = uhf_hash(encode_symbols(y, 2), BitString(1, 8), plan.recon_bits, _ctx8())

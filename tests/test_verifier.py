@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from functools import reduce
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from cascade_oracles import crossover_convolve, detect_bsc_chain
 from omska import verifier
 from omska.planner import Plan, plan_desk_exact
-from omska.protocol import run_session
+from omska.protocol import BudgetExceededError, run_session
 from omska.source import PMF_TOL, JointSource, bsc_chain
 from omska.uhash import (BitString, GFContext, _seed_bases, encode_symbols,
                          field_for_source, gf_mul, subset_xors)
@@ -883,15 +884,15 @@ def test_secrecy_zero_key_skips_enumeration(monkeypatch):
 
 
 def test_secrecy_zero_key_audit_streams_pairs():
-    # the n = 10 desk plan samples 256 reconciliation seeds against all 1024
-    # key seeds; with a 0-bit key the count follows from the sampling mode
-    # and no per-pair storage is made
+    # the n = 10 desk plan, 256 reconciliation seeds against all 1024 key
+    # seeds; with a 0-bit key the count follows from the sampling mode and
+    # no per-pair storage is made
     plan = plan_desk_exact(CHAIN, 10, 0.05, 0.05)
     assert plan.key_bits == 0
-    secrecy_sd_exact(CHAIN, plan)  # warm imports and caches
+    secrecy_sd_exact(CHAIN, plan, recon_seeds=256)  # warm imports and caches
     tracemalloc.start()
     try:
-        rep = secrecy_sd_exact(CHAIN, plan)
+        rep = secrecy_sd_exact(CHAIN, plan, recon_seeds=256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1029,9 +1030,20 @@ def test_secrecy_cells_count():
     assert secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 4, 4), seed_pairs=9).cells == 9 * 256
     assert secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 0, 3), recon_seeds=2).cells == \
         2 * 256 * 8
-    assert secrecy_sd_exact(LOPSIDED, _hand_plan(3, 3.0, 2, 1)).cells == 64 * 8
+    lopsided = secrecy_sd_exact(LOPSIDED, _hand_plan(3, 3.0, 2, 1))
+    assert lopsided.cells == 64 * 8
     zero = secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 3, 0))
-    assert zero.cells == 0 and zero.seed_pairs == 65536
+    assert zero.cells == zero.computed_cells == 0 and zero.seed_pairs == 65536
+    # computed_cells = terms computed x classes x cells a term: at the
+    # benchmark's four n = 8 points, one row of 256 key seeds at t = 0, 2
+    # check cells a pair at l = 1 and 256 at (4, 4); on LOPSIDED, every pair
+    # at n = 3, (2, 1), times 8 classes
+    for (t, ell), kw, cells in (((0, 1), {}, 256), ((1, 1), {}, 65536 * 2),
+                                ((1, 2), {"recon_seeds": 64}, 64 * 256 * 8),
+                                ((4, 4), {"seed_pairs": 512}, 512 * 256)):
+        rep = secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, t, ell), **kw)
+        assert rep.computed_cells == cells, (t, ell)
+    assert lopsided.computed_cells == 64 * 8 * 4
 
 
 def test_secrecy_frozen_n8_point():
@@ -1080,38 +1092,102 @@ def test_secrecy_guards(monkeypatch):
     with pytest.raises(ValueError, match="not both"):
         secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 2, 1),
                          seed_pairs=10, recon_seeds=10)
-    # explicit sampling works past the full-enumeration cap
+    # explicit sampling works on a 9-bit field as on an 8-bit one
     rep = secrecy_sd_exact(CHAIN, _hand_plan(9, 8.0, 2, 1), seed_pairs=40)
     assert 0.0 <= rep.sd <= 1.0 and not rep.exact
 
 
-def test_secrecy_pair_cap_checked_before_drawing(monkeypatch):
-    # more than 2^24 seed pairs is refused before any seed is drawn or any
-    # array allocated; 2^24 itself is allowed through to the draw
-    def refuse(*args, **kwargs):
-        raise AssertionError("seeds drawn for an audit over the cap")
+def _refusing(what):
+    """A stand-in that fails the test with `what` when it is called."""
+    def refused(*args, **kwargs):
+        raise AssertionError(what)
+    return refused
 
-    plan = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    for kw in ({"seed_pairs": 10 ** 11}, {"recon_seeds": 10 ** 11},
-               {"seed_pairs": (1 << 24) + 1}, {"recon_seeds": (1 << 16) + 1}):
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            secrecy_sd_exact(CHAIN, plan, **kw)
-        with pytest.raises(ValueError, match="exceeds the cap"):
+
+def test_secrecy_budget_checked_before_drawing(monkeypatch):
+    # an audit is charged its seed pairs and computed cells before any seed
+    # is drawn or any table built: 3 a seed pair at (1, 1) on the cascade
+    # (the term and its 2 check cells), so a budget of 3 x 2^24 refuses one
+    # pair more than 2^24 and lets 2^24 through to the draw.  A 0-bit key is
+    # charged nothing and draws nothing, at any count
+    budget = 3 << 24
+    monkeypatch.setenv("OMSKA_BUDGET", str(budget))
+    monkeypatch.setattr(np.random, "default_rng", _refusing("seeds drawn"))
+    monkeypatch.setattr(verifier, "_field_masks", _refusing("mask table built"))
+    zero_key = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
+    assert zero_key.key_bits == 0
+    for kw, pairs in (({"seed_pairs": 10 ** 11}, 10 ** 11),
+                      ({"recon_seeds": 10 ** 11}, 10 ** 11 << 8),
+                      ({"seed_pairs": (1 << 24) + 1}, (1 << 24) + 1),
+                      ({"recon_seeds": (1 << 16) + 1}, (1 << 24) + 256)):
+        with pytest.raises(BudgetExceededError) as exc:
             secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 1, 1), **kw)
+        assert (exc.value.count, exc.value.budget) == (3 * pairs, budget), kw
+        rep = secrecy_sd_exact(CHAIN, zero_key, **kw)
+        assert rep.sd == 0.0 and rep.seed_pairs == pairs and rep.computed_cells == 0, kw
     with pytest.raises(AssertionError, match="seeds drawn"):
-        secrecy_sd_exact(CHAIN, plan, recon_seeds=1 << 16)
+        secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 1, 1), recon_seeds=1 << 16)
 
 
-def test_secrecy_wide_field_falls_back_to_sampling(monkeypatch):
-    # a 9-bit field cannot enumerate both seeds; the default run samples
-    # reconciliation seeds instead of failing (count shrunk here for speed)
-    from omska import verifier
-    monkeypatch.setattr(verifier, "_FALLBACK_RECON_SAMPLE", 4)
+def test_secrecy_non_cascade_audit_refused_at_once(monkeypatch):
+    # LOPSIDED at n = 12, (2, 3), one reconciliation seed: 4,096 pairs x
+    # 4,096 classes x 32 cells, 11.6 s of work when audits had no budget, is
+    # refused by the default one before anything is drawn or built
+    monkeypatch.setattr(np.random, "default_rng", _refusing("seeds drawn"))
+    monkeypatch.setattr(verifier, "_field_masks", _refusing("mask table built"))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as exc:
+        secrecy_sd_exact(LOPSIDED, _hand_plan(12, 12.0, 2, 3), recon_seeds=1)
+    assert time.perf_counter() - start < 0.5
+    charge = 4096 + 4096 * 4096 * 32
+    assert (exc.value.count, exc.value.budget) == (charge, 10 ** 8) == (536_875_008, 10 ** 8)
+    assert str(charge) in str(exc.value) and str(10 ** 8) in str(exc.value)
+
+
+def test_secrecy_raised_budget_admits(monkeypatch):
+    # OMSKA_BUDGET at an audit's charge admits it, one below refuses it: the
+    # n = 12 audit above gets through to its draw, and a full n = 4, (1, 2)
+    # audit on LOPSIDED (256 pairs x 16 classes x 8 cells) runs to the
+    # default budget's report
+    plan = _hand_plan(4, 4.0, 1, 2)
+    want = secrecy_sd_exact(LOPSIDED, plan)
+    charge = 256 + 256 * 16 * 8
+    assert want.exact and want.computed_cells == charge - 256
+    monkeypatch.setenv("OMSKA_BUDGET", str(charge))
+    assert secrecy_sd_exact(LOPSIDED, plan) == want
+    monkeypatch.setenv("OMSKA_BUDGET", str(charge - 1))
+    with pytest.raises(BudgetExceededError):
+        secrecy_sd_exact(LOPSIDED, plan)
+    monkeypatch.setattr(np.random, "default_rng", _refusing("seeds drawn"))
+    monkeypatch.setenv("OMSKA_BUDGET", str(536_875_008))
+    with pytest.raises(AssertionError, match="seeds drawn"):
+        secrecy_sd_exact(LOPSIDED, _hand_plan(12, 12.0, 2, 3), recon_seeds=1)
+
+
+def test_secrecy_merged_biases_are_not_exact():
+    # [[0, 1e-12], [1, 1]], normalised: biases 1 and about 1 - 2e-12 share
+    # one class, which moves the n = 3, (0, 1) terms off the dense oracle, so
+    # the report says it is not exact, though every pair is enumerated; a
+    # cascade's two biases are equal bit for bit, and its report is exact
+    pair = _binary_pair("any", 0.0, 1e-12, 1.0)
+    r0, r1, mass_z = verifier._z_biases(pair, 3)
+    assert mass_z is None and r0 != r1
+    pmf = np.zeros((2, 2, 2))
+    pmf[0, 0], pmf[1, 1] = pair
+    rep = secrecy_sd_exact(JointSource((2, 2, 2), pmf), _hand_plan(3, 3.0, 0, 1))
+    dense = _terms(_pair_distances(pair, field_for_source(3, 2), 0, 1), *_all_pairs(3))
+    assert not rep.exact and rep.seed_pairs == 64 and rep.std_error is None
+    assert 1e-13 < abs(rep.sd - dense.mean()) <= 1e-10
+    assert secrecy_sd_exact(CHAIN, _hand_plan(3, 3.0, 0, 1)).exact
+
+
+def test_secrecy_wide_field_enumerates_every_pair():
+    # a default audit enumerates every seed pair, whatever the field's width,
+    # or is refused: a 9-bit field's 2^18 pairs, 4 cells each at (2, 1)
     rep = secrecy_sd_exact(CHAIN, _hand_plan(9, 8.0, 2, 1))
-    assert not rep.exact
-    assert rep.seed_pairs == 4 * 512
-    assert rep.std_error is not None and rep.std_error >= 0.0
+    assert rep.exact and rep.std_error is None
+    assert rep.seed_pairs == 1 << 18 and rep.computed_cells == 4 << 18
+    assert 0.0 < rep.sd <= rep.lhl_bound
 
 
 def test_collision_census_balanced():
