@@ -30,7 +30,8 @@ cache of at most 16 tables and _RANK_CACHE_BYTES in all.
 
 The hash is linear in the encoded bits, so one kernel decodes the list: a
 listed block's product is the center's product XOR, along its row, the
-differences T[i, alternative] ^ T[i, center_i] of the seed's symbol table.
+differences P[i, alternative] ^ P[i, center_i] of the products of each
+slot's listed symbols under the seed.
 guess_set expands the same table into blocks.
 
 Searches are capped by a node budget (default 1e8, or OMSKA_BUDGET): the
@@ -47,7 +48,6 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, asdict
-from functools import lru_cache
 
 import numpy as np
 
@@ -306,27 +306,17 @@ def _unique_hit(prods: np.ndarray, check_value: BitString, bits: int) -> int | N
     return int(hits[0]) if hits.shape[0] == 1 else None
 
 
-@lru_cache(maxsize=16)
-def _slot_starts(n: int, size_x: int) -> np.ndarray:
-    """Read-only (n, 1) column of i * size_x, the flat index of T[i, 0] in an
-    (n, size_x) symbol table."""
-    starts = np.arange(0, n * size_x, size_x)[:, None]
-    starts.setflags(write=False)
-    return starts
-
-
 def _level_inputs(y: np.ndarray, recon_seed: BitString, plan: Plan, ctx: GFContext,
                   src: JointSource):
     """Kernel inputs: the guess list (table, ranked), the product differences
-    diffs[i*k + r - 1] = T[i, ranked[i, r]] ^ T[i, ranked[i, 0]] (k = |X| - 1)
-    with a zero appended for padding, and the center's product base."""
+    diffs[i*k + r - 1] = P[i, r] ^ P[i, 0] (k = |X| - 1) of the products P of
+    the ranked symbols in their slots (SeedHasher.products), with a zero
+    appended for padding, and the center's product base."""
     table, ranked = _level_list(y, plan, src, search_budget())
-    symbols = SeedHasher(recon_seed, ctx).symbol_table(*ranked.shape)
-    # T[i, ranked[i, r]] for every slot and rank, by one flat take
-    products = symbols.take(ranked + _slot_starts(*ranked.shape))
-    # symbols[0, 0] is a zero of the table's own dtype (uint64, or a Python
-    # int above 64 bits)
-    diffs = np.concatenate(((products[:, 1:] ^ products[:, :1]).ravel(), symbols[0, :1]))
+    products = SeedHasher(recon_seed, ctx).products(ranked, src.alphabet_sizes[0])
+    # a zero of the products' own dtype (uint64, or a Python int above 64 bits)
+    diffs = np.concatenate(((products[:, 1:] ^ products[:, :1]).ravel(),
+                            np.zeros(1, products.dtype)))
     return table, ranked, diffs, np.bitwise_xor.reduce(products[:, 0])
 
 

@@ -260,9 +260,10 @@ def fresh_seed(ctx: GFContext, rng_seed: int | np.random.Generator) -> HashSeed:
 class SeedHasher:
     """Precomputed basis table for one seed: hashing is then a handful of XORs.
 
-    R[i] = (x^i) (.) seed, built by an xtime chain, so the hash of any input is
-    the XOR of R over its set bits.  Used by the decoders, which hash thousands
-    of candidates under a single seed.
+    R[i] = (x^i) (.) seed, built by an xtime chain, so the product of any
+    input is the XOR of R over its set bits.  Used by the decoder, which
+    hashes the listed symbols of every slot under a single seed, and by the
+    secrecy audit's tables, which are linear in the seed.
     """
 
     def __init__(self, seed: HashSeed, ctx: GFContext):
@@ -278,17 +279,19 @@ class SeedHasher:
                 cur ^= ctx.poly  # degree-m overflow: one reduction step
         self.table = table
 
-    def symbol_table(self, n: int, alphabet_size: int) -> np.ndarray:
-        """T[i, a] = (symbol a in slot i) (.) seed, the XOR of R[(n-1-i)*w + b]
-        over the set bits b of a, so a block's product is the XOR of T[i, c_i].
+    def products(self, symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
+        """P[i, r] = (symbol symbols[i, r] in slot i) (.) seed for an (n, k)
+        symbol array, in any order: the XOR of R[(n-1-i)*w + b] over the set
+        bits b of the symbol, so a block's product is the XOR of its slots'.
         uint64 for m <= 64, else Python ints (dtype object); numpy's XOR-reduce
         and shifts serve both."""
         width = symbol_width(alphabet_size)
-        if n * width != self.ctx.bits:
-            raise ValueError(f"{n} symbols of width {width} do not fill {self.ctx.bits} bits")
+        if len(symbols) * width != self.ctx.bits:
+            raise ValueError(f"{len(symbols)} symbols of width {width} do not fill "
+                             f"{self.ctx.bits} bits")
         basis = np.array(self.table, dtype=np.uint64 if self.ctx.bits <= 64 else object)
-        basis = basis.reshape(n, width)[::-1, None, :]  # [slot i, -, bit b]
-        bits = (np.arange(alphabet_size)[:, None] >> np.arange(width)) & 1 == 1
+        basis = basis.reshape(-1, width)[::-1, None, :]  # [slot i, -, bit b]
+        bits = (symbols[:, :, None] >> np.arange(width)) & 1 == 1
         return np.bitwise_xor.reduce(np.where(bits, basis, basis.dtype.type(0)), axis=2)
 
 
@@ -300,12 +303,3 @@ def subset_xors(rows: np.ndarray) -> np.ndarray:
     for j, row in enumerate(rows):
         out[1 << j:2 << j] = out[:1 << j] ^ row
     return out
-
-
-def _seed_bases(ctx: GFContext) -> np.ndarray:
-    """(2^m, m) uint64 table whose row s is SeedHasher(s).table, R[i] = (x^i)
-    (.) s, for every seed s of a small field (2^m * m words).  The product is
-    linear in the seed, so row s is the XOR of the unit seeds' chains over the
-    set bits of s: m Python chains and one subset_xors."""
-    units = [SeedHasher(BitString(1 << j, ctx.bits), ctx).table for j in range(ctx.bits)]
-    return subset_xors(np.array(units, dtype=np.uint64))

@@ -48,7 +48,7 @@ import numpy as np
 from .planner import Plan
 from .protocol import BudgetExceededError, run_session, search_budget
 from .source import PMF_TOL, JointSource, avg_min_entropy_product
-from .uhash import GFContext, _seed_bases, field_for_source, subset_xors
+from .uhash import BitString, GFContext, SeedHasher, field_for_source, subset_xors
 
 # two-sided 95% normal quantile, fixed so intervals are reproducible
 _WILSON_Z = 1.959963984540054
@@ -276,24 +276,23 @@ def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndar
 
 
 @lru_cache(maxsize=_EXACT_SD_MAX_N)
-def _field_masks(ctx: GFContext) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (masks, popcount) of a field of m <= 12 bits, built once.
+def _field_masks(ctx: GFContext) -> np.ndarray:
+    """Read-only int64 masks of a field of m <= 12 bits, built once: bit p of
+    x (.) s is the parity of masks[p, s] & x, for every seed s.
 
-    masks[p, s]: bit p of x (.) s is the parity of masks[p, s] & x, for every
-    seed s; popcount[v] is the Hamming weight of every v < 2^m."""
+    Bit i of masks[p, s] is bit p of x^i (.) s, and the product is linear in
+    the seed, so column s is the XOR of the unit seeds' columns over the set
+    bits of s: the m unit seeds' chains, bit-transposed, and one
+    subset_xors."""
     m = ctx.bits
-    # row i: x^i (.) s for every seed s (the seeds' basis tables, column-wise),
-    # copied: the bit transpose below is several times slower on the strided view
-    basis = np.ascontiguousarray(_seed_bases(ctx).T)
-    weights = (np.uint64(1) << np.arange(m, dtype=np.uint64))[:, None]
-    masks = np.stack([(((basis >> np.uint64(p)) & np.uint64(1)) * weights).sum(axis=0)
-                      for p in range(m)]).astype(np.int64)
-    # int64, not bitwise_count's uint8: _z_classes' coefficient index
-    # arithmetic on it would wrap
-    popcount = np.bitwise_count(np.arange(1 << m)).astype(np.int64)
+    units = np.array([SeedHasher(BitString(1 << j, m), ctx).table for j in range(m)],
+                     dtype=np.int64)
+    bits = np.arange(m)
+    # unit_masks[j, p]: bit i is bit p of x^i (.) x^j = units[j, i]
+    unit_masks = (((units[:, None, :] >> bits[:, None]) & 1) << bits).sum(axis=2)
+    masks = np.ascontiguousarray(subset_xors(unit_masks).T)
     masks.setflags(write=False)
-    popcount.setflags(write=False)
-    return masks, popcount
+    return masks
 
 
 _workspace = threading.local()
@@ -340,16 +339,16 @@ def _z_biases(pair: np.ndarray, m: int) -> tuple[float, float, np.ndarray | None
     return r0, r1, mass[0] ** (m - w) * mass[1] ** w
 
 
-def _z_classes(pair: np.ndarray, popcount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, coeff) of _z_biases, where popcount[v] = wt(v) for every
-    v < 2^m: the one class z = 0 with coeff[v] = r0^wt(v), or the blocks z
-    with P(z) > 0 and coeff[wt(z), k0, k1] = P(z) r0^k0 r1^k1, flat."""
-    m = len(popcount).bit_length() - 1
+def _z_classes(pair: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, coeff) of _z_biases on m-bit blocks: the one class z = 0 with
+    coeff[v] = r0^wt(v) for every v < 2^m, or the blocks z with P(z) > 0 and
+    coeff[wt(z), k0, k1] = P(z) r0^k0 r1^k1, flat."""
     r0, r1, mass_z = _z_biases(pair, m)
+    weights = np.bitwise_count(np.arange(1 << m))
     if mass_z is None:
-        return np.zeros(1, dtype=np.int64), r0 ** popcount
+        return np.zeros(1, dtype=np.int64), r0 ** weights
     w = np.arange(m + 1)
-    return (np.flatnonzero(mass_z[popcount] > 0.0),
+    return (np.flatnonzero(mass_z[weights] > 0.0),
             (mass_z[:, None, None] * np.outer(r0 ** w, r1 ** w)).ravel())
 
 
@@ -387,8 +386,8 @@ def _walsh_pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
     transform sums every column in one order, and a lone pair's column is
     added row by row, as in a block."""
     m = ctx.bits
-    masks, popcount = _field_masks(ctx)
-    classes, coeff = _z_classes(pair, popcount)
+    masks = _field_masks(ctx)
+    classes, coeff = _z_classes(pair, m)
     block = min(len(classes), max(1, _CHUNK_CELLS >> (t + ell)))
     check_rows, key_rows = masks[m - t:], masks[m - ell:]
     # at ell = 1 each transformed check row x stands for the two rows x and
@@ -404,10 +403,12 @@ def _walsh_pair_distances(pair: np.ndarray, ctx: GFContext, t: int, ell: int):
         # "clip" lets take write straight into out ("raise" buffers it); no
         # index is out of range, so nothing is clipped
         if len(classes) > 1:
-            # the flat index of coeff[wt(z), wt(v) - k1, k1], k1 = wt(v & z)
-            index = popcount.take(v & z)
+            # the flat index of coeff[wt(z), wt(v) - k1, k1], k1 = wt(v & z),
+            # in int64: the weights' uint8 would wrap
+            index = np.bitwise_count(v & z).astype(np.int64)
             index *= -m
-            index += (m + 1) * ((m + 1) * popcount.take(z) + popcount.take(v))
+            index += (m + 1) * ((m + 1) * np.bitwise_count(z).astype(np.int64)
+                                + np.bitwise_count(v))
             v = index
         coeff.take(v, mode="clip", out=out)
 
@@ -473,11 +474,13 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
     term depends on the key seed alone, so each distinct key seed (every one
     of the 2^m in the grid modes, the drawn ones for seed_pairs) is computed
     once and copied to every pair that holds it.  Before a seed is drawn or a
-    table built, the audit is charged P + T K c against search_budget(), and
-    an overrun raises BudgetExceededError: P seed pairs, one float each, and
-    T K c computed cells (computed_cells), for T terms (P, or at t = 0 at
-    most 2^m), K classes and c cells a term (2^t at ell = 1, else
-    2^(t+ell)).  A 0-bit key is charged nothing and draws nothing.
+    table built, the audit is charged w P + T K c against search_budget(),
+    and an overrun raises BudgetExceededError: P seed pairs of w words each
+    (1 in a grid, its term; 4 drawn, its two draws, its term and the
+    standard error's temporary), and T K c computed cells (computed_cells),
+    for T terms (P, or at t = 0 at most 2^m), K classes and c cells a term
+    (2^t at ell = 1, else 2^(t+ell)).  A 0-bit key is charged nothing and
+    draws nothing.
     """
     if src.alphabet_sizes[0] != 2 or src.alphabet_sizes[2] != 2:
         raise ValueError("exact secrecy enumeration supports binary X and Z only")
@@ -512,7 +515,9 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
         classes = 1 if mass_z is None else \
             sum(math.comb(m, w) for w in range(m + 1) if mass_z[w] > 0.0)
         computed = (count if t else min(count, 1 << m)) * classes << (t if ell == 1 else t + ell)
-        charge, budget = count + computed, search_budget()
+        # a drawn pair holds its two draws, its term and the standard error's
+        # temporary; a grid pair its term
+        charge, budget = (count << 2 if seed_pairs else count) + computed, search_budget()
         if charge > budget:
             raise BudgetExceededError(f"secrecy audit of {count} seed pairs and {computed} cells "
                                       f"charges {charge}, over budget {budget}", charge, budget)
@@ -535,13 +540,17 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
             walk(draws, terms)
         else:
             # with no check value a term depends on the key seed alone: each
-            # distinct key seed is computed once, against reconciliation seed
-            # 0, and serves every pair (every grid row) it appears in
-            key_seeds = draws[:, 1] if seed_pairs is not None else \
-                np.arange(1 << m, dtype=np.uint64)
-            keys, spread = np.unique(key_seeds, return_inverse=True)
-            once = walk(np.stack([np.zeros_like(keys), keys], axis=1), np.empty(len(keys)))
-            terms.reshape(-1, key_seeds.size)[:] = once[spread]
+            # distinct key seed, in ascending order, is computed once, against
+            # reconciliation seed 0, and serves every pair (every grid row) it
+            # appears in.  Drawn seeds are below 2^m, so their int64 view
+            # indexes the count and term tables of every seed
+            key_seeds = draws.view(np.int64)[:, 1] if seed_pairs is not None else \
+                np.arange(1 << m)
+            keys = np.flatnonzero(np.bincount(key_seeds, minlength=1 << m))
+            by_seed = np.zeros(1 << m)
+            by_seed[keys] = walk(np.stack([np.zeros_like(keys), keys], axis=1),
+                                 np.empty(len(keys)))
+            terms.reshape(-1, key_seeds.size)[:] = by_seed[key_seeds]
         sd = float(terms.mean())
         if std_error is not None:
             # a drawn reconciliation seed's inner key-seed average is exact;
@@ -565,7 +574,8 @@ def uhf_collision_census(ctx: GFContext, out_bits: int) -> np.ndarray:
     """Seed-collision counts for every pair of field elements.
 
     Returns counts[x, x2] = number of seeds s with hash(x, s) == hash(x2, s),
-    computed literally (every seed, every pair).  The family is pairwise
+    computed literally: every seed, with every input's product from that
+    seed's own SeedHasher table, and every pair.  The family is pairwise
     balanced: every off-diagonal entry must equal 2^(m - out_bits), the
     diagonal equals 2^m.  Fields up to 10 bits.
     """
@@ -576,8 +586,8 @@ def uhf_collision_census(ctx: GFContext, out_bits: int) -> np.ndarray:
         raise ValueError(f"out_bits must be in [1, {m}], got {out_bits}")
     size = 1 << m
     counts = np.zeros((size, size), dtype=np.int64)
-    # row x: x (.) s for every seed s, which, the product being symmetric, is
-    # also seed x's product with every input
-    for h in subset_xors(_seed_bases(ctx).T) >> np.uint64(m - out_bits):
+    for s in range(size):
+        h = subset_xors(np.array(SeedHasher(BitString(s, m), ctx).table, dtype=np.uint64))
+        h >>= np.uint64(m - out_bits)
         counts += h[:, None] == h[None, :]
     return counts

@@ -1,17 +1,19 @@
 """Command-line behavior: formats, exit codes, config defaults, parallel runs."""
 
+import ast
 import json
 import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import omska
-from omska import cli, protocol, source, verifier
+from omska import cli, protocol, source, uhash, verifier
 from omska.planner import PLAN_MODES
 
 BSC = ["--bsc", "0.02,0.15"]
@@ -174,10 +176,11 @@ def test_verify_over_budget_exits_3(capsys):
     # a noiseless receiver and a useless eavesdropper link plan (2, 10) at
     # n = 12: 2^24 seed pairs of 2^12 cells each charge 2^24 x 4097, which
     # the default budget refuses before anything is computed; so are 10^11
-    # seed pairs, drawn or by reconciliation seed, on its (2, 6) plan at n = 8
+    # seed pairs, drawn (4 words a pair) or by reconciliation seed (1 word),
+    # on its (2, 6) plan at n = 8
     keyed = ["--bsc", "0.0,0.5", "--eps", "0.5", "--sigma", "0.5"]
     for extra, charge in ((["--n", "12"], (1 << 24) * 4097),
-                          (["--n", "8", "--seed-pairs", "100000000000"], 10 ** 11 * 257),
+                          (["--n", "8", "--seed-pairs", "100000000000"], 10 ** 11 * 260),
                           (["--n", "8", "--recon-seeds", "100000000000"], 10 ** 11 * 256 * 257)):
         code, (out, err) = _run_err(capsys, ["verify", *keyed, *extra])
         assert code == 3 and out == "", extra
@@ -496,13 +499,26 @@ def test_public_surface():
     gone = ((protocol, "alice_send"), (verifier, "avg_min_entropy_exact"),
             (source, "detect_bsc_chain"), (source, "hamming_ball_size"),
             (source, "crossover_convolve"), (source, "binary_entropy"),
-            (verifier, "run_batch"))
+            (verifier, "run_batch"), (uhash.SeedHasher, "symbol_table"),
+            (uhash, "_seed_bases"), (protocol, "_slot_starts"))
     for module, name in gone:
         assert name not in omska.__all__ and not hasattr(omska, name)
         assert not hasattr(module, name)
     actions = cli.build_parser().omska_subparsers["plan"]._actions
     assert next(a for a in actions if a.dest == "mode").choices == PLAN_MODES
     # berry_esseen stays a bound name: test_threshold_single_bound runs it
+
+
+def test_no_private_cross_module_imports():
+    # a module's private names are its own: no relative import in the
+    # package brings in a name that starts with an underscore
+    found = []
+    for path in sorted(Path(omska.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [(path.name, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
 
 
 def test_out_writes_file(capsys, tmp_path):

@@ -281,36 +281,50 @@ def test_seed_hasher_matches_scalar_path():
             assert hasher.table[i] == gf_mul(1 << i, s.value, ctx)
 
 
-def test_seed_hasher_symbol_table():
-    # binary: column 1 is the basis product of each slot, slot 0 the top bit
+def test_seed_hasher_products():
+    # binary, symbols 0 and 1 in every slot: the product of 1 is the basis
+    # product of the slot, slot 0 the top bit, and of 0 is zero; and the fill
+    # check
     ctx = GFContext.for_bits(16)
     s = BitString(0xBEEF, 16)
-    table = SeedHasher(s, ctx).symbol_table(16, 2)
-    assert table.dtype == np.uint64 and table.shape == (16, 2)
+    prods = SeedHasher(s, ctx).products(np.tile([0, 1], (16, 1)), 2)
+    assert prods.dtype == np.uint64 and prods.shape == (16, 2)
     for i in range(16):
-        assert int(table[i, 0]) == 0
-        assert int(table[i, 1]) == gf_mul(1 << (15 - i), s.value, ctx)
+        assert int(prods[i, 0]) == 0
+        assert int(prods[i, 1]) == gf_mul(1 << (15 - i), s.value, ctx)
     with pytest.raises(ValueError, match="bits"):
-        SeedHasher(s, ctx).symbol_table(8, 2)
+        SeedHasher(s, ctx).products(np.zeros((8, 2), dtype=np.int64), 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_symbol_table_hashes_by_linearity(data):
-    # XOR_i T[i, c_i] is the product of the encoded block, for fields on
-    # either side of 64 bits (ternary n = 40 is an 80-bit field)
+def test_products_hash_by_linearity(data):
+    # each entry is its symbol in its slot, for symbol arrays in any order
+    # and with repeats, and XOR_i P[i, c_i] is the product of the encoded
+    # block, for fields on either side of 64 bits (ternary n = 40 is an
+    # 80-bit field)
     size = data.draw(st.integers(2, 5), label="|X|")
     n = data.draw(st.one_of(st.integers(1, 12), st.just(40)), label="n")
+    k = data.draw(st.integers(1, 2 * size), label="symbols a slot")
     ctx = field_for_source(n, size)
     s = BitString(data.draw(st.integers(0, (1 << ctx.bits) - 1), label="seed"), ctx.bits)
-    table = SeedHasher(s, ctx).symbol_table(n, size)
-    assert table.shape == (n, size)
-    assert table.dtype == (np.uint64 if ctx.bits <= 64 else object)
+    symbols = np.array(data.draw(st.lists(st.lists(st.integers(0, size - 1), min_size=k,
+                                                   max_size=k), min_size=n, max_size=n),
+                                 label="symbols"))
+    prods = SeedHasher(s, ctx).products(symbols, size)
+    assert prods.shape == (n, k)
+    assert prods.dtype == (np.uint64 if ctx.bits <= 64 else object)
+    width = symbol_width(size)
+    for i in range(n):
+        for r in range(k):
+            slot = int(symbols[i, r]) << (n - 1 - i) * width
+            assert int(prods[i, r]) == gf_mul(slot, s.value, ctx), (i, r)
     for _ in range(4):
-        c = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n),
+        c = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
                                label="block"))
-        prod = np.bitwise_xor.reduce(table[np.arange(n), c])
-        assert int(prod) == gf_mul(encode_symbols(c, size).value, s.value, ctx)
+        block = symbols[np.arange(n), c]
+        prod = np.bitwise_xor.reduce(prods[np.arange(n), c])
+        assert int(prod) == gf_mul(encode_symbols(block, size).value, s.value, ctx)
 
 
 def test_fresh_seed_deterministic():

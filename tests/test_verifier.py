@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -22,8 +23,8 @@ from omska import verifier
 from omska.planner import Plan, plan_desk_exact
 from omska.protocol import BudgetExceededError, run_session
 from omska.source import PMF_TOL, JointSource, bsc_chain
-from omska.uhash import (BitString, GFContext, _seed_bases, encode_symbols,
-                         field_for_source, gf_mul, subset_xors)
+from omska.uhash import (BitString, GFContext, encode_symbols, field_for_source, gf_mul,
+                         subset_xors)
 from omska.uhash import hash as uhf_hash
 from omska.verifier import (_BLAS_TILE, _CHUNK_CELLS, _field_masks, _hadamard,
                             _seed_pair_blocks, _walsh_hadamard, _walsh_pair_distances,
@@ -400,6 +401,48 @@ def test_secrecy_accumulators_agree_medium():
             assert terms == pytest.approx(want, abs=1e-13), (kernel, t, ell)
 
 
+def _exact_sd(pair, n, t, ell):
+    """The seed-averaged distance as a Fraction: the dense block law of the
+    binary pair law `pair` in exact rationals, scaled to integers, and every
+    seed pair's (check, key, eavesdropper block) law summed in integers,
+    with the oracle's own multiply (_products)."""
+    ctx = field_for_source(n, 2)
+    m = ctx.bits
+    cells = [[Fraction(p) for p in row] for row in pair.tolist()]
+    law = [[math.prod(cells[x >> i & 1][z >> i & 1] for i in range(m)) for z in range(1 << m)]
+           for x in range(1 << m)]
+    scale = math.lcm(*(p.denominator for row in law for p in row))
+    weights = np.array([[int(p * scale) for p in row] for row in law], dtype=np.int64)
+    products = [_products(s, ctx).astype(np.int64) for s in range(1 << m)]
+    total = 0
+    for s in range(1 << m):
+        check = products[s] >> (m - t) << ell
+        for s2 in range(1 << m):
+            joint = np.zeros((1 << (t + ell), 1 << m), dtype=np.int64)
+            np.add.at(joint, check | products[s2] >> (m - ell), weights)
+            by_check = joint.reshape(1 << t, 1 << ell, -1)
+            total += int(np.abs((by_check << ell) - by_check.sum(axis=1, keepdims=True)).sum())
+    # 1/2 sum |P(c, k, z) - P(c, z) 2^-ell|, averaged over 4^m seed pairs
+    return Fraction(total, scale << (1 + ell + 2 * m))
+
+
+def test_secrecy_dyadic_reports_are_exact():
+    # on dyadic sources every sum of the audit is exact, so a report's sd is
+    # the exact rational distance bit for bit: every (t, l >= 1) at n = 3 and
+    # 4, on a cascade (one class) and on a pair law with a class per
+    # eavesdropper block, against an oracle that shares no table with the
+    # audit
+    pmf = np.zeros((2, 2, 2))
+    pmf[0, 0], pmf[1, 1] = DYADIC_PAIR  # Y = X
+    points = [(n, t, ell) for n in (3, 4) for t in range(n) for ell in range(1, n + 1 - t)]
+    for src, one_class in ((DYADIC_CHAIN, True), (JointSource((2, 2, 2), pmf), False)):
+        for n, t, ell in points:
+            assert len(_z_classes(src.p_xz(), n)[0]) == (1 if one_class else 1 << n)
+            rep = secrecy_sd_exact(src, _hand_plan(n, float(n), t, ell))
+            assert rep.exact and Fraction(rep.sd) == _exact_sd(src.p_xz(), n, t, ell), \
+                (one_class, n, t, ell)
+
+
 def _all_pairs(m):
     return next(_seed_pair_blocks(m, None, 1 << 2 * m))
 
@@ -481,7 +524,7 @@ def test_secrecy_binary_pmf_matches_dense_property(kind, a, b, c, n, t, ell):
     # against the dense scatter
     t, ell = min(t, n - 1), min(ell, n - min(t, n - 1))
     pair = _binary_pair(kind, a, b, c)
-    classes = _z_classes(pair, _field_masks(field_for_source(n, 2))[1])[0]
+    classes = _z_classes(pair, n)[0]
     if kind != "any":
         # a mass-0 Z symbol, X independent of Z (r0 = r1, with biases of the
         # same sign) and X = Z xor E (r0 = r1) each collapse to one class
@@ -501,7 +544,7 @@ def test_secrecy_subnormal_z_mass_collapses(n):
     # n * 5e-324, so the symbol counts as one of no mass and one class
     pair = _binary_pair("independent", 0.3, 5e-324, 0.0)
     assert pair.sum(axis=0)[0] == 5e-324
-    classes, coeff = _z_classes(pair, _field_masks(field_for_source(n, 2))[1])
+    classes, coeff = _z_classes(pair, n)
     assert np.array_equal(classes, [0]) and coeff[1] == pytest.approx(0.4, abs=1e-15)
     points = [(t, ell) for t in range(n) for ell in range(1, n + 1 - t)]
     _assert_walsh_matches_dense(pair, n, points, *_all_pairs(n))
@@ -511,15 +554,14 @@ def test_cascade_biases_collapse_to_one_class():
     # on every cascade of the grid p, q in {0, 0.01, ..., 0.5} the biases
     # |1 - 2 P(X != v | Z = v)| are equal bit for bit and build one class; at
     # (0.02, 0.15) the base is 1 - 2 delta bit for bit
-    popcount = _field_masks(field_for_source(4, 2))[1]
     grid = np.arange(51) / 100
     for p in grid:
         for q in grid:
             pair = bsc_chain(p, q).p_xz()
             mass = pair.sum(axis=0)
             assert abs(1 - 2 * pair[1, 0] / mass[0]) == abs(1 - 2 * pair[0, 1] / mass[1]), (p, q)
-            assert len(_z_classes(pair, popcount)[0]) == 1, (p, q)
-    coeff = _z_classes(CHAIN.p_xz(), popcount)[1]
+            assert len(_z_classes(pair, 4)[0]) == 1, (p, q)
+    coeff = _z_classes(CHAIN.p_xz(), 4)[1]
     assert coeff[1] == _cascade_base(CHAIN) == 1.0 - 2.0 * crossover_convolve(0.02, 0.15)
 
 
@@ -533,8 +575,7 @@ def test_secrecy_perturbed_cascade_collapses():
     pmf[0, :, 1] -= step
     src = JointSource((2, 2, 2), pmf)
     assert detect_bsc_chain(src) is not None
-    popcount = _field_masks(field_for_source(4, 2))[1]
-    classes, coeff = _z_classes(src.p_xz(), popcount)
+    classes, coeff = _z_classes(src.p_xz(), 4)
     assert np.array_equal(classes, [0]) and coeff[0] == 1.0
     draws = np.random.default_rng(4).integers(0, 16, size=(64, 2))
     ctx = field_for_source(4, 2)
@@ -612,8 +653,8 @@ def _full_spectrum_terms(base, ctx, t, ell, seeds, key_seeds):
     transform all t + l bits and add |.| row by row.  Columns never interact,
     so pairs are taken 512 at a time."""
     m = ctx.bits
-    masks, popcount = _field_masks(ctx)
-    coeff = base ** popcount
+    masks = _field_masks(ctx)
+    coeff = base ** np.bitwise_count(np.arange(1 << m))
     out = []
     for lo in range(0, len(seeds), 512):
         va = subset_xors(masks[m - t:, seeds[lo:lo + 512]])
@@ -762,11 +803,11 @@ def test_field_masks_built_once_and_read_only(monkeypatch):
     _field_masks.cache_clear()
     plan = _hand_plan(8, 8.0, 2, 1)
     first = secrecy_sd_exact(CHAIN, plan)
-    masks, popcount = _field_masks(field_for_source(8, 2))
+    masks = _field_masks(field_for_source(8, 2))
     assert masks.shape == (8, 256) and masks.dtype == np.int64
-    assert not masks.flags.writeable and not popcount.flags.writeable
+    assert not masks.flags.writeable
     # further audits on the field, any point and mode, build no seed table
-    monkeypatch.setattr(verifier, "_seed_bases", None)
+    monkeypatch.setattr(verifier, "SeedHasher", None)
     assert secrecy_sd_exact(CHAIN, plan) == first
     secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 4, 4), seed_pairs=9)
     secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 0, 3), recon_seeds=2)
@@ -774,23 +815,20 @@ def test_field_masks_built_once_and_read_only(monkeypatch):
     assert info.misses == 1 and info.hits == 4  # three audits and the lookup above
 
 
-def test_seed_bases_and_field_masks_match_gf_mul():
-    # row s of the seed bases is x^i (.) s for each i, bit p of x (.) s is the
-    # parity of masks[p, s] & x, and popcount is the Hamming weight: checked
-    # against gf_mul for every seed and 8 drawn inputs a seed, at each m an
-    # audit may use
+def test_field_masks_match_gf_mul():
+    # bit p of x (.) s is the parity of masks[p, s] & x: checked against
+    # gf_mul for every seed and 8 drawn inputs a seed, at each m an audit may
+    # use, on the int64 read-only table
     rng = np.random.default_rng(12)
     for m in range(1, 13):
         ctx = GFContext.for_bits(m)
-        bases = _seed_bases(ctx)
-        want = [[gf_mul(1 << i, s, ctx) for i in range(m)] for s in range(1 << m)]
-        assert bases.dtype == np.uint64 and np.array_equal(bases, want), m
-        masks, popcount = _field_masks(ctx)
+        masks = _field_masks(ctx)
+        assert masks.shape == (m, 1 << m) and masks.dtype == np.int64, m
+        assert not masks.flags.writeable and masks.flags.c_contiguous, m
         xs = rng.integers(0, 1 << m, size=(1 << m, 8))
         products = np.array([[gf_mul(int(x), s, ctx) for x in row] for s, row in enumerate(xs)])
         parity = np.bitwise_count(masks[:, :, None] & xs[None]) & 1
         assert np.array_equal(parity, products[None] >> np.arange(m)[:, None, None] & 1), m
-        assert np.array_equal(popcount, [bin(v).count("1") for v in range(1 << m)]), m
 
 
 def _hadamard_entries(k):
@@ -867,13 +905,13 @@ def test_hadamard_factors_cached_read_only():
 def test_secrecy_zero_key_skips_enumeration(monkeypatch):
     # a 0-bit key is uniform by definition: no seed table is built, and the
     # report matches the enumerated one field for field
-    def refuse(ctx):
+    def refuse(*args):
         raise AssertionError("seed table built for a 0-bit key")
 
     plan = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
     assert plan.key_bits == 0
     _field_masks.cache_clear()
-    monkeypatch.setattr(verifier, "_seed_bases", refuse)
+    monkeypatch.setattr(verifier, "SeedHasher", refuse)
     rep = secrecy_sd_exact(CHAIN, plan)
     assert rep.sd == 0.0 and rep.exact and rep.seed_pairs == 65536
     sampled = secrecy_sd_exact(CHAIN, plan, seed_pairs=50)
@@ -1106,27 +1144,57 @@ def _refusing(what):
 
 def test_secrecy_budget_checked_before_drawing(monkeypatch):
     # an audit is charged its seed pairs and computed cells before any seed
-    # is drawn or any table built: 3 a seed pair at (1, 1) on the cascade
-    # (the term and its 2 check cells), so a budget of 3 x 2^24 refuses one
-    # pair more than 2^24 and lets 2^24 through to the draw.  A 0-bit key is
-    # charged nothing and draws nothing, at any count
+    # is drawn or any table built, at (1, 1) on the cascade: 3 a grid pair
+    # (its term and its 2 check cells), 6 a drawn pair (its two draws, its
+    # term, the standard error's temporary and its 2 check cells).  So a
+    # budget of 3 x 2^24 refuses one grid pair more than 2^24 and lets 2^24
+    # through to the draw.  A 0-bit key is charged nothing and draws
+    # nothing, at any count
     budget = 3 << 24
     monkeypatch.setenv("OMSKA_BUDGET", str(budget))
     monkeypatch.setattr(np.random, "default_rng", _refusing("seeds drawn"))
     monkeypatch.setattr(verifier, "_field_masks", _refusing("mask table built"))
     zero_key = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
     assert zero_key.key_bits == 0
-    for kw, pairs in (({"seed_pairs": 10 ** 11}, 10 ** 11),
-                      ({"recon_seeds": 10 ** 11}, 10 ** 11 << 8),
-                      ({"seed_pairs": (1 << 24) + 1}, (1 << 24) + 1),
-                      ({"recon_seeds": (1 << 16) + 1}, (1 << 24) + 256)):
+    for kw, pairs, words in (({"seed_pairs": 10 ** 11}, 10 ** 11, 6),
+                             ({"recon_seeds": 10 ** 11}, 10 ** 11 << 8, 3),
+                             ({"seed_pairs": (1 << 24) + 1}, (1 << 24) + 1, 6),
+                             ({"recon_seeds": (1 << 16) + 1}, (1 << 24) + 256, 3)):
         with pytest.raises(BudgetExceededError) as exc:
             secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 1, 1), **kw)
-        assert (exc.value.count, exc.value.budget) == (3 * pairs, budget), kw
+        assert (exc.value.count, exc.value.budget) == (words * pairs, budget), kw
         rep = secrecy_sd_exact(CHAIN, zero_key, **kw)
         assert rep.sd == 0.0 and rep.seed_pairs == pairs and rep.computed_cells == 0, kw
     with pytest.raises(AssertionError, match="seeds drawn"):
         secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 1, 1), recon_seeds=1 << 16)
+
+
+def test_secrecy_drawn_pairs_charged_four_words(monkeypatch):
+    # 99,000,000 drawn pairs at n = 8, (0, 1) would hold about 3 GB of draws,
+    # terms and the standard error's temporary: 4 words a pair and 256
+    # computed cells are over the default budget, so nothing is drawn
+    monkeypatch.setattr(np.random, "default_rng", _refusing("seeds drawn"))
+    with pytest.raises(BudgetExceededError) as exc:
+        secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 0, 1), seed_pairs=99_000_000)
+    assert (exc.value.count, exc.value.budget) == (396_000_256, 10 ** 8)
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_secrecy_drawn_audit_memory_within_its_charge(t):
+    # a 10^6-pair drawn audit at n = 8 holds no more than the 4 words a pair
+    # it is charged, and 2 MiB: at t = 0 the distinct key seeds come from a
+    # count table of the 2^m seeds, with no sorted copy or inverse index
+    pairs = 10 ** 6
+    plan = _hand_plan(8, 8.0, t, 1)
+    secrecy_sd_exact(CHAIN, plan, seed_pairs=1000)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        rep = secrecy_sd_exact(CHAIN, plan, seed_pairs=pairs, rng_seed=t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.seed_pairs == pairs and rep.std_error > 0.0
+    assert peak <= 4 * 8 * pairs + (2 << 20), peak
 
 
 def test_secrecy_non_cascade_audit_refused_at_once(monkeypatch):
