@@ -31,7 +31,8 @@ cache of at most 16 tables and _RANK_CACHE_BYTES in all.
 The hash is linear in the encoded bits, so one kernel decodes the list: a
 listed block's product is the center's product XOR, along its row, the
 differences P[i, alternative] ^ P[i, center_i] of the products of each
-slot's listed symbols under the seed.
+slot's listed symbols under the seed, each in its top 64 bits as a uint64:
+a right shift commutes with XOR, so a check of t <= 64 bits stays exact.
 guess_set expands the same table into blocks.
 
 Searches are capped by a node budget (default 1e8, or OMSKA_BUDGET): the
@@ -299,24 +300,22 @@ _rank_list = _PinnedCache(maxsize=16, max_bytes=_RANK_CACHE_BYTES)
 
 
 def _unique_hit(prods: np.ndarray, check_value: BitString, bits: int) -> int | None:
-    """Row of the one product whose top check_value.length bits equal the check
-    value, None on no match or several.  An empty check matches every row:
-    numpy shifts a uint64 by 64 to 0, as Python shifts an m-bit int by m."""
-    hits = np.flatnonzero((prods >> (bits - check_value.length)) == check_value.value)
+    """Row of the one product, the top min(bits, 64) bits of a bits-bit product,
+    whose top check_value.length bits equal the check value, None on no match
+    or several.  An empty check matches every row: numpy shifts a uint64 by 64 to 0."""
+    hits = np.flatnonzero(prods >> (min(bits, 64) - check_value.length) == check_value.value)
     return int(hits[0]) if hits.shape[0] == 1 else None
 
 
 def _level_inputs(y: np.ndarray, recon_seed: BitString, plan: Plan, ctx: GFContext,
                   src: JointSource):
     """Kernel inputs: the guess list (table, ranked), the product differences
-    diffs[i*k + r - 1] = P[i, r] ^ P[i, 0] (k = |X| - 1) of the products P of
-    the ranked symbols in their slots (SeedHasher.products), with a zero
-    appended for padding, and the center's product base."""
+    diffs[i*k + r - 1] = P[i, r] ^ P[i, 0] (k = |X| - 1) of the uint64
+    products P of the ranked symbols in their slots (SeedHasher.products),
+    with a zero appended for padding, and the center's product base."""
     table, ranked = _level_list(y, plan, src, search_budget())
     products = SeedHasher(recon_seed, ctx).products(ranked, src.alphabet_sizes[0])
-    # a zero of the products' own dtype (uint64, or a Python int above 64 bits)
-    diffs = np.concatenate(((products[:, 1:] ^ products[:, :1]).ravel(),
-                            np.zeros(1, products.dtype)))
+    diffs = np.concatenate(((products[:, 1:] ^ products[:, :1]).ravel(), np.zeros(1, np.uint64)))
     return table, ranked, diffs, np.bitwise_xor.reduce(products[:, 0])
 
 
@@ -332,8 +331,9 @@ def bob_decode(y: np.ndarray, check_value: BitString, recon_seed: BitString,
     if check_value.length != plan.recon_bits:
         raise ValueError(
             f"check value has {check_value.length} bits, plan says {plan.recon_bits}")
-    if plan.recon_bits > ctx.bits:
-        raise ValueError(f"a {plan.recon_bits}-bit check does not fit a {ctx.bits}-bit field")
+    if plan.recon_bits > min(ctx.bits, 64):
+        raise ValueError(f"a {plan.recon_bits}-bit check does not fit the field's products: "
+                         f"{ctx.bits} bits, of which the decoder keeps at most 64")
     y = _received(y, src)
     table, ranked, diffs, base = _level_inputs(y, recon_seed, plan, ctx, src)
     hit = _unique_hit(np.bitwise_xor.reduce(diffs[table], axis=1) ^ base,
@@ -358,9 +358,9 @@ def run_session(src: JointSource, plan: Plan, rng_seed) -> SessionResult:
     """
     size_x = src.alphabet_sizes[0]
     ctx = field_for_source(plan.n, size_x)
-    if plan.recon_bits > ctx.bits:
-        raise ValueError(
-            f"plan wants a {plan.recon_bits}-bit check but the field has {ctx.bits} bits")
+    if plan.recon_bits > min(ctx.bits, 64):
+        raise ValueError(f"a {plan.recon_bits}-bit check does not fit the field's products: "
+                         f"{ctx.bits} bits, of which the decoder keeps at most 64")
     if plan.key_bits > ctx.bits:
         raise ValueError(
             f"plan wants a {plan.key_bits}-bit key but the field has {ctx.bits} bits")

@@ -261,9 +261,9 @@ class SeedHasher:
     """Precomputed basis table for one seed: hashing is then a handful of XORs.
 
     R[i] = (x^i) (.) seed, built by an xtime chain, so the product of any
-    input is the XOR of R over its set bits.  Used by the decoder, which
-    hashes the listed symbols of every slot under a single seed, and by the
-    secrecy audit's tables, which are linear in the seed.
+    input is the XOR of R over its set bits.  Used by the decoder (products:
+    each slot's listed symbols in their top 64 bits under one seed) and by
+    the secrecy audit's tables, which are linear in the seed.
     """
 
     def __init__(self, seed: HashSeed, ctx: GFContext):
@@ -280,19 +280,19 @@ class SeedHasher:
         self.table = table
 
     def products(self, symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
-        """P[i, r] = (symbol symbols[i, r] in slot i) (.) seed for an (n, k)
-        symbol array, in any order: the XOR of R[(n-1-i)*w + b] over the set
-        bits b of the symbol, so a block's product is the XOR of its slots'.
-        uint64 for m <= 64, else Python ints (dtype object); numpy's XOR-reduce
-        and shifts serve both."""
+        """P[i, r] = (symbol symbols[i, r] in slot i) (.) seed in its top min(m, 64)
+        bits, as uint64, for an (n, k) symbol array in any order: the XOR of
+        R[(n-1-i)*w + b] >> max(0, m - 64) over the set bits b of the symbol, so
+        a block's product is the XOR of its slots' (a shift commutes with XOR)."""
         width = symbol_width(alphabet_size)
         if len(symbols) * width != self.ctx.bits:
             raise ValueError(f"{len(symbols)} symbols of width {width} do not fill "
                              f"{self.ctx.bits} bits")
-        basis = np.array(self.table, dtype=np.uint64 if self.ctx.bits <= 64 else object)
+        shift = max(0, self.ctx.bits - 64)
+        basis = np.array([row >> shift for row in self.table] if shift else self.table, np.uint64)
         basis = basis.reshape(-1, width)[::-1, None, :]  # [slot i, -, bit b]
         bits = (symbols[:, :, None] >> np.arange(width)) & 1 == 1
-        return np.bitwise_xor.reduce(np.where(bits, basis, basis.dtype.type(0)), axis=2)
+        return np.bitwise_xor.reduce(np.where(bits, basis, np.uint64(0)), axis=2)
 
 
 def subset_xors(rows: np.ndarray) -> np.ndarray:

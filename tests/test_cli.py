@@ -363,6 +363,25 @@ def test_budget_exit_3(capsys, monkeypatch):
     assert code == 3
 
 
+def test_run_check_wider_than_64_bits_exits_2(capsys, monkeypatch):
+    # X, Y and Z uniform and independent over three symbols: every one of
+    # the 3^40 blocks is listed, so the desk check needs 69 bits, more than
+    # the decoder's 64-bit products; the run is refused before any list level
+    def refuse(*args):
+        raise AssertionError("a list level was built")
+
+    monkeypatch.setattr(protocol, "_build_rank_list", refuse)
+    uniform = json.dumps({"alphabet_sizes": [3, 3, 3], "pmf": [1 / 27] * 27})
+    code, (out, err) = _run_err(capsys, ["plan", "--source", uniform, "--n", "40",
+                                         "--mode", "desk_exact"])
+    assert json.loads(out)["recon_bits"] == 69
+    for jobs in ("1", "2"):
+        code, (out, err) = _run_err(capsys, ["run", "--source", uniform, "--n", "40",
+                                             "--trials", "4", "--jobs", jobs])
+        assert code == 2 and out == ""
+        assert "69-bit check does not fit the field's products: 80 bits" in err
+
+
 def test_config_defaults_and_precedence(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bsc": "0.02,0.15", "n": 1000}))
@@ -518,6 +537,37 @@ def test_no_private_cross_module_imports():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 found += [(path.name, node.module, alias.name) for alias in node.names
                           if alias.name.startswith("_")]
+    assert found == []
+
+
+def _numpy_dtype_args(call):
+    """The arguments of a call that name a numpy dtype: its dtype keyword, and
+    the positional dtype of the array constructors and of astype/np.dtype."""
+    func = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(
+        call.func, "id", None)
+    position = {"astype": 0, "dtype": 0, "array": 1, "asarray": 1, "zeros": 1, "empty": 1,
+                "ones": 1, "fromiter": 1, "full": 2}.get(func)
+    args = [kw.value for kw in call.keywords if kw.arg == "dtype"]
+    if position is not None and len(call.args) > position:
+        args.append(call.args[position])
+    return args
+
+
+def test_no_object_dtype_arrays():
+    # the package computes on fixed-width numpy dtypes only: no array of
+    # Python objects, named as object, np.object_ or "O", anywhere a dtype
+    # is given (a conditional dtype included)
+    found = []
+    for path in sorted(Path(omska.__file__).parent.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(call, ast.Call):
+                continue
+            for arg in _numpy_dtype_args(call):
+                for node in ast.walk(arg):
+                    if (isinstance(node, ast.Name) and node.id == "object"
+                            or isinstance(node, ast.Attribute) and node.attr == "object_"
+                            or isinstance(node, ast.Constant) and node.value in ("O", "object")):
+                        found.append((path.name, node.lineno))
     assert found == []
 
 

@@ -14,10 +14,11 @@ from cascade_oracles import detect_bsc_chain, hamming_ball_size
 from omska import cli
 from omska.planner import Plan, plan_desk_exact
 from omska.protocol import (_RANK_CACHE_BYTES, DEFAULT_SEARCH_BUDGET, BudgetExceededError,
-                            Transcript, _build_rank_list, _expand, _level_list, _rank_list,
-                            bob_decode, guess_set, run_session, search_budget)
+                            Transcript, _block, _build_rank_list, _expand, _level_list,
+                            _rank_list, _unique_hit, bob_decode, guess_set, run_session,
+                            search_budget)
 from omska.source import JointSource, bsc_chain
-from omska.uhash import BitString, encode_symbols, field_for_source, symbol_width
+from omska.uhash import BitString, encode_symbols, field_for_source, gf_mul, symbol_width
 from omska.uhash import hash as uhf_hash
 
 CHAIN = bsc_chain(0.02, 0.15)
@@ -681,6 +682,146 @@ def test_one_block_and_empty_lists_match_literal_oracle():
                 if count and k < 2:
                     assert want[0] == "ok"
                 _same_decode(bob_decode(y, check, seed, plan, ctx, src), want)
+
+
+def _listed_top_bits(table, ranked, seed, t, ctx, size_x):
+    """Oracle for fields of 64 < m <= 128 bits: the top t bits of the full
+    m-bit product of every block a deviation table lists.  Each block is
+    encoded into m bits (leading zeros padding it to whole bytes) and
+    multiplied by the seed one byte at a time through 256-entry tables of
+    full products, from gf_mul, held in two 64-bit limbs.  A block's bytes
+    are the center's with the bits ranked[i, 0] ^ ranked[i, r] of each slot i
+    it moves to rank r flipped."""
+    n, w, m = ranked.shape[0], symbol_width(size_x), ctx.bits
+    assert 64 < m <= 128
+    nbytes, rows, k = (m + 7) // 8, table.shape[0], ranked.shape[1] - 1
+    # entry e = i*k + r - 1 flips those bits at their offset in the lower of
+    # the two bytes they may span; the padding entry n*k flips none
+    slot, rank = np.divmod(np.arange(n * k), k)
+    offset = (n - 1 - slot) * w
+    flips = np.append((ranked[slot, 0] ^ ranked[slot, rank + 1]) << offset % 8, 0)
+    lower = np.append(nbytes - 1 - offset // 8, 1)
+    center = encode_symbols(ranked[:, 0], size_x).value.to_bytes(nbytes, "big")
+    data = np.repeat(np.frombuffer(center, np.uint8)[:, None], rows, axis=1)
+    flat, at = data.reshape(-1), np.arange(rows)
+    for col in table.T:
+        f, b = flips[col], lower[col] * rows + at
+        flat[b] ^= (f & 0xFF).astype(np.uint8)
+        flat[b - rows] ^= (f >> 8).astype(np.uint8)
+    tables = np.zeros((nbytes, 256, 2), dtype=np.uint64)  # [byte, value, limb]
+    for p in range(m):
+        full = gf_mul(1 << p, seed.value, ctx)
+        j, q = nbytes - 1 - p // 8, p % 8
+        limbs = np.array([full >> 64, full & (1 << 64) - 1], dtype=np.uint64)
+        tables[j, 1 << q:2 << q] = tables[j, :1 << q] ^ limbs
+    hi, lo = np.zeros(rows, np.uint64), np.zeros(rows, np.uint64)
+    for j in range(nbytes):
+        hi ^= tables[j, :, 0].take(data[j])
+        lo ^= tables[j, :, 1].take(data[j])
+    s = m - t
+    if s >= 64:
+        return hi >> np.uint64(s - 64)
+    return hi << np.uint64(64 - s) | lo >> np.uint64(s)
+
+
+def test_sessions_above_64_bits_match_literal_oracle():
+    # whole sessions in 72- and 80-bit fields, each classified independently:
+    # every listed block's full product through _listed_top_bits, checked
+    # against a literal uhash.hash on sampled rows and on every hit, then
+    # the outcome from the hits and the key hashes.  The cascade at n = 72
+    # runs the desk formula's radius-4 list (1,091,059 rows, t = 26, past
+    # plan_desk_exact's n <= 64); the ternary symmetric source its n = 40
+    # desk plan (1,544,481 rows, t = 26).  Each session is decoded again
+    # under a check with its last bit flipped.
+    n = 72
+    keep, flip = -math.log2(0.98), -math.log2(0.02)
+    ternary = _symmetric_ternary_source()
+    rng = np.random.default_rng(72)
+    for src, plan in ((CHAIN, _hand_plan(n, (n - 4) * keep + 4 * flip, 26, 4)),
+                      (ternary, plan_desk_exact(ternary, 40, 0.05, 0.05))):
+        size_x = src.alphabet_sizes[0]
+        ctx = field_for_source(plan.n, size_x)
+        assert ctx.bits in (72, 80) and plan.recon_bits == 26
+
+        def literal(block, seed, bits):
+            return uhf_hash(encode_symbols(block, size_x), seed, bits, ctx)
+
+        outcomes = []
+        for session in range(10):
+            res = run_session(src, plan, rng_seed=session)
+            tr = res.transcript
+            table, ranked = _level_list(res.y, plan, src, DEFAULT_SEARCH_BUDGET)
+            assert table.shape[0] in (1_091_059, 1_544_481)
+            top = _listed_top_bits(table, ranked, tr.recon_seed, plan.recon_bits, ctx, size_x)
+            for row in rng.integers(0, table.shape[0], 20):
+                assert literal(_block(table[row], ranked), tr.recon_seed,
+                               plan.recon_bits).value == int(top[row])
+            for check in (tr.check_value, BitString(tr.check_value.value ^ 1, 26)):
+                hits = np.flatnonzero(top == check.value)
+                blocks = [_block(table[h], ranked) for h in hits]
+                assert all(literal(b, tr.recon_seed, 26) == check for b in blocks)
+                got = bob_decode(res.y, check, tr.recon_seed, plan, ctx, src)
+                _same_decode(got, ("ok", blocks[0]) if len(blocks) == 1 else ("abort", None))
+                if check is not tr.check_value:
+                    continue
+                if len(blocks) != 1:
+                    want = "aborted"
+                else:
+                    assert np.array_equal(res.decoded, blocks[0])
+                    key = literal(blocks[0], tr.key_seed, plan.key_bits)
+                    assert key == res.key_bob
+                    want = "agreed" if key == res.key_alice else "mismatched"
+                assert res.outcome == want
+                outcomes.append(want)
+        assert outcomes.count("agreed") >= 8, outcomes
+
+
+def test_unique_hit_at_the_product_width():
+    # above 64 bits the products hold a field product's top 64 bits: a
+    # 64-bit check is compared unshifted, and an empty one after a shift by
+    # 64, which numpy takes to 0, so it matches every row
+    prods = np.array([3, 1 << 63, 5], dtype=np.uint64)
+    for bits in (64, 80, 128):
+        assert _unique_hit(prods, BitString(1 << 63, 64), bits) == 1
+        assert _unique_hit(prods, BitString(5, 64), bits) == 2
+        assert _unique_hit(prods, BitString(4, 64), bits) is None
+        assert _unique_hit(prods, BitString(1, 1), bits) == 1
+        assert _unique_hit(prods, BitString(0, 0), bits) is None
+        assert _unique_hit(prods[1:2], BitString(0, 0), bits) == 0
+        assert _unique_hit(prods[:0], BitString(0, 0), bits) is None
+
+
+def test_checks_wider_than_64_bits_refused(monkeypatch):
+    # the products hold 64 bits, so a 65-bit check on an 80-bit field is
+    # refused by the decoder, and by a session before it samples or lists
+    # anything; a 64-bit check still decodes
+    from omska import protocol
+
+    def refuse(*args):
+        raise AssertionError("work before the check width was checked")
+
+    ctx = field_for_source(80, 2)
+    seed = BitString(0xBEEF << 64 | 0xF00D, 80)
+    y = np.random.default_rng(80).integers(0, 2, 80)
+    radius1 = 79 * -math.log2(0.98) - math.log2(0.02)
+    refused = "65-bit check does not fit the field.s products: 80 bits, of which the decoder"
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "sample", refuse)
+        patch.setattr(protocol, "_level_list", refuse)
+        for src, n in ((CHAIN, 80), (_symmetric_ternary_source(), 40)):
+            plan = _hand_plan(n, radius1, 65, 0)
+            with pytest.raises(ValueError, match=refused):
+                bob_decode(y[:n], BitString(0, 65), seed, plan, ctx, src)
+            with pytest.raises(ValueError, match=refused):
+                run_session(src, plan, rng_seed=0)
+    plan = _hand_plan(80, radius1, 64, 0)
+    rows = guess_set(y, plan, CHAIN)
+    assert rows.shape == (81, 80)
+    for k in (0, 1, 80):
+        check = uhf_hash(encode_symbols(rows[k], 2), seed, 64, ctx)
+        got = bob_decode(y, check, seed, plan, ctx, CHAIN)
+        _same_decode(got, _literal_decode(y, check, seed, plan, ctx, CHAIN))
+        assert got[0] == "ok" and np.array_equal(got[1], rows[k])
 
 
 def test_general_budget_stops_before_the_crossing_level(monkeypatch):

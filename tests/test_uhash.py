@@ -283,48 +283,52 @@ def test_seed_hasher_matches_scalar_path():
 
 def test_seed_hasher_products():
     # binary, symbols 0 and 1 in every slot: the product of 1 is the basis
-    # product of the slot, slot 0 the top bit, and of 0 is zero; and the fill
-    # check
-    ctx = GFContext.for_bits(16)
-    s = BitString(0xBEEF, 16)
-    prods = SeedHasher(s, ctx).products(np.tile([0, 1], (16, 1)), 2)
-    assert prods.dtype == np.uint64 and prods.shape == (16, 2)
-    for i in range(16):
-        assert int(prods[i, 0]) == 0
-        assert int(prods[i, 1]) == gf_mul(1 << (15 - i), s.value, ctx)
-    with pytest.raises(ValueError, match="bits"):
-        SeedHasher(s, ctx).products(np.zeros((8, 2), dtype=np.int64), 2)
+    # product of the slot, slot 0 the top bit, in its top 64 bits past a
+    # 64-bit field, and of 0 is zero; and the fill check
+    for m, seed in ((16, 0xBEEF), (64, 0xBEEF << 48 | 0xF00D), (80, 0xBEEF << 64 | 0xF00D)):
+        ctx = GFContext.for_bits(m)
+        s = BitString(seed, m)
+        prods = SeedHasher(s, ctx).products(np.tile([0, 1], (m, 1)), 2)
+        assert prods.dtype == np.uint64 and prods.shape == (m, 2)
+        for i in range(m):
+            assert int(prods[i, 0]) == 0
+            assert int(prods[i, 1]) == gf_mul(1 << (m - 1 - i), s.value, ctx) >> max(0, m - 64)
+        with pytest.raises(ValueError, match="bits"):
+            SeedHasher(s, ctx).products(np.zeros((8, 2), dtype=np.int64), 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_products_hash_by_linearity(data):
-    # each entry is its symbol in its slot, for symbol arrays in any order
-    # and with repeats, and XOR_i P[i, c_i] is the product of the encoded
-    # block, for fields on either side of 64 bits (ternary n = 40 is an
-    # 80-bit field)
-    size = data.draw(st.integers(2, 5), label="|X|")
-    n = data.draw(st.one_of(st.integers(1, 12), st.just(40)), label="n")
+    # each entry is its symbol in its slot, in the product's top 64 bits,
+    # for symbol arrays in any order and with repeats, and XOR_i P[i, c_i] is
+    # the encoded block's product, truncated alike, for fields on either side
+    # of 64 bits (ternary n = 40 is an 80-bit field, binary n = 65 a 65-bit
+    # one and ternary n = 64 a 128-bit one)
+    size, n = data.draw(st.one_of(st.tuples(st.integers(2, 5), st.integers(1, 12)),
+                                  st.tuples(st.integers(2, 5), st.just(40)),
+                                  st.just((2, 65)), st.just((3, 64))), label="|X|, n")
     k = data.draw(st.integers(1, 2 * size), label="symbols a slot")
     ctx = field_for_source(n, size)
+    shift = max(0, ctx.bits - 64)
     s = BitString(data.draw(st.integers(0, (1 << ctx.bits) - 1), label="seed"), ctx.bits)
     symbols = np.array(data.draw(st.lists(st.lists(st.integers(0, size - 1), min_size=k,
                                                    max_size=k), min_size=n, max_size=n),
                                  label="symbols"))
     prods = SeedHasher(s, ctx).products(symbols, size)
     assert prods.shape == (n, k)
-    assert prods.dtype == (np.uint64 if ctx.bits <= 64 else object)
+    assert prods.dtype == np.uint64
     width = symbol_width(size)
     for i in range(n):
         for r in range(k):
             slot = int(symbols[i, r]) << (n - 1 - i) * width
-            assert int(prods[i, r]) == gf_mul(slot, s.value, ctx), (i, r)
+            assert int(prods[i, r]) == gf_mul(slot, s.value, ctx) >> shift, (i, r)
     for _ in range(4):
         c = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
                                label="block"))
         block = symbols[np.arange(n), c]
         prod = np.bitwise_xor.reduce(prods[np.arange(n), c])
-        assert int(prod) == gf_mul(encode_symbols(block, size).value, s.value, ctx)
+        assert int(prod) == gf_mul(encode_symbols(block, size).value, s.value, ctx) >> shift
 
 
 def test_fresh_seed_deterministic():
