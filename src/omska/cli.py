@@ -132,6 +132,8 @@ def cmd_bounds(args) -> int:
     profile = entropy_profile(src)
     ax = int(src.alphabet_sizes[0])
     ay = int(src.alphabet_sizes[1])
+    if args.n is not None and args.n_range is not None:
+        raise UsageError("give --n or --n-range, not both")
     if args.n_range is not None:
         ns = _parse_n_range(args.n_range)
     elif args.n is not None:

@@ -319,6 +319,14 @@ def _level_inputs(y: np.ndarray, recon_seed: BitString, plan: Plan, ctx: GFConte
     return table, ranked, diffs, np.bitwise_xor.reduce(products[:, 0])
 
 
+def _check_fits_products(plan: Plan, ctx: GFContext) -> None:
+    """Refuse a check wider than the decoder's products, the top min(m, 64)
+    bits of each, with a ValueError."""
+    if plan.recon_bits > min(ctx.bits, 64):
+        raise ValueError(f"a {plan.recon_bits}-bit check does not fit the field's products: "
+                         f"{ctx.bits} bits, of which the decoder keeps at most 64")
+
+
 def bob_decode(y: np.ndarray, check_value: BitString, recon_seed: BitString,
                plan: Plan, ctx: GFContext, src: JointSource):
     """Receiver's list decode: ('ok', block) on a unique hash match, else
@@ -331,9 +339,7 @@ def bob_decode(y: np.ndarray, check_value: BitString, recon_seed: BitString,
     if check_value.length != plan.recon_bits:
         raise ValueError(
             f"check value has {check_value.length} bits, plan says {plan.recon_bits}")
-    if plan.recon_bits > min(ctx.bits, 64):
-        raise ValueError(f"a {plan.recon_bits}-bit check does not fit the field's products: "
-                         f"{ctx.bits} bits, of which the decoder keeps at most 64")
+    _check_fits_products(plan, ctx)
     y = _received(y, src)
     table, ranked, diffs, base = _level_inputs(y, recon_seed, plan, ctx, src)
     hit = _unique_hit(np.bitwise_xor.reduce(diffs[table], axis=1) ^ base,
@@ -358,9 +364,7 @@ def run_session(src: JointSource, plan: Plan, rng_seed) -> SessionResult:
     """
     size_x = src.alphabet_sizes[0]
     ctx = field_for_source(plan.n, size_x)
-    if plan.recon_bits > min(ctx.bits, 64):
-        raise ValueError(f"a {plan.recon_bits}-bit check does not fit the field's products: "
-                         f"{ctx.bits} bits, of which the decoder keeps at most 64")
+    _check_fits_products(plan, ctx)
     if plan.key_bits > ctx.bits:
         raise ValueError(
             f"plan wants a {plan.key_bits}-bit key but the field has {ctx.bits} bits")

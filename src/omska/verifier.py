@@ -11,16 +11,16 @@ built once per field.  The spectrum depends on z only through the biases of
 X given Z = 0 and Z = 1: where they agree, as on the binary cascade, one
 class stands for every z, and otherwise each z is a class of its own,
 weighted by P(z).  The dense block law is the tests' oracle.  The audit
-walks a grid of reconciliation seeds, each against every key seed, or the
-drawn pairs themselves, in chunks of at most 2^16 (seed pair, class, check,
-key) cells, in buffers that its thread keeps from chunk to chunk and audit
-to audit; each chunk writes its terms straight into the audit's array, so a
-steady run of cascade audits maps in no fresh pages.  Cells shared between
-seed pairs are computed once: with no check value (t = 0) a term depends on
-the key seed alone, so one term per key seed serves every reconciliation
-seed; a grid block gathers the spectrum slice that does not involve the
-reconciliation seed once per key seed; and a 1-bit key transforms only the
-check rows.  The Walsh-Hadamard transform runs as two BLAS matrix products,
+walks a grid of reconciliation seeds, each against every key seed, or seed
+pairs drawn block by block, in chunks of at most 2^16 (seed pair, class,
+check, key) cells, in buffers that its thread keeps from chunk to chunk and
+audit to audit; each chunk writes its terms straight into the audit's array,
+its one word a seed pair, so a steady run of cascade audits maps in no fresh
+pages.  Cells shared between seed pairs are computed once: with no check
+value (t = 0) every row of a grid is alike, so a grid computes one row and
+repeats it; a grid block gathers the spectrum slice that does not involve
+the reconciliation seed once per key seed; and a 1-bit key transforms only
+the check rows.  The Walsh-Hadamard transform runs as two BLAS matrix products,
 by the two Sylvester factors of the Hadamard matrix, written into the same
 workspace.  No concentration inequality stands between the reported number
 and the definition; seed-pair sampling, and one class for two biases that
@@ -153,8 +153,8 @@ class SecrecyReport:
     audit covers, seed_pairs x 2^(recon_bits + key_bits), and computed_cells
     those it computed and was charged for (secrecy_sd_exact); both are 0 for
     a 0-bit key, whose distance is 0 by definition.  lhl_bound is the
-    two-hash leftover-hash guarantee (1/2)*sqrt(2^(recon_bits + key_bits -
-    Hmin)).
+    two-hash leftover-hash guarantee min(1, (1/2)*sqrt(2^(recon_bits +
+    key_bits - Hmin))), capped at 1 as every distance is.
     """
 
     n: int
@@ -173,19 +173,21 @@ class SecrecyReport:
     meets_target: bool
 
 
-def _seed_pair_blocks(m: int, draws: np.ndarray | None, chunk: int):
+def _seed_pair_blocks(m: int, draws: np.ndarray | tuple | None, chunk: int):
     """Seed pairs in audit order, reconciliation seed major, as int64 index
     arrays (seeds, key_seeds) that broadcast to at most `chunk` pairs each.
 
-    draws None is every reconciliation seed and 1-D draws are drawn ones; each
+    draws None is every reconciliation seed and a 1-D array drawn ones; each
     is paired with every key seed, so a block is a grid seeds[:, None] x
     key_seeds[None, :] (a run of whole key-seed rows, or part of one row when
-    a row holds more than `chunk` pairs).  2-D draws are the drawn pairs
-    themselves, as two 1-D arrays.
+    a row holds more than `chunk` pairs).  draws (rng, P) draws P seed pairs
+    from the generator rng, `chunk` at a time, as two 1-D arrays: the pairs,
+    in the order, of one rng.integers(0, 2^m, size=(P, 2)) draw.
     """
-    if draws is not None and draws.ndim == 2:
-        for lo in range(0, len(draws), chunk):
-            block = draws[lo:lo + chunk].astype(np.int64)
+    if isinstance(draws, tuple):
+        rng, count = draws
+        for lo in range(0, count, chunk):
+            block = rng.integers(0, 1 << m, size=(min(chunk, count - lo), 2))
             yield block[:, 0], block[:, 1]
         return
     recon = np.arange(1 << m, dtype=np.int64) if draws is None else draws.astype(np.int64)
@@ -470,17 +472,17 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
 
     Full enumeration and recon_seeds both walk a grid, blocks of
     reconciliation seeds against every key seed, reconciliation seed major;
-    seed_pairs walks its drawn pairs.  At t = 0 there is no check value and a
-    term depends on the key seed alone, so each distinct key seed (every one
-    of the 2^m in the grid modes, the drawn ones for seed_pairs) is computed
-    once and copied to every pair that holds it.  Before a seed is drawn or a
-    table built, the audit is charged w P + T K c against search_budget(),
-    and an overrun raises BudgetExceededError: P seed pairs of w words each
-    (1 in a grid, its term; 4 drawn, its two draws, its term and the
-    standard error's temporary), and T K c computed cells (computed_cells),
-    for T terms (P, or at t = 0 at most 2^m), K classes and c cells a term
-    (2^t at ell = 1, else 2^(t+ell)).  A 0-bit key is charged nothing and
-    draws nothing.
+    seed_pairs draws its pairs block by block as it walks them, the pairs of
+    one (seed_pairs, 2) draw.  At t = 0 there is no check value, so every
+    row of a grid is alike: a grid computes its first row alone and copies
+    it to the others, and a drawn pair is computed like any other.  Every
+    term is written in place into the audit's one array, and the standard
+    error's spread is taken in place on it.  Before a seed is drawn or a
+    table built, the audit is charged P + T K c against search_budget(), and
+    an overrun raises BudgetExceededError: P seed pairs of one word each,
+    its term, and T K c computed cells (computed_cells), for T terms (P, or
+    2^m for a grid at t = 0), K classes and c cells a term (2^t at ell = 1,
+    else 2^(t+ell)).  A 0-bit key is charged nothing and draws nothing.
     """
     if src.alphabet_sizes[0] != 2 or src.alphabet_sizes[2] != 2:
         raise ValueError("exact secrecy enumeration supports binary X and Z only")
@@ -514,50 +516,40 @@ def secrecy_sd_exact(src: JointSource, plan: Plan, seed_pairs: int | None = None
         exact = exact and (mass_z is not None or r0 == r1)
         classes = 1 if mass_z is None else \
             sum(math.comb(m, w) for w in range(m + 1) if mass_z[w] > 0.0)
-        computed = (count if t else min(count, 1 << m)) * classes << (t if ell == 1 else t + ell)
-        # a drawn pair holds its two draws, its term and the standard error's
-        # temporary; a grid pair its term
-        charge, budget = (count << 2 if seed_pairs else count) + computed, search_budget()
+        # with no check value every row of a grid is alike, so a grid at t = 0
+        # computes its first row alone and repeats it
+        walked = 1 << m if t == 0 and seed_pairs is None else count
+        computed = walked * classes << (t if ell == 1 else t + ell)
+        charge, budget = count + computed, search_budget()
         if charge > budget:
             raise BudgetExceededError(f"secrecy audit of {count} seed pairs and {computed} cells "
                                       f"charges {charge}, over budget {budget}", charge, budget)
-        draws = None if drawn is None else np.random.default_rng(rng_seed).integers(
-            0, 1 << m, size=recon_seeds or (seed_pairs, 2), dtype=np.uint64)
+        rng = None if drawn is None else np.random.default_rng(rng_seed)
+        draws = (rng, seed_pairs) if seed_pairs is not None else \
+            None if recon_seeds is None else rng.integers(0, 1 << m, size=recon_seeds)
+        if walked < count:
+            # the row of reconciliation seed 0, which every row repeats
+            draws = np.zeros(1, dtype=np.int64)
         distances, chunk = _walsh_pair_distances(pair, ctx, t, ell)
-
-        def walk(pairs, out: np.ndarray) -> np.ndarray:
-            # each block writes its terms in place: a fresh array per block
-            # would be mapped in and faulted in again on every block
-            lo = 0
-            for s, s2 in _seed_pair_blocks(m, pairs, chunk):
-                hi = lo + np.broadcast(s, s2).size
-                distances(s, s2, out[lo:hi])
-                lo = hi
-            return out
-
+        # each block writes its terms in place: a fresh array per block would
+        # be mapped in and faulted in again on every block
         terms = np.empty(count, dtype=np.float64)
-        if t > 0:
-            walk(draws, terms)
-        else:
-            # with no check value a term depends on the key seed alone: each
-            # distinct key seed, in ascending order, is computed once, against
-            # reconciliation seed 0, and serves every pair (every grid row) it
-            # appears in.  Drawn seeds are below 2^m, so their int64 view
-            # indexes the count and term tables of every seed
-            key_seeds = draws.view(np.int64)[:, 1] if seed_pairs is not None else \
-                np.arange(1 << m)
-            keys = np.flatnonzero(np.bincount(key_seeds, minlength=1 << m))
-            by_seed = np.zeros(1 << m)
-            by_seed[keys] = walk(np.stack([np.zeros_like(keys), keys], axis=1),
-                                 np.empty(len(keys)))
-            terms.reshape(-1, key_seeds.size)[:] = by_seed[key_seeds]
+        lo = 0
+        for s, s2 in _seed_pair_blocks(m, draws, chunk):
+            hi = lo + np.broadcast(s, s2).size
+            distances(s, s2, terms[lo:hi])
+            lo = hi
+        terms.reshape(-1, walked)[1:] = terms[:walked]
         sd = float(terms.mean())
         if std_error is not None:
             # a drawn reconciliation seed's inner key-seed average is exact;
-            # only the outer draw varies
+            # only the outer draw varies.  The spread is np.std(ddof=1)'s, in
+            # its order, taken in place
             samples = terms if seed_pairs is not None else \
                 terms.reshape(recon_seeds, 1 << m).mean(axis=1)
-            std_error = float(samples.std(ddof=1) / math.sqrt(len(samples)))
+            samples -= samples.mean()
+            np.square(samples, out=samples)
+            std_error = math.sqrt(samples.sum() / (len(samples) - 1)) / math.sqrt(len(samples))
 
     hmin = avg_min_entropy_product(src, n, given="z")
     lhl = min(1.0, 0.5 * math.sqrt(2.0 ** (t + ell - hmin)))

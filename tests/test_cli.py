@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import subprocess
 import sys
 import time
@@ -18,6 +19,14 @@ from omska.planner import PLAN_MODES
 
 BSC = ["--bsc", "0.02,0.15"]
 NAN_PMF = '{"alphabet_sizes": [2, 2, 2], "pmf": [NaN, 0, 0, 0, 0, 0, 0, 1]}'
+
+
+def _child_env():
+    """This process's environment, with the checkout's src first on
+    PYTHONPATH, so that a child imports the package under test."""
+    root = Path(__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def _run(capsys, argv):
@@ -176,11 +185,11 @@ def test_verify_over_budget_exits_3(capsys):
     # a noiseless receiver and a useless eavesdropper link plan (2, 10) at
     # n = 12: 2^24 seed pairs of 2^12 cells each charge 2^24 x 4097, which
     # the default budget refuses before anything is computed; so are 10^11
-    # seed pairs, drawn (4 words a pair) or by reconciliation seed (1 word),
-    # on its (2, 6) plan at n = 8
+    # seed pairs, drawn or by reconciliation seed (1 word a pair and 256
+    # cells), on its (2, 6) plan at n = 8
     keyed = ["--bsc", "0.0,0.5", "--eps", "0.5", "--sigma", "0.5"]
     for extra, charge in ((["--n", "12"], (1 << 24) * 4097),
-                          (["--n", "8", "--seed-pairs", "100000000000"], 10 ** 11 * 260),
+                          (["--n", "8", "--seed-pairs", "100000000000"], 10 ** 11 * 257),
                           (["--n", "8", "--recon-seeds", "100000000000"], 10 ** 11 * 256 * 257)):
         code, (out, err) = _run_err(capsys, ["verify", *keyed, *extra])
         assert code == 3 and out == "", extra
@@ -301,6 +310,7 @@ def test_usage_errors_exit_2(capsys):
         ["plan", *BSC, "--n", "100", "--format", "csv"],  # csv not row output
         ["bounds", *BSC, "--n-range", "10:5:1"],       # empty range
         ["bounds", *BSC, "--n-range", "10:20"],        # wrong arity
+        ["bounds", *BSC, "--n", "100", "--n-range", "10:20:5"],  # both n forms
         ["threshold", *BSC, "--mode", "nope"],
         ["plan", *BSC, "--n", "100", "--eps", "2.0"],  # library domain error
         ["verify", *BSC, "--n", "13"],                 # over the exact-n cap
@@ -461,7 +471,8 @@ def test_config_values_are_typed_as_on_the_command_line(capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         return subprocess.run([sys.executable, "-m", "omska.cli", "run", *BSC, *argv,
-                               "--config", str(cfg)], capture_output=True, text=True)
+                               "--config", str(cfg)], capture_output=True, text=True,
+                              env=_child_env())
 
     for config in ({"n": 8.5}, {"n": 8, "trials": 2.5}, {"n": [8]}):
         proc = run(config)
@@ -594,7 +605,7 @@ def test_console_script_runs():
                            "import omska.cli, sys; "
                            "sys.exit(omska.cli.main(['bounds', '--bsc', '0.02,0.15', "
                            "'--n', '1000']))"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["bound_name"] == "capacity"
 
@@ -607,5 +618,5 @@ def test_cli_import_leaves_multiprocessing_unloaded():
                                f"import {module}, sys; "
                                "print([m in sys.modules for m in "
                                "('multiprocessing', 'statistics')])"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0 and proc.stdout.strip() == "[False, False]", module

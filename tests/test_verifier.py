@@ -619,7 +619,11 @@ def test_secrecy_grid_matches_per_pair_terms():
 
 def _assert_grid_matches_per_pair_terms(pair, n, rng, lone_grid, tol):
     ctx = field_for_source(n, 2)
-    modes = (None, rng.integers(0, 1 << n, size=7), rng.integers(0, 1 << n, size=(49, 2)))
+    recon = rng.integers(0, 1 << n, size=7)
+    # the drawn pairs are streamed from a generator seeded with pair_seed,
+    # and must be those of one draw with that seed
+    pair_seed = int(rng.integers(1 << 30))
+    modes = (None, recon, np.random.default_rng(pair_seed).integers(0, 1 << n, size=(49, 2)))
     for t in range(n + 1):
         for ell in range(n + 1 - t):
             distances, audit_chunk = _walsh_pair_distances(pair, ctx, t, ell)
@@ -629,7 +633,9 @@ def _assert_grid_matches_per_pair_terms(pair, n, rng, lone_grid, tol):
                 if draws is None and not lone_grid:
                     chunks = chunks[:2]
                 for chunk in chunks:
-                    blocks = list(_seed_pair_blocks(n, draws, chunk))
+                    streamed = draws is not None and draws.ndim == 2
+                    blocks = list(_seed_pair_blocks(
+                        n, (np.random.default_rng(pair_seed), 49) if streamed else draws, chunk))
                     assert all(np.broadcast(*b).size <= chunk for b in blocks)
                     pairs = [np.broadcast_arrays(*b) for b in blocks]
                     assert np.array_equal(np.concatenate([a.ravel() for a, _ in pairs]), seeds)
@@ -716,11 +722,15 @@ def test_secrecy_grid_blocks_match_full_spectrum():
         base = _cascade_base(src)
         for n in (3, 5, 6):
             ctx = field_for_source(n, 2)
+            # 40 pairs streamed in blocks of 16, the pairs of one draw
             draws = np.random.default_rng(n).integers(0, 1 << n, size=(40, 2))
+            streamed = np.concatenate([np.stack(block, axis=1) for block in _seed_pair_blocks(
+                n, (np.random.default_rng(n), 40), 16)])
+            assert np.array_equal(streamed, draws)
             for t in range(n):
                 for ell in range(1, n + 1 - t):
                     distances = _kernel(src.p_xz(), ctx, t, ell)
-                    for pairs, chunk in ((None, 4 << n), (draws, 16)):
+                    for pairs, chunk in ((None, 4 << n), ((np.random.default_rng(n), 40), 16)):
                         for block in _seed_pair_blocks(n, pairs, chunk):
                             s, s2 = (a.ravel() for a in np.broadcast_arrays(*block))
                             want = _full_spectrum_terms(base, ctx, t, ell, s, s2)
@@ -736,9 +746,12 @@ def test_secrecy_grid_blocks_match_full_spectrum():
 
 
 def test_secrecy_t0_audit_computes_one_row(monkeypatch):
-    # with no check value a term depends on the key seed alone: a full
-    # n = 8 audit runs the kernel on one row of 256 pairs, not 65,536, and
-    # drawn pairs on each distinct key seed once
+    # with no check value every row of a grid is alike: a full n = 8 audit
+    # runs the kernel on one row of 256 pairs, not 65,536.  Drawn pairs are
+    # each computed once, like any others: sharing a term between drawn pairs
+    # with one key seed saves most past 2^m pairs, and there the exact
+    # audit's one row of 2^m terms costs less still, so no count table of key
+    # seeds is kept for it
     kernel = verifier._walsh_pair_distances
     counted = []
 
@@ -759,27 +772,29 @@ def test_secrecy_t0_audit_computes_one_row(monkeypatch):
         assert sum(counted) <= 256, (ell, counted)
     counted.clear()
     rep = secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 0, 2), seed_pairs=2000, rng_seed=1)
-    keys = np.random.default_rng(1).integers(0, 256, size=(2000, 2), dtype=np.uint64)[:, 1]
-    assert sum(counted) == len(np.unique(keys)) < 2000
-    assert rep.seed_pairs == 2000
+    assert sum(counted) == 2000
+    assert rep.seed_pairs == 2000 and rep.computed_cells == 2000 << 2
 
 
 def test_secrecy_lone_pair_term_matches_its_block():
-    # 257 drawn pairs at n = 8, (4, 4) leave pair 257 alone in the audit's
-    # second chunk of 256; its term, and so sd and std_error, must be the
-    # ones the same pairs give in a single block, on a dyadic cascade and on
-    # another
-    plan = _hand_plan(8, 8.0, 4, 4)
+    # drawn pairs at n = 8 are streamed in the audit's chunks of 256, at
+    # (4, 4) and at (0, 8): one pair short of a chunk, a whole chunk, and one
+    # or three whole chunks and a lone pair past them.  Each report's sd and
+    # std_error must be those of one draw of the same pairs computed in a
+    # single block, on a dyadic cascade and on another
     assert _CHUNK_CELLS >> 8 == 256
-    draws = np.random.default_rng(257).integers(0, 256, size=(257, 2), dtype=np.uint64)
-    for src in (CHAIN, DYADIC_CHAIN):
-        rep = secrecy_sd_exact(src, plan, seed_pairs=257, rng_seed=257)
-        distances, chunk = _walsh_pair_distances(src.p_xz(), field_for_source(8, 2), 4, 4)
-        assert chunk == 256
-        terms = _terms(distances, draws[:, 0].astype(np.int64), draws[:, 1].astype(np.int64))
-        assert rep.sd == float(terms.mean())
-        assert rep.std_error == float(terms.std(ddof=1) / np.sqrt(257))
-        assert rep.seed_pairs == 257 and rep.cells == 257 * 256
+    for t, ell in ((4, 4), (0, 8)):
+        plan = _hand_plan(8, 8.0, t, ell)
+        for src in (CHAIN, DYADIC_CHAIN):
+            distances, chunk = _walsh_pair_distances(src.p_xz(), field_for_source(8, 2), t, ell)
+            assert chunk == 256
+            for pairs in (chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+                rep = secrecy_sd_exact(src, plan, seed_pairs=pairs, rng_seed=pairs)
+                draws = np.random.default_rng(pairs).integers(0, 256, size=(pairs, 2))
+                terms = _terms(distances, draws[:, 0], draws[:, 1])
+                assert rep.sd == float(terms.mean()), (t, ell, pairs)
+                assert rep.std_error == float(terms.std(ddof=1) / np.sqrt(pairs)), (t, ell, pairs)
+                assert rep.seed_pairs == pairs and rep.cells == pairs * 256
 
 
 @pytest.mark.parametrize("t, ell", [(1, 1), (2, 1), (3, 2), (4, 4), (6, 1), (5, 5)])
@@ -1144,21 +1159,19 @@ def _refusing(what):
 
 def test_secrecy_budget_checked_before_drawing(monkeypatch):
     # an audit is charged its seed pairs and computed cells before any seed
-    # is drawn or any table built, at (1, 1) on the cascade: 3 a grid pair
-    # (its term and its 2 check cells), 6 a drawn pair (its two draws, its
-    # term, the standard error's temporary and its 2 check cells).  So a
-    # budget of 3 x 2^24 refuses one grid pair more than 2^24 and lets 2^24
-    # through to the draw.  A 0-bit key is charged nothing and draws
-    # nothing, at any count
+    # is drawn or any table built, at (1, 1) on the cascade: 3 a pair, grid
+    # or drawn (its term and its 2 check cells).  So a budget of 3 x 2^24
+    # refuses one pair more than 2^24 and lets 2^24 through to the draw.  A
+    # 0-bit key is charged nothing and draws nothing, at any count
     budget = 3 << 24
     monkeypatch.setenv("OMSKA_BUDGET", str(budget))
     monkeypatch.setattr(np.random, "default_rng", _refusing("seeds drawn"))
     monkeypatch.setattr(verifier, "_field_masks", _refusing("mask table built"))
     zero_key = plan_desk_exact(CHAIN, 8, 0.05, 0.05)
     assert zero_key.key_bits == 0
-    for kw, pairs, words in (({"seed_pairs": 10 ** 11}, 10 ** 11, 6),
+    for kw, pairs, words in (({"seed_pairs": 10 ** 11}, 10 ** 11, 3),
                              ({"recon_seeds": 10 ** 11}, 10 ** 11 << 8, 3),
-                             ({"seed_pairs": (1 << 24) + 1}, (1 << 24) + 1, 6),
+                             ({"seed_pairs": (1 << 24) + 1}, (1 << 24) + 1, 3),
                              ({"recon_seeds": (1 << 16) + 1}, (1 << 24) + 256, 3)):
         with pytest.raises(BudgetExceededError) as exc:
             secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 1, 1), **kw)
@@ -1169,21 +1182,21 @@ def test_secrecy_budget_checked_before_drawing(monkeypatch):
         secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 1, 1), recon_seeds=1 << 16)
 
 
-def test_secrecy_drawn_pairs_charged_four_words(monkeypatch):
-    # 99,000,000 drawn pairs at n = 8, (0, 1) would hold about 3 GB of draws,
-    # terms and the standard error's temporary: 4 words a pair and 256
-    # computed cells are over the default budget, so nothing is drawn
+def test_secrecy_drawn_pairs_charged_one_word(monkeypatch):
+    # 99,000,000 drawn pairs at n = 8, (0, 1) would hold about 0.8 GB of
+    # terms: a word a pair and a computed cell a pair are over the default
+    # budget, so nothing is drawn
     monkeypatch.setattr(np.random, "default_rng", _refusing("seeds drawn"))
     with pytest.raises(BudgetExceededError) as exc:
         secrecy_sd_exact(CHAIN, _hand_plan(8, 8.0, 0, 1), seed_pairs=99_000_000)
-    assert (exc.value.count, exc.value.budget) == (396_000_256, 10 ** 8)
+    assert (exc.value.count, exc.value.budget) == (198_000_000, 10 ** 8)
 
 
 @pytest.mark.parametrize("t", [0, 1])
 def test_secrecy_drawn_audit_memory_within_its_charge(t):
-    # a 10^6-pair drawn audit at n = 8 holds no more than the 4 words a pair
-    # it is charged, and 2 MiB: at t = 0 the distinct key seeds come from a
-    # count table of the 2^m seeds, with no sorted copy or inverse index
+    # a 10^6-pair drawn audit at n = 8 holds no more than the word a pair it
+    # is charged, and 4 MiB: its pairs are drawn block by block, and the
+    # standard error's spread is taken in place on the terms
     pairs = 10 ** 6
     plan = _hand_plan(8, 8.0, t, 1)
     secrecy_sd_exact(CHAIN, plan, seed_pairs=1000)  # warm imports and caches
@@ -1194,7 +1207,7 @@ def test_secrecy_drawn_audit_memory_within_its_charge(t):
     finally:
         tracemalloc.stop()
     assert rep.seed_pairs == pairs and rep.std_error > 0.0
-    assert peak <= 4 * 8 * pairs + (2 << 20), peak
+    assert peak <= 8 * pairs + (4 << 20), peak
 
 
 def test_secrecy_non_cascade_audit_refused_at_once(monkeypatch):
